@@ -296,12 +296,14 @@ def cmd_radial(args) -> int:
             "nodes": solution.nodes,
             "r_max": solution.r_max,
             "h": solution.h,
+            "sweeps": solution.sweeps,
         }
         _emit(json.dumps(obj, indent=2), args.out)
     else:
         _emit(
-            f"E = {solution.energy:.8f} hartree (nodes={solution.nodes}, "
-            f"convention={args.convention}, r_max={solution.r_max}, h={solution.h})",
+            f"E = {solution.energy:.9g} hartree (nodes={solution.nodes}, "
+            f"convention={args.convention}, r_max={solution.r_max}, h={solution.h}, "
+            f"sweeps={solution.sweeps})",
             args.out,
         )
     return 0

@@ -10,10 +10,12 @@ Two routes that share no algebra with the spectrum module:
   search logic itself stays an ordinary golden section.
 
 * ``radial_ground_state`` solves the n = 1 reduced radial equation by
-  Numerov integration with node-counting bisection on the energy. Both the
-  full-Laplacian and half-Laplacian kinetic conventions are supported, so
-  the -1/4 and -1/2 hartree ground levels of the 3-D Coulomb problem can
-  each be pinned.
+  Numerov sweeps in x = ln r, with the grid, each sweep's cutoff and the
+  energy bracket scaled by the closed-form estimate. Node counting isolates
+  the level and a bracketed root of the matching condition polishes it.
+  Both the full-Laplacian and half-Laplacian kinetic conventions are
+  supported, so the -1/4 and -1/2 hartree ground levels of the 3-D Coulomb
+  problem can each be pinned.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import mpmath
 import numpy as np
@@ -140,6 +141,9 @@ class KineticConvention(Enum):
 
 @dataclass(frozen=True)
 class RadialSolution:
+    """``u`` normalized on ``grid``, which steps by ``h`` in ln r up to the
+    cutoff ``r_max``; ``sweeps`` counts node-count and matching sweeps."""
+
     grid: np.ndarray
     u: np.ndarray
     energy: float
@@ -147,6 +151,17 @@ class RadialSolution:
     kinetic_convention: KineticConvention
     r_max: float
     h: float
+    sweeps: int
+
+
+_STEP = 0.005  # Numerov step in ln r: every level varies slowly in ln r
+_INNER = 1e-5  # inner grid edge, as a fraction of the length alpha / |E_est|
+_TAIL = 40.0  # decay lengths sqrt(c0 / |E|) kept beyond the outer turning point
+_DEEP = 8.0  # lower bracket edge, in units of |E_est| / c0
+_NARROW = 1.1  # node-count bisection stops once lo / hi is at most this
+_REL_TOL = 1e-10
+_MAX_POLISH = 60
+_BIG = 1e250
 
 
 def radial_ground_state(
@@ -155,19 +170,14 @@ def radial_ground_state(
     beta: int = 1,
     convention: KineticConvention = KineticConvention.FULL_LAPLACIAN,
     excitation: int = 0,
-    *,
-    h: float = 1e-3,
-    r_max: float = 40.0,
-    box_tol: float = 1e-8,
-    bisect_tol: float = 1e-9,
-    max_doublings: int = 3,
 ) -> RadialSolution:
     """Radial eigenstate of -c0 u'' + [c0 (D-1)(D-3)/(4 r^2) - alpha r^-beta] u = E u.
 
     c0 is 1 (full Laplacian) or 1/2 (half). Only the centrifugal-regular,
     long-range-safe case beta = 1 with D >= 3 is supported; beta >= 2 falls
-    to the center and is rejected as singular. The box size doubles until
-    the eigenvalue moves by less than ``box_tol``.
+    to the center and is rejected as singular. Every length and energy
+    scale comes from the closed-form estimate E_est, so the solve costs the
+    same at any alpha.
     """
     if not isinstance(D, int) or isinstance(D, bool) or D < 3:
         raise InvalidParameterError(
@@ -185,33 +195,26 @@ def radial_ground_state(
         )
     if alpha <= 0:
         raise InvalidParameterError("repulsive", "radial solver needs alpha > 0")
+    if not 1e-100 <= alpha <= 1e100:  # also catches nan and inf
+        raise InvalidParameterError(
+            "out-of-range", f"radial solver needs 1e-100 <= alpha <= 1e100, got {alpha!r}"
+        )
     if excitation < 0:
         raise InvalidParameterError("bad-excitation", "excitation must be >= 0")
 
     c0 = 1.0 if convention is KineticConvention.FULL_LAPLACIAN else 0.5
-    problem = _RadialProblem(D, alpha, beta, c0, h)
-
-    # magnitude scale for the bisection bracket, from the closed-form estimate
     estimate = e0_general(EnergyQuery(SignedLogReal.from_float(alpha), beta, 1, D))
-    wide = (-2e3 * math.exp(estimate.energy.lnmag), -1e-8)
+    scale = math.exp(estimate.energy.lnmag)
+    # the closed form is the large-D limit: the true ground level is deeper by
+    # at most (D / (D-1))^2 / c0, and the k-th level lies below |E_est| / (k+1)^2
+    lo = -_DEEP * scale / c0
+    hi = -scale / (excitation + 1) ** 2
+    r_min = _INNER * (alpha / scale) ** (1.0 / beta)
+    problem = _RadialProblem(D, alpha, beta, c0, r_min, hi)
+    energy, grid, u = problem.solve(excitation, lo, hi)
 
-    energy = problem.solve_box(r_max, excitation, wide, wide, bisect_tol)
-    box = r_max
-    for _ in range(max_doublings):
-        box *= 2
-        margin = max(1e-6, 10.0 * bisect_tol)
-        narrow = (energy - margin, min(energy + margin, -1e-9))
-        new_energy = problem.solve_box(box, excitation, wide, narrow, bisect_tol)
-        if abs(new_energy - energy) < box_tol:
-            energy = new_energy
-            break
-        energy = new_energy
-    else:
-        raise NoConvergenceError(
-            f"eigenvalue still shifting by >= {box_tol} after {max_doublings} box doublings"
-        )
-
-    grid, u, nodes = problem.wavefunction(box, energy)
+    signs = np.sign(u[np.abs(u) > 0.0])
+    nodes = int(np.count_nonzero(np.diff(signs)))
     if nodes != excitation:
         raise NoConvergenceError(
             f"converged state has {nodes} nodes, expected {excitation}"
@@ -222,170 +225,161 @@ def radial_ground_state(
         energy=energy,
         nodes=nodes,
         kinetic_convention=convention,
-        r_max=box,
-        h=h,
+        r_max=problem.r_stop(energy),
+        h=_STEP,
+        sweeps=problem.sweeps,
     )
 
 
-class _RadialProblem:
-    """Mesh construction and Numerov sweeps for one (D, alpha, beta, c0)."""
+def _sweep(coeffs: list, w0: float, w1: float) -> list:
+    """Numerov recurrence w[i+1] = c[i] w[i] - w[i-1] from (w0, w1), rescaled
+    as a whole whenever it nears overflow."""
+    w = [w0, w1]
+    for ci in coeffs:
+        w2 = ci * w1 - w0
+        if w2 > _BIG or w2 < -_BIG:
+            w = [v / _BIG for v in w]
+            w1 /= _BIG
+            w2 /= _BIG
+        w.append(w2)
+        w0 = w1
+        w1 = w2
+    return w
 
-    def __init__(self, D: int, alpha: float, beta: int, c0: float, h: float):
+
+class _RadialProblem:
+    """Numerov sweeps in x = ln r for one (D, alpha, beta, c0).
+
+    With u = r^(1/2) y the radial equation becomes
+    y'' = [(D-2)^2/4 + r^2 (-E - alpha r^-beta) / c0] y, whose regular
+    solution starts as y ~ r^((D-2)/2) (1 - alpha r / (2 c0 s)) with
+    s = (D-1)/2. The centrifugal term is a constant in x, so the sweeps
+    start at the first mesh point for every D. A sweep at energy E stops at
+    r_stop(E).
+    """
+
+    def __init__(self, D: int, alpha: float, beta: int, c0: float, r_min: float, e_top: float):
         self.alpha = alpha
         self.beta = beta
         self.c0 = c0
-        self.h = h
-        self.L = (D - 1) * (D - 3) / 4.0
-        self.s = (D - 1) / 2.0
-        # start far enough out that 1 - (h^2/12) q stays positive at the
-        # centrifugal spike; for D = 3 this is simply the first mesh point
-        self.i0 = max(1, int(math.sqrt(self.L / 12.0)) + 1)
-        self._mesh_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self.sweeps = 0
+        self.ln_r_min = math.log(r_min)
+        n_pts = self._points(e_top)
+        self.rr = r_min * np.exp(_STEP * np.arange(n_pts))
+        k = _STEP * _STEP / 12.0
+        self.base = 1.0 - k * ((D - 2) ** 2 / 4.0 - (alpha / c0) * self.rr ** (2.0 - beta))
+        self.slope = (k / c0) * self.rr**2
+        corr = alpha / (c0 * (D - 1))
+        # y / r_min^((D-2)/2) at the first two mesh points
+        self.y0 = 1.0 - corr * r_min
+        self.y1 = math.exp((D - 2) / 2.0 * _STEP) * (1.0 - corr * float(self.rr[1]))
 
-    def _mesh(self, r_max: float) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._mesh_cache.get(r_max)
-        if cached is not None:
-            return cached
-        n_pts = int(round(r_max / self.h))
-        if n_pts - self.i0 < 16:
-            raise InvalidParameterError("bad-mesh", "mesh too short for the centrifugal core")
-        rr = np.arange(self.i0, n_pts + 1, dtype=float) * self.h
-        v_over_c0 = self.L / rr**2 - (self.alpha / self.c0) * rr ** float(-self.beta)
-        base = 1.0 - (self.h * self.h / 12.0) * v_over_c0
-        self._mesh_cache[r_max] = (rr, base)
-        return rr, base
+    def r_stop(self, energy: float) -> float:
+        """Outer turning point plus _TAIL decay lengths."""
+        return (self.alpha / -energy) ** (1.0 / self.beta) + _TAIL * math.sqrt(self.c0 / -energy)
 
-    def _start_values(self, rr: np.ndarray) -> tuple[float, float]:
-        # regular solution u ~ r^s (1 - alpha r / (2 c0 s)) near the origin
-        corr = self.alpha / (2.0 * self.c0 * self.s)
-        u0 = rr[0] ** self.s * (1.0 - corr * rr[0])
-        u1 = rr[1] ** self.s * (1.0 - corr * rr[1])
-        return u0, u1
+    def _points(self, energy: float) -> int:
+        return int(math.ceil((math.log(self.r_stop(energy)) - self.ln_r_min) / _STEP)) + 1
 
-    def _coeffs(self, base: np.ndarray, energy: float) -> tuple[np.ndarray, list]:
-        t = base + (self.h * self.h / (12.0 * self.c0)) * energy
+    def _coeffs(self, energy: float) -> tuple[np.ndarray, list]:
+        n_pts = self._points(energy)
+        t = self.base[:n_pts] + self.slope[:n_pts] * energy
         return t, (12.0 / t - 10.0).tolist()
 
-    def nodes_at(self, r_max: float, energy: float, stop_above: Optional[int] = None) -> int:
-        """Count sign changes of the outward solution; may stop early once the
-        count exceeds ``stop_above`` (enough for the bisection predicate)."""
-        rr, base = self._mesh(r_max)
-        t, c = self._coeffs(base, energy)
-        u0, u1 = self._start_values(rr)
-        w0 = t[0] * u0
-        w1 = t[1] * u1
+    def nodes_at(self, energy: float, limit: int) -> int:
+        """Sign changes of the outward solution up to r_stop(energy); stops
+        counting once the count exceeds ``limit``."""
+        t, c = self._coeffs(energy)
+        self.sweeps += 1
+        w0 = float(t[0]) * self.y0
+        w1 = float(t[1]) * self.y1
         nodes = 0
-        limit = -1 if stop_above is None else stop_above
-        pos = w1 > 0.0
+        pos = True
         for ci in c[1:-1]:
             w2 = ci * w1 - w0
-            if w2 > 1e250 or w2 < -1e250:
-                w2 *= 1e-250
-                w1 *= 1e-250
+            if w2 > _BIG or w2 < -_BIG:
+                w2 /= _BIG
+                w1 /= _BIG
             w0 = w1
             w1 = w2
             if (w2 > 0.0) != pos and w2 != 0.0:
                 nodes += 1
-                if nodes > limit >= 0:
-                    return nodes
+                if nodes > limit:
+                    break
                 pos = not pos
         return nodes
 
-    def solve_box(
-        self,
-        r_max: float,
-        excitation: int,
-        wide: tuple[float, float],
-        bracket: tuple[float, float],
-        tol: float,
-    ) -> float:
-        """Node-insertion bisection: the k-th eigenvalue is where the node
-        count first exceeds k. Falls back to the wide bracket when the
-        provided one does not straddle."""
-        lo, hi = bracket
-        if (
-            self.nodes_at(r_max, lo, excitation) > excitation
-            or self.nodes_at(r_max, hi, excitation) <= excitation
-        ):
-            lo, hi = wide
-            if self.nodes_at(r_max, lo, excitation) > excitation:
-                raise NoConvergenceError(
-                    f"lower bracket {lo} already has too many nodes"
-                )
-            if self.nodes_at(r_max, hi, excitation) <= excitation:
-                raise NoConvergenceError(
-                    f"upper bracket {hi} finds no level with excitation {excitation}"
-                )
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.nodes_at(r_max, mid, excitation) > excitation:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+    def _match(self, energy: float, m: int) -> tuple[float, tuple]:
+        """Outward sweep to point m + 1 and inward sweep from r_stop(energy)
+        to point m.
 
-    def wavefunction(
-        self, r_max: float, energy: float
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Assemble the eigenfunction by outward/inward Numerov sweeps glued
-        at the outer classical turning point.
-
-        A single outward sweep would be contaminated by the exponentially
-        growing partner solution over the classically forbidden tail, so the
-        tail is integrated inward instead, where the physical branch is the
-        stable one, and rescaled to match.
+        Returns the sine of the angle between the two solutions' (w[m], w[m+1])
+        pairs: continuous in the energy and zero exactly where the solutions
+        are proportional. The inward sweep starts at zero one point past the
+        last mesh point, where the decaying tail is stable.
         """
-        rr, base = self._mesh(r_max)
-        t, c = self._coeffs(base, energy)
-        last = len(rr) - 1
-        # classically allowed region has t > 1 (local wavenumber real)
-        allowed = np.nonzero(t > 1.0)[0]
-        i_match = int(allowed[-1]) if allowed.size else last // 2
-        i_match = min(max(i_match, 2), last - 2)
+        t, c = self._coeffs(energy)
+        self.sweeps += 2
+        out = _sweep(c[1 : m + 1], float(t[0]) * self.y0, float(t[1]) * self.y1)
+        inn = _sweep(c[-1:m:-1], 0.0, 1.0)[:0:-1]
+        a0, a1, b0, b1 = out[m], out[m + 1], inn[0], inn[1]
+        sine = (a0 * b1 - a1 * b0) / (math.hypot(a0, a1) * math.hypot(b0, b1))
+        return sine, (t, out, inn, m)
 
-        u0, u1 = self._start_values(rr)
-        w_out = [t[0] * u0, t[1] * u1]
-        w0, w1 = w_out[0], w_out[1]
-        for ci in c[1:i_match]:
-            w2 = ci * w1 - w0
-            if w2 > 1e250 or w2 < -1e250:
-                scale = 1e-250
-                w_out = [x * scale for x in w_out]
-                w1 *= scale
-                w2 *= scale
-            w0 = w1
-            w1 = w2
-            w_out.append(w2)
+    def solve(self, k: int, lo: float, hi: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """The k-th level: node-count bisection isolates it, then a bracketed
+        regula falsi (Illinois) on the matching condition polishes it."""
+        n_lo = self.nodes_at(lo, k + 1)
+        n_hi = self.nodes_at(hi, k + 1)
+        if n_lo > k:
+            raise NoConvergenceError(f"lower bracket {lo} already has too many nodes")
+        if n_hi <= k:
+            raise NoConvergenceError(f"upper bracket {hi} finds no level with excitation {k}")
+        # geometric midpoints: the levels crowd towards 0
+        while n_lo < k or n_hi > k + 1 or lo < _NARROW * hi:
+            mid = hi * math.sqrt(lo / hi)
+            if not lo < mid < hi:
+                raise NoConvergenceError(f"no single level with excitation {k} in [{lo}, {hi}]")
+            n_mid = self.nodes_at(mid, k + 1)
+            if n_mid > k:
+                hi, n_hi = mid, n_mid
+            else:
+                lo, n_lo = mid, n_mid
 
-        # inward: seed with a tiny decaying tail at the box edge
-        w_in = [0.0] * (last + 1)
-        w_in[last] = self.h
-        w_in[last - 1] = c[last] * w_in[last]
-        wj, wj1 = w_in[last - 1], w_in[last]
-        for j in range(last - 1, i_match, -1):
-            wjm1 = c[j] * wj - wj1
-            if wjm1 > 1e250 or wjm1 < -1e250:
-                scale = 1e-250
-                for k in range(j, last + 1):
-                    w_in[k] *= scale
-                wj *= scale
-                wjm1 *= scale
-            wj1 = wj
-            wj = wjm1
-            w_in[j - 1] = wjm1
+        # match at the bottom of the well in x, r = alpha / (2 |E|), which lies
+        # inside the allowed region of any level in this narrow bracket
+        m = int(np.argmax(self.base + self.slope * hi * math.sqrt(lo / hi)))
+        f_lo, _ = self._match(lo, m)
+        f_hi, _ = self._match(hi, m)
+        if (f_lo > 0.0) == (f_hi > 0.0):
+            raise NoConvergenceError(f"matching condition keeps its sign over [{lo}, {hi}]")
+        side = 0
+        for _ in range(_MAX_POLISH):
+            energy = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            f, parts = self._match(energy, m)
+            if f == 0.0 or min(energy - lo, hi - energy) <= _REL_TOL * -energy:
+                return (energy, *self._assemble(*parts))
+            if (f > 0.0) == (f_hi > 0.0):
+                hi, f_hi = energy, f
+                if side == 1:
+                    f_lo *= 0.5
+                side = 1
+            else:
+                lo, f_lo = energy, f
+                if side == -1:
+                    f_hi *= 0.5
+                side = -1
+        raise NoConvergenceError(f"matching condition unresolved after {_MAX_POLISH} steps")
 
-        if w_in[i_match] == 0.0:
+    def _assemble(self, t: np.ndarray, out: list, inn: list, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Glue the outward and inward solutions at point m into u = r^(1/2) w / t."""
+        if inn[0] == 0.0:
             raise NoConvergenceError("inward sweep vanished at the matching point")
-        scale = w_out[i_match] / w_in[i_match]
-        w = np.empty(last + 1)
-        w[: i_match + 1] = w_out
-        w[i_match:] = scale * np.asarray(w_in[i_match:])
-        u = w / t
-        norm = math.sqrt(float(np.trapezoid(u * u, dx=self.h)))
-        if norm > 0.0:
-            u = u / norm
-        if u[1] < 0.0:
-            u = -u
-        signs = np.sign(u[np.abs(u) > 0.0])
-        nodes = int(np.count_nonzero(np.diff(signs)))
-        return rr, u, nodes
+        scale = out[m] / inn[0]
+        w = np.array(out[:m] + inn)
+        w[m:] *= scale
+        rr = self.rr[: len(t)]
+        u = np.sqrt(rr) * w / t
+        u /= np.abs(u).max()  # w may reach _BIG, where u * u would overflow
+        u /= math.sqrt(float(np.trapezoid(u * u, rr)))
+        return rr, u

@@ -173,6 +173,26 @@ class TestRadial:
         assert obj["E"] == pytest.approx(-0.5, abs=1e-4)
         assert obj["nodes"] == 0
 
+    @pytest.mark.parametrize("D,alpha", [("25", "1"), ("3", "1e-6")])
+    def test_levels_beyond_a_fixed_box(self, capsys, D, alpha):
+        code, out, _ = run(capsys, "radial", "--D", D, "--alpha", alpha, "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["nodes"] == 0 and obj["sweeps"] > 0
+
+    def test_text_keeps_tiny_levels_and_reports_sweeps(self, capsys):
+        code, out, _ = run(capsys, "radial", "--D", "3", "--alpha", "1e-6")
+        assert code == 0
+        energy = float(out.split()[2])
+        assert energy == pytest.approx(-2.5e-13, rel=1e-6)
+        assert "sweeps=" in out
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_exit_code(self, capsys, alpha):
+        code, _, err = run(capsys, "radial", "--D", "3", f"--alpha={alpha}")
+        assert code == 1
+        assert "invalid parameters" in err and "Traceback" not in err
+
     def test_singular_exit_code(self, capsys):
         code, _, err = run(capsys, "radial", "--D", "5", "--alpha", "1", "--beta", "3")
         assert code == 2

@@ -90,10 +90,14 @@ class TestRadialGroundState:
         assert sol.energy == pytest.approx(-0.5, abs=1e-6)
         assert sol.nodes == 0
 
+    def test_ground_state_sweep_budget(self):
+        sol = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
+        assert sol.sweeps < 40
+
     def test_wavefunction_shape(self):
         sol = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
         # normalized, vanishing at both ends, peaked at the analytic maximum
-        norm = float(np.trapezoid(sol.u**2, dx=sol.h))
+        norm = float(np.trapezoid(sol.u**2, sol.grid))
         assert norm == pytest.approx(1.0, abs=1e-6)
         peak = abs(sol.u).max()
         assert abs(sol.u[0]) < 1e-2 * peak
@@ -110,9 +114,38 @@ class TestRadialGroundState:
             (dict(D=3, alpha=1.0, beta=0), InvalidParameterError),
             (dict(D=2, alpha=1.0, beta=1), InvalidParameterError),
             (dict(D=3, alpha=-1.0, beta=1), InvalidParameterError),
+            (dict(D=3, alpha=math.nan, beta=1), InvalidParameterError),
+            (dict(D=3, alpha=math.inf, beta=1), InvalidParameterError),
+            (dict(D=3, alpha=-math.inf, beta=1), InvalidParameterError),
+            (dict(D=3, alpha=1e101, beta=1), InvalidParameterError),
             (dict(D=3, alpha=1.0, beta=1, excitation=-1), InvalidParameterError),
         ],
     )
     def test_rejections(self, kwargs, error):
         with pytest.raises(error):
             radial_ground_state(**kwargs)
+
+
+def exact_level(D, alpha, convention, k):
+    """E_k = -alpha^2 / (4 c0 (k + (D-1)/2)^2), the exact n = 1, beta = 1 level."""
+    c0 = 1.0 if convention is KineticConvention.FULL_LAPLACIAN else 0.5
+    return -(alpha * alpha) / (4.0 * c0 * (k + (D - 1) / 2) ** 2)
+
+
+EXACT_LEVEL_CASES = [
+    (D, alpha, KineticConvention.FULL_LAPLACIAN, k)
+    for D in (3, 25, 64)
+    for k in (0, 3)
+    for alpha in (1e-6, 1e6)
+] + [
+    (4, 1.0, KineticConvention.FULL_LAPLACIAN, 1),
+    (4, 1.0, KineticConvention.HALF_LAPLACIAN, 1),
+]
+
+
+@pytest.mark.parametrize("D,alpha,convention,k", EXACT_LEVEL_CASES)
+def test_radial_matches_exact_level(D, alpha, convention, k):
+    sol = radial_ground_state(D, alpha, 1, convention, k)
+    exact = exact_level(D, alpha, convention, k)
+    assert abs(sol.energy - exact) <= 1e-6 * abs(exact)
+    assert sol.nodes == k
