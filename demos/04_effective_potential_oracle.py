@@ -5,7 +5,7 @@
 # check therefore minimizes V_eff numerically, pretending the closed form
 # does not exist, and compares. The search runs in ln r (the minimizers
 # span sixteen decades across the grid) with the objective evaluated in
-# 60-digit arithmetic so a 1e-12 bracket is meaningful.
+# 40-digit arithmetic so a 1e-12 tolerance is meaningful.
 
 import math
 
@@ -28,6 +28,7 @@ for r in (1.0, 2.0, 4.5, 8.0, 16.0):
     print(f"  V({r:>4}) = {pot.value_at_ln_r(math.log(r)).to_float():+.6f}")
 found = minimize_v_eff(q)
 print(f"search minimum: r* = {found.r_star}, E = {found.e_min.to_float()}")
+print(f"  ({found.evaluations} objective evaluations)")
 print()
 
 # Now a point far from any textbook: D = 7, n = 3, with the coupling the
@@ -47,3 +48,5 @@ report = oracle_equivalence_report(max_n=5, max_D=20)
 print(f"swept {len(report.points)} bound points:")
 print(f"  worst ln|E| relative deviation: {report.max_lnmag_deviation:.3e}")
 print(f"  worst r* relative deviation:    {report.max_r_star_deviation:.3e}")
+worst = report.worst_r_star
+print(f"  worst r* point: D={worst.D}, n={worst.n}, scheme {worst.scheme.value}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -27,6 +28,7 @@ from .oracle import KineticConvention, radial_ground_state
 from .potential import alpha_coefficient
 from .refdata import PAPER_OMITTED_FLAG
 from .report import (
+    OraclePoint,
     _record_fields,
     oracle_equivalence_report,
     render_records_csv,
@@ -83,6 +85,8 @@ def _energy_record(args) -> ScanRecord:
             raise InvalidParameterError(
                 "missing-coupling", "explicit scheme requires --alpha and --beta"
             )
+        if not math.isfinite(args.alpha):
+            raise InvalidParameterError("non-finite", f"--alpha must be finite, got {args.alpha!r}")
         params = SystemParams(args.D, args.n, args.m if args.m is not None else 1, scheme)
         alpha = SignedLogReal.from_float(args.alpha)
         outcome = e0_general(EnergyQuery(alpha, args.beta, args.n, args.D))
@@ -259,6 +263,10 @@ def cmd_table1(args) -> int:
     return 0
 
 
+def _point_label(p: OraclePoint) -> str:
+    return f"({p.D}, {p.n}, {p.scheme.value})"
+
+
 def cmd_verify(args) -> int:
     report = oracle_equivalence_report(max_n=args.max_n, max_D=args.max_D)
     discrepancies = sum(len(scheme_m1_discrepancies(n)) for n in range(2, args.max_n + 1))
@@ -266,7 +274,9 @@ def cmd_verify(args) -> int:
         f"checked {len(report.points)} bound points: "
         f"max ln|E| deviation {report.max_lnmag_deviation:.3e}, "
         f"max r* deviation {report.max_r_star_deviation:.3e}, "
-        f"{discrepancies} printed-m1-form discrepancies",
+        f"{discrepancies} printed-m1-form discrepancies, "
+        f"worst ln|E| at {_point_label(report.worst_lnmag)}, "
+        f"worst r* at {_point_label(report.worst_r_star)}",
         file=sys.stderr,
     )
     ok = report.max_lnmag_deviation <= 1e-8 and report.max_r_star_deviation <= 1e-9

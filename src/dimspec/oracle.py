@@ -2,12 +2,13 @@
 
 Two routes that share no algebra with the spectrum module:
 
-* ``minimize_v_eff`` brackets and golden-section-searches the effective
-  potential (D/2)^(2n) r^(-2n) - alpha r^(-beta) in ln r. Near the minimum
-  the objective is flat to ~1 part in 1e16 over a window of width ~1e-7 in
-  ln r, which double precision cannot resolve to the accuracy demanded
-  here, so the objective is evaluated in 60-digit arithmetic while the
-  search logic itself stays an ordinary golden section.
+* ``minimize_v_eff`` brackets the effective potential
+  (D/2)^(2n) r^(-2n) - alpha r^(-beta) in ln r and searches it with Brent's
+  parabolic-interpolation minimizer. Near the minimum the objective is flat
+  to ~1 part in 1e16 over a window of width ~1e-7 in ln r, which double
+  precision cannot resolve to the accuracy demanded here, so the objective
+  alone is evaluated in mpmath, at a precision derived from that flatness;
+  the search state and its parabolic steps stay in floats.
 
 * ``radial_ground_state`` solves the n = 1 reduced radial equation by
   Numerov sweeps in x = ln r, with the grid, each sweep's cutoff and the
@@ -60,78 +61,138 @@ class EffectivePotential:
 
 @dataclass(frozen=True)
 class VeffMinimum:
+    """The searched minimum; ``evaluations`` counts objective calls and
+    ``bracket_expansions`` the doublings the bracket needed."""
+
     r_star: float
     e_min: SignedLogReal
     ln_r_star: float
+    evaluations: int
+    bracket_expansions: int
 
 
-def minimize_v_eff(
-    q: EnergyQuery, *, rel_tol: float = 1e-12, dps: int = 60
-) -> VeffMinimum:
+# Objective precision. Around the minimum V_eff is flat as delta^2: relative to
+# |V_min| it rises by n beta delta^2 at a distance delta in ln r (V'' / |V_min|
+# = 2n beta there). Resolving delta = 1e-12 max(1, |ln r*|) needs relative
+# differences of 1e-24 in V, so 24 digits; the two terms of V are at most
+# 2n / (2n - beta) <= 32 times |V_min| and cancel, costing 1.5 more; the
+# exponents are computed exactly from float inputs and so lose nothing. 40
+# digits leaves about 14 guard digits.
+_VEFF_DPS = 40
+_VEFF_TOL = 1e-12  # search tolerance in ln r, relative to max(1, |ln r*|)
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 0.381966...
+_MAX_BRACKET = 200
+_MAX_SEARCH = 200
+
+
+def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     """Locate the interior minimum of the effective potential by search.
 
     The bracket is centered on the stationarity estimate
     r*^(2n-beta) = 2n (D/2)^(2n) / (alpha beta) and expanded geometrically
-    until the minimum is interior; the final minimizer is cross-checked
-    against that estimate to 1e-10 relative in ln r. Raises NoMinimumError
-    when no interior minimum exists (alpha <= 0 or beta >= 2n).
+    until the minimum is interior. Brent's parabolic-interpolation search
+    (Brent 1973, ch. 5) then starts from the bracket's golden point, off the
+    estimate, and the minimizer it finds is cross-checked against the
+    estimate to 1e-10 relative in ln r. Raises NoMinimumError when no
+    interior minimum exists (alpha <= 0 or beta >= 2n).
     """
     if q.alpha.sign != 1 or q.beta <= 0 or q.beta >= 2 * q.n:
         raise NoMinimumError(
             f"no interior minimum for alpha sign {q.alpha.sign}, beta={q.beta}, n={q.n}"
         )
     pot = EffectivePotential.from_query(q)
-    two_n = 2 * q.n
-    with mpmath.workdps(dps):
-        ln_amp = mpmath.mpf(pot.A.lnmag)
-        ln_alpha = mpmath.mpf(q.alpha.lnmag)
-        beta = q.beta
+    two_n, beta = 2 * q.n, q.beta
+    x_seed = (math.log(two_n) + pot.A.lnmag - q.alpha.lnmag - math.log(beta)) / (two_n - beta)
+    # ln |V_eff(r*)|: the objective is divided by it, so that its values near
+    # the minimum, and the differences the search takes of them, are floats
+    ln_scale = q.alpha.lnmag - beta * x_seed + math.log1p(-beta / two_n)
+    evaluations = 0
+    with mpmath.workdps(_VEFF_DPS):
+        ln_amp = mpmath.mpf(pot.A.lnmag) - ln_scale
+        ln_alpha = mpmath.mpf(q.alpha.lnmag) - ln_scale
 
-        def v(x):
+        def f(x: float):
+            nonlocal evaluations
+            evaluations += 1
+            x = mpmath.mpf(x)  # before the products, which floats would round
             return mpmath.exp(ln_amp - two_n * x) - mpmath.exp(ln_alpha - beta * x)
 
-        x_seed = (mpmath.log(two_n) + ln_amp - ln_alpha - mpmath.log(beta)) / (
-            two_n - beta
-        )
-        v_seed = v(x_seed)
-        half = mpmath.mpf(1)
-        for _ in range(200):
+        f_seed = f(x_seed)
+        half = 1.0
+        for expansions in range(_MAX_BRACKET):
             a, b = x_seed - half, x_seed + half
-            if v(a) > v_seed < v(b):
+            if f(a) > f_seed < f(b):
                 break
-            half *= 2
+            half *= 2.0
         else:
             raise NoMinimumError("failed to bracket an interior minimum")
 
-        inv_phi = (mpmath.sqrt(5) - 1) / 2
-        tol = mpmath.mpf(rel_tol) * max(1, abs(x_seed))
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = v(c), v(d)
-        while b - a > tol:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = v(c)
+        # Brent's search state: x is the best point so far, w the second best
+        # and v the one before it; only f and the comparisons of its values
+        # stay in mpmath
+        tol = _VEFF_TOL * max(1.0, abs(x_seed))
+        x = w = v = a + _GOLDEN * (b - a)
+        fx = fw = fv = f(x)
+        d = e = 0.0
+        for _ in range(_MAX_SEARCH):
+            mid = 0.5 * (a + b)
+            if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+                break
+            golden = True
+            if abs(e) > tol:
+                r = (x - w) * float(fx - fv)
+                s = (x - v) * float(fx - fw)
+                p = (x - v) * s - (x - w) * r
+                s = 2.0 * (s - r)
+                if s > 0.0:
+                    p = -p
+                s = abs(s)
+                e_prev, e = e, d
+                # written so that a nan step falls through to the golden one
+                if abs(p) < abs(0.5 * s * e_prev) and s * (a - x) < p < s * (b - x):
+                    golden = False
+                    d = p / s
+                    if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                        d = math.copysign(tol, mid - x)
+            if golden:
+                e = (a if x >= mid else b) - x
+                d = _GOLDEN * e
+            u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+            fu = f(u)
+            if fu <= fx:
+                if u >= x:
+                    a = x
+                else:
+                    b = x
+                v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
             else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = v(d)
-        x_min = (a + b) / 2
-        v_min = v(x_min)
-        if v_min >= 0:
+                if u < x:
+                    a = u
+                else:
+                    b = u
+                if fu <= fw or w == x:
+                    v, fv, w, fw = w, fw, u, fu
+                elif fu <= fv or v == x or v == w:
+                    v, fv = u, fu
+        else:
+            raise NoConvergenceError(f"V_eff search unresolved after {_MAX_SEARCH} steps")
+        if fx >= 0:
             raise NoMinimumError("search ended on a non-negative minimum")
-        ln_e = float(mpmath.log(-v_min))
-        x_min_f = float(x_min)
-        x_seed_f = float(x_seed)
+        ln_e = float(mpmath.log(-fx) + ln_scale)
 
-    if abs(x_min_f - x_seed_f) > 1e-10 * max(1.0, abs(x_seed_f)):
+    if abs(x - x_seed) > 1e-10 * max(1.0, abs(x_seed)):
         raise NoConvergenceError(
-            f"search minimizer ln r = {x_min_f!r} disagrees with the stationarity "
-            f"estimate {x_seed_f!r}"
+            f"search minimizer ln r = {x!r} disagrees with the stationarity "
+            f"estimate {x_seed!r}"
         )
-    r_star = math.exp(x_min_f) if x_min_f < 709.0 else math.inf
-    return VeffMinimum(r_star=r_star, e_min=SignedLogReal(-1, ln_e), ln_r_star=x_min_f)
+    r_star = math.exp(x) if x < 709.0 else math.inf
+    return VeffMinimum(
+        r_star=r_star,
+        e_min=SignedLogReal(-1, ln_e),
+        ln_r_star=x,
+        evaluations=evaluations,
+        bracket_expansions=expansions,
+    )
 
 
 class KineticConvention(Enum):

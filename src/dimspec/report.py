@@ -153,6 +153,17 @@ def _infer_scheme(n: int, m: int) -> Scheme:
 
 
 def _record_from_fields(f: dict) -> ScanRecord:
+    """A record from its wire fields; a missing field, or a value of the wrong
+    type or out of its domain, makes it unparseable."""
+    try:
+        return _build_record(f)
+    except KeyError as exc:
+        raise InvalidParameterError("unparseable", f"record has no {exc.args[0]!r} field") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError("unparseable", f"unreadable record value: {exc}") from None
+
+
+def _build_record(f: dict) -> ScanRecord:
     D, n, m, beta = f["D"], f["n"], f["m"], f["beta"]
     scheme = _infer_scheme(n, m)
     params = SystemParams(D, n, m, scheme)
@@ -205,6 +216,12 @@ def render_records_csv(records: list[ScanRecord]) -> str:
     return buf.getvalue()
 
 
+# cell type of each CSV column, in CSV_COLUMNS order; an empty cell reads as
+# None, except in the integer key columns, which every record fills
+_CSV_KINDS = (int, int, int, int, int, float, int, float, str, str, str, float, float)
+_CSV_KEYS = frozenset(("D", "n", "m", "beta"))
+
+
 def parse_records_csv(text: str) -> list[ScanRecord]:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -214,22 +231,18 @@ def parse_records_csv(text: str) -> list[ScanRecord]:
     for row in reader:
         if not row:
             continue
-        raw = dict(zip(CSV_COLUMNS, row))
-        fields = {
-            "D": int(raw["D"]),
-            "n": int(raw["n"]),
-            "m": int(raw["m"]),
-            "beta": int(raw["beta"]),
-            "alpha_sign": int(raw["alpha_sign"]) if raw["alpha_sign"] else None,
-            "alpha_lnmag": float(raw["alpha_lnmag"]) if raw["alpha_lnmag"] else None,
-            "E0_sign": int(raw["E0_sign"]) if raw["E0_sign"] else None,
-            "E0_lnmag": float(raw["E0_lnmag"]) if raw["E0_lnmag"] else None,
-            "E0_decimal": raw["E0_decimal"] or None,
-            "classification": raw["classification"],
-            "formula": raw["formula"],
-            "paper_E0": float(raw["paper_E0"]) if raw["paper_E0"] else None,
-            "ratio_log10": float(raw["ratio_log10"]) if raw["ratio_log10"] else None,
-        }
+        if len(row) != len(CSV_COLUMNS):
+            raise InvalidParameterError(
+                "unparseable", f"CSV row has {len(row)} cells, expected {len(CSV_COLUMNS)}"
+            )
+        fields = {}
+        for col, kind, cell in zip(CSV_COLUMNS, _CSV_KINDS, row):
+            try:
+                fields[col] = kind(cell) if cell or col in _CSV_KEYS else None
+            except ValueError:
+                raise InvalidParameterError(
+                    "unparseable", f"CSV column {col!r}: cannot read {cell!r} as {kind.__name__}"
+                ) from None
         records.append(_record_from_fields(fields))
     return records
 
@@ -240,7 +253,10 @@ def render_records_json(records: list[ScanRecord]) -> str:
 
 
 def parse_records_json(text: str) -> list[ScanRecord]:
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise InvalidParameterError("bad-json", f"not JSON: {exc}") from None
     if not isinstance(payload, list):
         raise InvalidParameterError("bad-json", "expected a top-level JSON array")
     return [_record_from_fields(entry) for entry in payload]
@@ -277,9 +293,20 @@ class OraclePoint:
 
 @dataclass(frozen=True)
 class OracleReport:
+    """The sweep's points; ``worst_lnmag`` and ``worst_r_star`` are the points
+    with the largest ln|E| and r* deviations."""
+
     points: list[OraclePoint]
-    max_lnmag_deviation: float
-    max_r_star_deviation: float
+    worst_lnmag: OraclePoint
+    worst_r_star: OraclePoint
+
+    @property
+    def max_lnmag_deviation(self) -> float:
+        return self.worst_lnmag.lnmag_deviation
+
+    @property
+    def max_r_star_deviation(self) -> float:
+        return self.worst_r_star.r_star_deviation
 
 
 def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
@@ -319,8 +346,12 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
                     r_star_stationarity=math.exp(ln_r_stat),
                 )
             )
+    if not points:
+        raise InvalidParameterError(
+            "empty-sweep", f"no bound point with n <= {max_n} and D <= {max_D}"
+        )
     return OracleReport(
         points=points,
-        max_lnmag_deviation=max(p.lnmag_deviation for p in points),
-        max_r_star_deviation=max(p.r_star_deviation for p in points),
+        worst_lnmag=max(points, key=lambda p: p.lnmag_deviation),
+        worst_r_star=max(points, key=lambda p: p.r_star_deviation),
     )

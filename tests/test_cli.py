@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -40,6 +41,15 @@ class TestEnergy:
         )
         assert code == 1
         assert "invalid parameters" in err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_exit_code(self, capsys, alpha):
+        code, _, err = run(
+            capsys, "energy", "--scheme", "explicit", "--m", "1", f"--alpha={alpha}",
+            "--beta", "1", "--n", "1", "--D", "3",
+        )
+        assert code == 1
+        assert "dimspec: invalid parameters:" in err and "Traceback" not in err
 
     def test_magnitude_stress_point(self, capsys):
         code, out, _ = run(
@@ -160,6 +170,17 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "oracle–closed-form max relative deviation ≤ 1e-8"
         assert "bound points" in err
+
+    def test_stderr_names_worst_points(self, capsys):
+        code, _, err = run(capsys, "verify", "--max-n", "3", "--max-D", "12")
+        assert code == 0
+        point = r"\((\d+), (\d+), (mn|m1)\)"
+        assert re.search(rf"worst ln\|E\| at {point}, worst r\* at {point}$", err.strip())
+
+    def test_empty_sweep_exit_code(self, capsys):
+        code, _, err = run(capsys, "verify", "--max-D", "2")
+        assert code == 1
+        assert "invalid parameters" in err
 
 
 class TestRadial:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimspec import (
     EffectivePotential,
@@ -56,6 +58,30 @@ class TestMinimizeVeff:
             closed = e0_general(q)
             gap = abs(found.e_min.lnmag - closed.energy.lnmag)
             assert gap <= 1e-8 * max(1.0, abs(closed.energy.lnmag)), (D, n, m)
+
+    def test_analytic_case_effort(self):
+        found = minimize_v_eff(EnergyQuery(SignedLogReal.one(), 1, 1, 3))
+        assert found.evaluations < 40
+        assert found.bracket_expansions == 0
+
+    @given(
+        D=st.integers(min_value=2, max_value=64),
+        n=st.integers(min_value=1, max_value=16),
+        ln_alpha=st.floats(min_value=math.log(1e-100), max_value=math.log(1e100)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stationarity_across_the_window(self, D, n, ln_alpha, data):
+        beta = data.draw(st.integers(min_value=1, max_value=2 * n - 1))
+        found = minimize_v_eff(EnergyQuery(SignedLogReal(1, ln_alpha), beta, n, D))
+        # r*^(2n-beta) = 2n (D/2)^(2n) / (alpha beta), where the centrifugal
+        # term is beta / 2n of the coupling term
+        x = (math.log(2 * n) + 2 * n * math.log(D / 2) - ln_alpha - math.log(beta)) / (
+            2 * n - beta
+        )
+        ln_e = ln_alpha - beta * x + math.log1p(-beta / (2 * n))
+        assert abs(found.e_min.lnmag - ln_e) <= 1e-8 * max(1.0, abs(ln_e))
+        assert abs(found.ln_r_star - x) <= 1e-9
 
     def test_no_minimum_at_divergent_boundary(self):
         with pytest.raises(NoMinimumError):

@@ -103,6 +103,41 @@ class TestSerialization:
         with pytest.raises(InvalidParameterError):
             parse_records_csv("a,b,c\n1,2,3\n")
 
+    @pytest.mark.parametrize("column,cell", [("D", "x"), ("beta", ""), ("E0_lnmag", "x")])
+    def test_csv_unreadable_cell_is_unparseable(self, column, cell):
+        header, row = render_records_csv(scan([3], [1], Scheme.M_EQUALS_N)).splitlines()
+        cells = row.split(",")
+        cells[header.split(",").index(column)] = cell
+        with pytest.raises(InvalidParameterError, match=repr(column)) as err:
+            parse_records_csv(header + "\n" + ",".join(cells) + "\n")
+        assert err.value.code == "unparseable"
+
+    def test_csv_short_row_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            parse_records_csv(CSV_HEADER + "\n3,1\n")
+
+    @pytest.mark.parametrize("field", ["D", "beta", "E0_lnmag", "classification", "paper_E0"])
+    def test_json_missing_field_is_unparseable(self, field):
+        payload = json.loads(render_records_json(scan([3], [1], Scheme.M_EQUALS_N)))
+        del payload[0][field]
+        with pytest.raises(InvalidParameterError, match=repr(field)) as err:
+            parse_records_json(json.dumps(payload))
+        assert err.value.code == "unparseable"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[{}]",
+            "[1]",
+            "{",
+            '[{"D": 3, "n": 1, "m": 1, "beta": 1, "alpha_sign": 1, "alpha_lnmag": 0.0, '
+            '"classification": "nope"}]',
+        ],
+    )
+    def test_json_malformed_input_rejected(self, text):
+        with pytest.raises(InvalidParameterError):
+            parse_records_json(text)
+
     def test_json_is_flat_array_of_objects(self):
         records = scan([3], [1], Scheme.M_EQUALS_N)
         payload = json.loads(render_records_json(records))
@@ -125,3 +160,13 @@ class TestOracleEquivalenceReport:
         assert len(report.points) >= 10
         assert report.max_lnmag_deviation <= 1e-8
         assert report.max_r_star_deviation <= 1e-9
+
+    def test_names_its_worst_points(self):
+        report = oracle_equivalence_report(max_n=3, max_D=12)
+        assert report.worst_lnmag in report.points and report.worst_r_star in report.points
+        assert report.max_lnmag_deviation == max(p.lnmag_deviation for p in report.points)
+        assert report.max_r_star_deviation == max(p.r_star_deviation for p in report.points)
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            oracle_equivalence_report(max_n=3, max_D=2)
