@@ -17,7 +17,6 @@ from .errors import (
     SingularPotentialError,
 )
 from .feasibility import (
-    THREADS_ENV_VAR,
     FeasibilityWindow,
     bound_dims,
     evaluate_point,
@@ -78,6 +77,11 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
+
+# Name of the retired scan thread-pool variable; the library no longer reads
+# it. benchmarks/probes.py still imports it, and a benchmark-only change
+# removes both together.
+THREADS_ENV_VAR = "DIMSPEC_THREADS"
 
 __all__ = [
     "Classification",

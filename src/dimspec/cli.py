@@ -11,26 +11,28 @@ arguments or parameters, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import (
     DimspecError,
     GammaPoleError,
     InvalidParameterError,
 )
-from .feasibility import THREADS_ENV_VAR, bound_dims, evaluate_point, scan
+from .feasibility import bound_dims, evaluate_point, scan
 from .model import Formula, ScanRecord, Scheme, SystemParams
 from .oracle import KineticConvention, radial_ground_state
 from .potential import alpha_coefficient
 from .refdata import PAPER_OMITTED_FLAG
 from .report import (
     OraclePoint,
-    _record_fields,
     oracle_equivalence_report,
+    record_fields,
+    render_csv,
+    render_json,
     render_records_csv,
     render_records_json,
     sort_records,
@@ -43,9 +45,13 @@ _SCHEMES = {s.value: s for s in Scheme}
 _CONVENTIONS = {c.value: c for c in KineticConvention}
 
 
-def _parse_int_values(text: str) -> list[int]:
-    """Accept '7', '3:11' (inclusive) and comma-separated mixes like '1,3:5'."""
-    values: set[int] = set()
+def _parse_int_values(text: str) -> Iterator[int]:
+    """Accept '7', '3:11' (inclusive) and comma-separated mixes like '1,3:5'.
+
+    The values come out lazily: ``scan`` stops at the first one outside its
+    bounds, so a huge range is never expanded.
+    """
+    spans: list[range] = []
     try:
         for token in text.split(","):
             token = token.strip()
@@ -54,14 +60,15 @@ def _parse_int_values(text: str) -> list[int]:
                 lo, hi = int(lo_s), int(hi_s)
                 if hi < lo:
                     raise argparse.ArgumentTypeError(f"empty range {token!r}")
-                values.update(range(lo, hi + 1))
+                spans.append(range(lo, hi + 1))
             elif token:
-                values.add(int(token))
+                value = int(token)
+                spans.append(range(value, value + 1))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse integer set {text!r}") from None
-    if not values:
+    if not spans:
         raise argparse.ArgumentTypeError(f"empty integer set {text!r}")
-    return sorted(values)
+    return chain.from_iterable(spans)
 
 
 def _emit(payload: str, out_path: Optional[str]) -> None:
@@ -106,32 +113,28 @@ def _energy_record(args) -> ScanRecord:
     return evaluate_point(args.D, args.n, scheme)
 
 
+# keys of the energy verb's JSON object: the record's wire fields plus the
+# coupling and energy as plain floats, minus the reference columns
+_ENERGY_JSON_KEYS = (
+    "D", "n", "m", "beta", "alpha", "E0", "classification", "formula",
+    "alpha_sign", "alpha_lnmag", "E0_sign", "E0_lnmag", "E0_decimal",
+)
+
+
 def cmd_energy(args) -> int:
     rec = _energy_record(args)
-    fields = _record_fields(rec)
+    fields = record_fields(rec)
     if args.format == "csv":
         _emit(render_records_csv([rec]), args.out)
     elif args.format == "json":
-        obj = {
-            "D": fields["D"],
-            "n": fields["n"],
-            "m": fields["m"],
-            "beta": fields["beta"],
-            "alpha": rec.alpha.to_float() if rec.alpha is not None else None,
-            "E0": rec.outcome.energy.to_float() if rec.outcome.is_bound else None,
-            "classification": fields["classification"],
-            "formula": fields["formula"],
-            "alpha_sign": fields["alpha_sign"],
-            "alpha_lnmag": fields["alpha_lnmag"],
-            "E0_sign": fields["E0_sign"],
-            "E0_lnmag": fields["E0_lnmag"],
-            "E0_decimal": fields["E0_decimal"],
-        }
-        _emit(json.dumps(obj, indent=2), args.out)
+        fields["alpha"] = rec.alpha.to_float() if rec.alpha is not None else None
+        fields["E0"] = rec.outcome.energy.to_float() if rec.outcome.is_bound else None
+        _emit(render_json({key: fields[key] for key in _ENERGY_JSON_KEYS}), args.out)
     else:
+        # the requested scheme: an n = 1 point is one record under mn and m1
         lines = [
             f"D={fields['D']} n={fields['n']} m={fields['m']} beta={fields['beta']}"
-            f" (scheme {rec.params.scheme.value})"
+            f" (scheme {args.scheme})"
         ]
         if rec.alpha is not None:
             lines.append(f"alpha = {rec.alpha.to_decimal(6)} hartree*bohr^beta")
@@ -149,25 +152,20 @@ def cmd_energy(args) -> int:
 
 def cmd_potential(args) -> int:
     spec = alpha_coefficient(args.D, args.m)
-    alpha_fields = {
+    row = {
+        "D": args.D,
+        "m": args.m,
+        "beta": spec.beta,
+        "nature": spec.nature.value,
         "alpha": spec.alpha.to_float() if spec.alpha is not None else None,
         "alpha_sign": spec.alpha.sign if spec.alpha is not None else None,
         "alpha_lnmag": spec.alpha.lnmag if spec.alpha is not None else None,
         "alpha_decimal": spec.alpha.to_decimal(6) if spec.alpha is not None else None,
     }
     if args.format == "json":
-        obj = {"D": args.D, "m": args.m, "beta": spec.beta, "nature": spec.nature.value}
-        obj.update(alpha_fields)
-        _emit(json.dumps(obj, indent=2), args.out)
+        _emit(render_json(row), args.out)
     elif args.format == "csv":
-        header = "D,m,beta,nature,alpha_sign,alpha_lnmag,alpha_decimal"
-        row = (
-            f"{args.D},{args.m},{spec.beta},{spec.nature.value},"
-            f"{alpha_fields['alpha_sign'] if spec.alpha else ''},"
-            f"{repr(alpha_fields['alpha_lnmag']) if spec.alpha else ''},"
-            f"{alpha_fields['alpha_decimal'] if spec.alpha else ''}"
-        )
-        _emit(header + "\n" + row, args.out)
+        _emit(render_csv([row], [key for key in row if key != "alpha"]), args.out)
     else:
         if spec.alpha is None:
             _emit(
@@ -202,7 +200,7 @@ def cmd_feasible(args) -> int:
             "members": list(window.members),
             "paper_omitted": list(window.paper_omitted),
         }
-        _emit(json.dumps(obj, indent=2), args.out)
+        _emit(render_json(obj), args.out)
     else:
         _emit(" ".join(str(D) for D in window.members), args.out)
     return 0
@@ -229,29 +227,22 @@ def cmd_scan(args) -> int:
 
 def cmd_table1(args) -> int:
     rows = table1_compare()
+    table = [
+        {
+            "D": r.D,
+            "n": r.n,
+            "computed_E0_decimal": r.computed_E0.energy.to_decimal(),
+            "computed_E0_lnmag": r.computed_E0.energy.lnmag,
+            "paper_E0": r.paper_E0.to_float(),
+            "ratio": r.ratio,
+            "ratio_log10": r.ratio_log10,
+        }
+        for r in rows
+    ]
     if args.format == "json":
-        payload = [
-            {
-                "D": r.D,
-                "n": r.n,
-                "computed_E0_decimal": r.computed_E0.energy.to_decimal(),
-                "computed_E0_lnmag": r.computed_E0.energy.lnmag,
-                "paper_E0": r.paper_E0.to_float(),
-                "ratio": r.ratio,
-                "ratio_log10": r.ratio_log10,
-            }
-            for r in rows
-        ]
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(render_json(table), args.out)
     elif args.format == "csv":
-        lines = ["D,n,computed_E0_decimal,computed_E0_lnmag,paper_E0,ratio_log10"]
-        for r in rows:
-            lines.append(
-                f"{r.D},{r.n},{r.computed_E0.energy.to_decimal()},"
-                f"{r.computed_E0.energy.lnmag!r},{r.paper_E0.to_float()!r},"
-                f"{r.ratio_log10!r}"
-            )
-        _emit("\n".join(lines), args.out)
+        _emit(render_csv(table, [key for key in table[0] if key != "ratio"]), args.out)
     else:
         lines = [f"{'D':>4} {'n':>3} {'computed':>12} {'published':>12} {'log10 ratio':>12}"]
         for r in rows:
@@ -308,7 +299,7 @@ def cmd_radial(args) -> int:
             "h": solution.h,
             "sweeps": solution.sweeps,
         }
-        _emit(json.dumps(obj, indent=2), args.out)
+        _emit(render_json(obj), args.out)
     else:
         _emit(
             f"E = {solution.energy:.9g} hartree (nodes={solution.nodes}, "
@@ -326,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Bound-state ground energies of a hydrogen atom governed by an "
             "iterated-Laplacian wave equation in D dimensions"
         ),
-        epilog=f"The {THREADS_ENV_VAR} environment variable caps the scan worker pool.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -8,14 +8,11 @@ closed form wherever a bound state exists.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .errors import InvalidParameterError
 from .model import (
-    EnergyOutcome,
     Formula,
     ScanRecord,
     Scheme,
@@ -28,7 +25,10 @@ from .potential import alpha_coefficient
 from .refdata import PUBLISHED_MEMBERS_M1, PUBLISHED_MEMBERS_MN, TABLE1_E0_SLR
 from .spectrum import EnergyQuery, e0_general
 
-THREADS_ENV_VAR = "DIMSPEC_THREADS"
+# Bounds of the (D, n) grid that scan accepts: the paper's whole parameter
+# space, 1008 closed-form points per scheme.
+D_MIN, D_MAX = 2, 64
+N_MIN, N_MAX = 1, 16
 
 
 @dataclass(frozen=True)
@@ -111,58 +111,33 @@ def evaluate_point(D: int, n: int, scheme: Scheme) -> ScanRecord:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidParameterError(
-            "bad-threads", f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise InvalidParameterError(
-            "bad-threads", f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
-def scan(
-    D_values: Iterable[int],
-    n_values: Iterable[int],
-    scheme: Scheme,
-    *,
-    max_D: int = 64,
-    max_n: int = 16,
-) -> list[ScanRecord]:
+def scan(D_values: Iterable[int], n_values: Iterable[int], scheme: Scheme) -> list[ScanRecord]:
     """Evaluate every point of the (D, n) grid, one record per point.
 
-    Order is deterministic row-major, D outer and n inner. The worker pool
-    is capped by the DIMSPEC_THREADS environment variable; output order does
-    not depend on the worker count.
+    Duplicates are dropped and the order is row-major, ascending D outer and
+    ascending n inner; ``sort_records`` gives the report order. D must lie in
+    [D_MIN, D_MAX] and n in [N_MIN, N_MAX].
     """
     if scheme not in (Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE):
         raise InvalidParameterError("bad-scheme", "scan supports the mn and m1 schemes")
-    Ds = sorted(set(D_values))
-    ns = sorted(set(n_values))
-    _check_range("D", Ds, 2, max_D)
-    _check_range("n", ns, 1, max_n)
-    points = [(D, n) for D in Ds for n in ns]
-    workers = _worker_count()
-    if workers == 1 or len(points) <= 1:
-        return [evaluate_point(D, n, scheme) for D, n in points]
-    with ThreadPoolExecutor(max_workers=min(workers, len(points))) as pool:
-        return list(pool.map(lambda p: evaluate_point(p[0], p[1], scheme), points))
+    Ds = _grid_axis("D", D_values, D_MIN, D_MAX)
+    ns = _grid_axis("n", n_values, N_MIN, N_MAX)
+    return [evaluate_point(D, n, scheme) for D in Ds for n in ns]
 
 
-def _check_range(name: str, values: Sequence[int], lo: int, hi: int) -> None:
-    if not values:
-        raise InvalidParameterError("empty-range", f"{name} range is empty")
+def _grid_axis(name: str, values: Iterable[int], lo: int, hi: int) -> list[int]:
+    """The distinct values, ascending. A non-integer or a value outside
+    [lo, hi] is rejected as soon as it is met, so an oversized range costs
+    no more than its in-bound part."""
+    seen = set()
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool):
             raise InvalidParameterError("non-integer", f"{name} values must be integers")
-    if values[0] < lo or values[-1] > hi:
-        raise InvalidParameterError(
-            "range-bounds", f"{name} values must lie in [{lo}, {hi}]"
-        )
+        if not lo <= v <= hi:
+            raise InvalidParameterError(
+                "range-bounds", f"{name} values must lie in [{lo}, {hi}]"
+            )
+        seen.add(v)
+    if not seen:
+        raise InvalidParameterError("empty-range", f"{name} range is empty")
+    return sorted(seen)

@@ -89,9 +89,13 @@ class SystemParams:
 
     @classmethod
     def for_scheme(cls, D: int, n: int, scheme: Scheme, m: Optional[int] = None) -> "SystemParams":
-        """Build params deriving m from the scheme (m is required for EXPLICIT)."""
-        if scheme is Scheme.M_EQUALS_N:
-            return cls(D, n, n, scheme)
+        """Build params deriving m from the scheme (m is required for EXPLICIT).
+
+        At n = 1 both schemes give m = 1; that point is built as mn, the
+        scheme the record parsers infer from (n, m), so it round-trips.
+        """
+        if scheme is Scheme.M_EQUALS_N or (scheme is Scheme.M_EQUALS_ONE and n == 1):
+            return cls(D, n, n, Scheme.M_EQUALS_N)
         if scheme is Scheme.M_EQUALS_ONE:
             return cls(D, n, 1, scheme)
         if m is None:

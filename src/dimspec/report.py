@@ -10,6 +10,7 @@ decimal string for humans. JSON uses the same keys, with null for fields
 that do not apply. Parsing reconstructs records generated by this library
 exactly: reference values are re-attached from the embedded table and
 invalid-outcome reasons are regenerated from the deterministic classifier.
+``render_csv`` and ``render_json`` are the writers behind every CLI table.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimspecError, InvalidParameterError
 from .feasibility import bound_dims
@@ -110,7 +111,8 @@ def table1_compare() -> list[Table1Row]:
 # -- record serialization ----------------------------------------------------
 
 
-def _record_fields(rec: ScanRecord) -> dict:
+def record_fields(rec: ScanRecord) -> dict:
+    """The wire fields of one record, keyed and ordered as ``CSV_COLUMNS``."""
     alpha_sign = rec.alpha.sign if rec.alpha is not None else None
     alpha_lnmag = rec.alpha.lnmag if rec.alpha is not None else None
     energy = rec.outcome.energy
@@ -165,6 +167,8 @@ def _record_from_fields(f: dict) -> ScanRecord:
 
 def _build_record(f: dict) -> ScanRecord:
     D, n, m, beta = f["D"], f["n"], f["m"], f["beta"]
+    if isinstance(beta, bool) or not isinstance(beta, int):
+        raise InvalidParameterError("unparseable", f"beta must be an integer, got {beta!r}")
     scheme = _infer_scheme(n, m)
     params = SystemParams(D, n, m, scheme)
     alpha = None
@@ -205,15 +209,24 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render_records_csv(records: list[ScanRecord]) -> str:
-    """Records to CSV, input order preserved."""
+def render_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
+    """The CSV writer behind every table: a ``columns`` header, then each
+    row's cells in that order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        fields = _record_fields(rec)
-        writer.writerow([_csv_cell(fields[col]) for col in CSV_COLUMNS])
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row[col]) for col in columns] for row in rows)
     return buf.getvalue()
+
+
+def render_json(payload) -> str:
+    """The JSON writer behind every table: an object or an array of them."""
+    return json.dumps(payload, indent=2)
+
+
+def render_records_csv(records: list[ScanRecord]) -> str:
+    """Records to CSV, input order preserved."""
+    return render_csv(map(record_fields, records), CSV_COLUMNS)
 
 
 # cell type of each CSV column, in CSV_COLUMNS order; an empty cell reads as
@@ -249,7 +262,7 @@ def parse_records_csv(text: str) -> list[ScanRecord]:
 
 def render_records_json(records: list[ScanRecord]) -> str:
     """Records to a JSON array of flat objects, input order preserved."""
-    return json.dumps([_record_fields(rec) for rec in records], indent=2)
+    return render_json([record_fields(rec) for rec in records])
 
 
 def parse_records_json(text: str) -> list[ScanRecord]:

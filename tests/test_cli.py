@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -142,10 +143,13 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--D", "11:3", "--n", "1")
         assert code == 1
 
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIMSPEC_THREADS", "zero")
-        code, _, err = run(capsys, "scan", "--D", "3", "--n", "1")
-        assert code == 1
+    def test_huge_range_rejected_before_expansion(self, capsys):
+        start = time.process_time()
+        code, out, err = run(capsys, "scan", "--D", "2:1000000000", "--n", "1")
+        assert time.process_time() - start < 0.5
+        assert code == 1 and out == ""
+        assert "D values must lie in [2, 64]" in err
+        assert "Traceback" not in err
 
 
 class TestTable1:

@@ -111,7 +111,8 @@ class TestScan:
             scan([65], [1], Scheme.M_EQUALS_N)
         with pytest.raises(InvalidParameterError):
             scan([3], [17], Scheme.M_EQUALS_N)
-        scan([65], [1], Scheme.M_EQUALS_N, max_D=70)  # caps are adjustable
+        with pytest.raises(InvalidParameterError):
+            scan(range(2, 10**12), [1], Scheme.M_EQUALS_N)  # rejected unexpanded
 
     def test_explicit_scheme_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -121,15 +122,3 @@ class TestScan:
         records = scan([3], range(1, 17), Scheme.M_EQUALS_N)
         bound_ns = [rec.params.n for rec in records if rec.outcome.is_bound]
         assert bound_ns == [1]
-
-    def test_worker_pool_preserves_order(self, monkeypatch):
-        baseline = scan(range(3, 12), [1, 3], Scheme.M_EQUALS_N)
-        monkeypatch.setenv("DIMSPEC_THREADS", "4")
-        threaded = scan(range(3, 12), [1, 3], Scheme.M_EQUALS_N)
-        assert threaded == baseline
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "many"])
-    def test_bad_thread_env(self, raw, monkeypatch):
-        monkeypatch.setenv("DIMSPEC_THREADS", raw)
-        with pytest.raises(InvalidParameterError):
-            scan([3], [1], Scheme.M_EQUALS_N)

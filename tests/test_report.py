@@ -62,7 +62,7 @@ class TestSerialization:
         assert parsed == records
 
     def test_csv_round_trip_m1(self):
-        records = scan(range(3, 10), range(2, 7), Scheme.M_EQUALS_ONE)
+        records = scan(range(3, 10), range(1, 7), Scheme.M_EQUALS_ONE)
         parsed = parse_records_csv(render_records_csv(records))
         assert parsed == records
 
@@ -137,6 +137,14 @@ class TestSerialization:
     def test_json_malformed_input_rejected(self, text):
         with pytest.raises(InvalidParameterError):
             parse_records_json(text)
+
+    @pytest.mark.parametrize("beta", ["x", 1.5, None, True])
+    def test_json_non_integer_beta_is_unparseable(self, beta):
+        payload = json.loads(render_records_json(scan([3], [1], Scheme.M_EQUALS_N)))
+        payload[0]["beta"] = beta
+        with pytest.raises(InvalidParameterError, match="beta") as err:
+            parse_records_json(json.dumps(payload))
+        assert err.value.code == "unparseable"
 
     def test_json_is_flat_array_of_objects(self):
         records = scan([3], [1], Scheme.M_EQUALS_N)
