@@ -7,10 +7,7 @@
 # span sixteen decades across the grid) with the objective evaluated in
 # 40-digit arithmetic so a 1e-12 tolerance is meaningful.
 
-import math
-
 from dimspec import (
-    EffectivePotential,
     EnergyQuery,
     SignedLogReal,
     alpha_coefficient,
@@ -20,12 +17,13 @@ from dimspec import (
 )
 
 # The textbook case first: V_eff = 2.25/r^2 - 1/r has its minimum at
-# r* = 4.5 bohr with depth -1/9 hartree.
-q = EnergyQuery(SignedLogReal.one(), 1, 1, 3)
-pot = EffectivePotential.from_query(q)
+# r* = 4.5 bohr with depth -1/9 hartree. Here plain floats are enough.
+D, n, alpha, beta = 3, 1, 1.0, 1
 print("V_eff on a crude grid (D=3, n=1, alpha=1, beta=1):")
 for r in (1.0, 2.0, 4.5, 8.0, 16.0):
-    print(f"  V({r:>4}) = {pot.value_at_ln_r(math.log(r)).to_float():+.6f}")
+    v = (D / 2) ** (2 * n) * r ** (-2 * n) - alpha * r ** (-beta)
+    print(f"  V({r:>4}) = {v:+.6f}")
+q = EnergyQuery(SignedLogReal.from_float(alpha), beta, n, D)
 found = minimize_v_eff(q)
 print(f"search minimum: r* = {found.r_star}, E = {found.e_min.to_float()}")
 print(f"  ({found.evaluations} objective evaluations)")

@@ -32,11 +32,11 @@ from .model import (
     ScanRecord,
     Scheme,
     SystemParams,
+    classify_coupling,
     classify_outcome,
     classify_regime,
 )
 from .oracle import (
-    EffectivePotential,
     KineticConvention,
     RadialSolution,
     VeffMinimum,
@@ -87,7 +87,6 @@ __all__ = [
     "Classification",
     "CSV_HEADER",
     "DimspecError",
-    "EffectivePotential",
     "EnergyOutcome",
     "EnergyQuery",
     "FeasibilityWindow",
@@ -118,6 +117,7 @@ __all__ = [
     "alpha_coefficient",
     "alpha_m1_closed_form",
     "bound_dims",
+    "classify_coupling",
     "classify_outcome",
     "classify_regime",
     "e0_general",

@@ -80,8 +80,10 @@ def _emit(payload: str, out_path: Optional[str]) -> None:
         sys.stdout.write(payload)
 
 
-def _add_io_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json", "text"), default="text")
+def _add_io_flags(sub: argparse.ArgumentParser, formats=("csv", "json", "text")) -> None:
+    """--out, and --format with the formats the verb writes, if it has a choice."""
+    if formats:
+        sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
 
 
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_feas = subs.add_parser("feasible", help="dimensions admitting a bound state")
     p_feas.add_argument("--n", type=int, required=True)
     p_feas.add_argument("--scheme", choices=("mn", "m1"), default="mn")
-    _add_io_flags(p_feas)
+    _add_io_flags(p_feas, ("json", "text"))
     p_feas.set_defaults(func=cmd_feasible)
 
     p_scan = subs.add_parser("scan", help="evaluate a (D, n) grid")
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="oracle sweep against the closed forms")
     p_verify.add_argument("--max-n", type=int, default=5, dest="max_n")
     p_verify.add_argument("--max-D", type=int, default=20, dest="max_D")
-    _add_io_flags(p_verify)
+    _add_io_flags(p_verify, ())
     p_verify.set_defaults(func=cmd_verify)
 
     p_radial = subs.add_parser("radial", help="Numerov shooting eigensolver (n = 1)")
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_radial.add_argument("--beta", type=int, default=1)
     p_radial.add_argument("--convention", choices=sorted(_CONVENTIONS), default="full")
     p_radial.add_argument("--excitation", type=int, default=0)
-    _add_io_flags(p_radial)
+    _add_io_flags(p_radial, ("json", "text"))
     p_radial.set_defaults(func=cmd_radial)
 
     return parser

@@ -86,20 +86,20 @@ def excluded_dims_universal(max_n: int = 64) -> list[int]:
 
 
 def evaluate_point(D: int, n: int, scheme: Scheme) -> ScanRecord:
-    """Classify one grid point and evaluate its energy when bound-eligible."""
+    """Classify one grid point and evaluate its energy when bound.
+
+    A power-law coupling (beta > 0) goes to the general evaluator, which
+    classifies it; the logarithmic and short-range points have no coupling
+    and are classified from (D, n, m) alone.
+    """
     params = SystemParams.for_scheme(D, n, scheme)
-    m = params.m
     beta = params.beta
     alpha = None
-    tag_outcome = classify_outcome(D, n, m)
-    if beta >= 0 and D != 2 * m:
-        alpha = alpha_coefficient(D, m).alpha
-    if tag_outcome is not None and alpha is None:
-        outcome = tag_outcome
-    else:
-        # attractive or repulsive coupling alike: the general evaluator
-        # reproduces the classification and adds the energy when bound
+    if beta > 0:
+        alpha = alpha_coefficient(D, params.m).alpha
         outcome = e0_general(EnergyQuery(alpha, beta, n, D))
+    else:
+        outcome = classify_outcome(D, n, params.m)
     paper = TABLE1_E0_SLR.get((D, n)) if scheme is Scheme.M_EQUALS_N else None
     return ScanRecord(
         params=params,

@@ -1,9 +1,9 @@
 """Domain types, parameter validation, and regime classification.
 
 Every other module builds on the types here: the integer parameter triple
-(D, n, m), the outcome sum type for energy evaluations, and the single
-total classification function that decides which regime a parameter point
-falls in.
+(D, n, m), the outcome sum type for energy evaluations, and
+``classify_coupling``, the one place that decides which regime a point
+falls in. The closed forms, the grid scan and both oracles ask it.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class Formula(Enum):
     """Which evaluation route produced a record (wire tags are fixed)."""
 
     GENERAL = "Eq2"
-    SCHEME_MN = "Eq6"
-    SCHEME_M1 = "Eq9"
-    ORACLE_VEFF = "OracleVeff"
-    ORACLE_RADIAL = "OracleRadial"
 
 
 def _require_int(name: str, value) -> int:
@@ -118,28 +114,13 @@ class PotentialSpec:
 
     alpha: Optional[SignedLogReal]
     beta: int
-    nature: PotentialNature
 
-    def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise InvalidParameterError("short-range", f"beta must be >= 0, got {self.beta}")
-        if (self.beta == 0) != (self.nature is PotentialNature.LOGARITHMIC):
-            raise InvalidParameterError(
-                "inconsistent-spec", "beta == 0 exactly for the logarithmic nature"
-            )
-        if self.nature is PotentialNature.LOGARITHMIC:
-            if self.alpha is not None:
-                raise InvalidParameterError(
-                    "inconsistent-spec", "logarithmic potential carries no alpha"
-                )
-        else:
-            if self.alpha is None or self.alpha.sign == 0:
-                raise InvalidParameterError("inconsistent-spec", "alpha must be nonzero")
-            repulsive = self.alpha.sign == -1
-            if repulsive != (self.nature is PotentialNature.REPULSIVE):
-                raise InvalidParameterError(
-                    "inconsistent-spec", "nature must match the sign of alpha"
-                )
+    @property
+    def nature(self) -> PotentialNature:
+        """Logarithmic when there is no alpha, otherwise the sign of alpha."""
+        if self.alpha is None:
+            return PotentialNature.LOGARITHMIC
+        return PotentialNature.ATTRACTIVE if self.alpha.sign > 0 else PotentialNature.REPULSIVE
 
 
 @dataclass(frozen=True)
@@ -175,22 +156,6 @@ class EnergyOutcome:
         return cls(Classification.BOUND, energy=energy)
 
     @classmethod
-    def divergent(cls) -> "EnergyOutcome":
-        return cls(Classification.DIVERGENT)
-
-    @classmethod
-    def singular(cls) -> "EnergyOutcome":
-        return cls(Classification.SINGULAR)
-
-    @classmethod
-    def repulsive(cls) -> "EnergyOutcome":
-        return cls(Classification.REPULSIVE)
-
-    @classmethod
-    def logarithmic(cls) -> "EnergyOutcome":
-        return cls(Classification.LOGARITHMIC)
-
-    @classmethod
     def invalid(cls, code: str, reason: str) -> "EnergyOutcome":
         return cls(Classification.INVALID, reason_code=code, reason=reason)
 
@@ -207,14 +172,31 @@ class ScanRecord:
     paper_value: Optional[SignedLogReal] = None
 
 
-def classify_regime(D: int, n: int, m: int) -> Classification:
-    """Total classification of a parameter point; exactly one tag applies.
+def classify_coupling(beta: int, sign: int, n: int) -> Classification:
+    """The regime of an r^-beta coupling of sign ``sign`` under (-1)^n Laplacian^n.
 
-    The checks are ordered: short-range potentials are invalid, beta == 0 is
-    the logarithmic degeneration, an even m flips the potential repulsive
-    regardless of anything else, and only then do the window boundaries
-    (beta == 2n divergent, beta > 2n singular) come into play.
+    The checks are ordered and exactly one tag applies: a short-range
+    potential (beta < 0) is invalid, beta == 0 is the logarithmic
+    degeneration, a non-positive coupling is repulsive whatever the
+    exponent, and only then do the window boundaries (beta == 2n divergent,
+    beta > 2n singular) come into play.
     """
+    if beta < 0:
+        return Classification.INVALID
+    if beta == 0:
+        return Classification.LOGARITHMIC
+    if sign <= 0:
+        return Classification.REPULSIVE
+    if beta == 2 * n:
+        return Classification.DIVERGENT
+    if beta > 2 * n:
+        return Classification.SINGULAR
+    return Classification.BOUND
+
+
+def classify_regime(D: int, n: int, m: int) -> Classification:
+    """Regime of the point-charge potential at (D, n, m): beta = D - 2m and
+    the coupling sign (-1)^(m+1), so an even m is repulsive."""
     _require_int("D", D)
     _require_int("n", n)
     _require_int("m", m)
@@ -222,18 +204,7 @@ def classify_regime(D: int, n: int, m: int) -> Classification:
         raise InvalidParameterError(
             "out-of-domain", f"need D >= 2, n >= 1, m >= 1; got D={D}, n={n}, m={m}"
         )
-    beta = D - 2 * m
-    if beta < 0:
-        return Classification.INVALID
-    if beta == 0:
-        return Classification.LOGARITHMIC
-    if m % 2 == 0:
-        return Classification.REPULSIVE
-    if beta == 2 * n:
-        return Classification.DIVERGENT
-    if beta > 2 * n:
-        return Classification.SINGULAR
-    return Classification.BOUND
+    return classify_coupling(D - 2 * m, 1 if m % 2 == 1 else -1, n)
 
 
 def classify_outcome(D: int, n: int, m: int) -> Optional[EnergyOutcome]:

@@ -34,29 +34,10 @@ from .errors import (
     NoMinimumError,
     SingularPotentialError,
 )
+from .model import Classification, classify_coupling
 from .potential import LN_2
 from .signedlog import SignedLogReal
 from .spectrum import EnergyQuery, e0_general
-
-
-@dataclass(frozen=True)
-class EffectivePotential:
-    """V_eff(r) = A r^(-2n) - alpha r^(-beta) with A = (D/2)^(2n)."""
-
-    A: SignedLogReal
-    alpha: SignedLogReal
-    beta: int
-    n: int
-
-    @classmethod
-    def from_query(cls, q: EnergyQuery) -> "EffectivePotential":
-        ln_amp = 2 * q.n * (math.log(q.D) - LN_2)
-        return cls(A=SignedLogReal(1, ln_amp), alpha=q.alpha, beta=q.beta, n=q.n)
-
-    def value_at_ln_r(self, ln_r: float) -> SignedLogReal:
-        centrifugal = SignedLogReal(1, self.A.lnmag - 2 * self.n * ln_r)
-        coupling = SignedLogReal(self.alpha.sign, self.alpha.lnmag - self.beta * ln_r)
-        return centrifugal - coupling
 
 
 @dataclass(frozen=True)
@@ -94,28 +75,31 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     (Brent 1973, ch. 5) then starts from the bracket's golden point, off the
     estimate, and the minimizer it finds is cross-checked against the
     estimate to 1e-10 relative in ln r. Raises NoMinimumError when no
-    interior minimum exists (alpha <= 0 or beta >= 2n).
+    interior minimum exists, that is unless ``classify_coupling`` calls the
+    query bound.
     """
-    if q.alpha.sign != 1 or q.beta <= 0 or q.beta >= 2 * q.n:
+    tag = classify_coupling(q.beta, q.alpha.sign, q.n)
+    if tag is not Classification.BOUND:
         raise NoMinimumError(
-            f"no interior minimum for alpha sign {q.alpha.sign}, beta={q.beta}, n={q.n}"
+            f"no interior minimum for alpha sign {q.alpha.sign}, beta={q.beta}, "
+            f"n={q.n}: {tag.value}"
         )
-    pot = EffectivePotential.from_query(q)
     two_n, beta = 2 * q.n, q.beta
-    x_seed = (math.log(two_n) + pot.A.lnmag - q.alpha.lnmag - math.log(beta)) / (two_n - beta)
+    ln_amp = two_n * (math.log(q.D) - LN_2)  # ln A, A = (D/2)^(2n)
+    x_seed = (math.log(two_n) + ln_amp - q.alpha.lnmag - math.log(beta)) / (two_n - beta)
     # ln |V_eff(r*)|: the objective is divided by it, so that its values near
     # the minimum, and the differences the search takes of them, are floats
     ln_scale = q.alpha.lnmag - beta * x_seed + math.log1p(-beta / two_n)
     evaluations = 0
     with mpmath.workdps(_VEFF_DPS):
-        ln_amp = mpmath.mpf(pot.A.lnmag) - ln_scale
+        ln_a = mpmath.mpf(ln_amp) - ln_scale
         ln_alpha = mpmath.mpf(q.alpha.lnmag) - ln_scale
 
         def f(x: float):
             nonlocal evaluations
             evaluations += 1
             x = mpmath.mpf(x)  # before the products, which floats would round
-            return mpmath.exp(ln_amp - two_n * x) - mpmath.exp(ln_alpha - beta * x)
+            return mpmath.exp(ln_a - two_n * x) - mpmath.exp(ln_alpha - beta * x)
 
         f_seed = f(x_seed)
         half = 1.0
@@ -235,10 +219,10 @@ def radial_ground_state(
     """Radial eigenstate of -c0 u'' + [c0 (D-1)(D-3)/(4 r^2) - alpha r^-beta] u = E u.
 
     c0 is 1 (full Laplacian) or 1/2 (half). Only the centrifugal-regular,
-    long-range-safe case beta = 1 with D >= 3 is supported; beta >= 2 falls
-    to the center and is rejected as singular. Every length and energy
-    scale comes from the closed-form estimate E_est, so the solve costs the
-    same at any alpha.
+    long-range-safe case beta = 1 with D >= 3 is supported; an attractive
+    beta >= 2 falls to the center and is rejected as singular. Every length
+    and energy scale comes from the closed-form estimate E_est, so the solve
+    costs the same at any alpha.
     """
     if not isinstance(D, int) or isinstance(D, bool) or D < 3:
         raise InvalidParameterError(
@@ -246,19 +230,18 @@ def radial_ground_state(
         )
     if not isinstance(beta, int) or isinstance(beta, bool):
         raise InvalidParameterError("non-integer", f"beta must be an integer, got {beta!r}")
-    if beta >= 2:
+    if not 1e-100 <= abs(alpha) <= 1e100:  # also catches 0, nan and inf
+        raise InvalidParameterError(
+            "out-of-range", f"radial solver needs 1e-100 <= |alpha| <= 1e100, got {alpha!r}"
+        )
+    tag = classify_coupling(beta, 1 if alpha > 0 else -1, 1)
+    if tag in (Classification.DIVERGENT, Classification.SINGULAR):
         raise SingularPotentialError(
             f"beta = {beta} >= 2: fall-to-center, no radial ground state"
         )
-    if beta < 1:
+    if tag is not Classification.BOUND:
         raise InvalidParameterError(
-            "no-binding", f"beta = {beta} <= 0 gives no power-law binding"
-        )
-    if alpha <= 0:
-        raise InvalidParameterError("repulsive", "radial solver needs alpha > 0")
-    if not 1e-100 <= alpha <= 1e100:  # also catches nan and inf
-        raise InvalidParameterError(
-            "out-of-range", f"radial solver needs 1e-100 <= alpha <= 1e100, got {alpha!r}"
+            tag.value, f"radial solver needs alpha > 0 and beta = 1: {tag.value} coupling"
         )
     if excitation < 0:
         raise InvalidParameterError("bad-excitation", "excitation must be >= 0")

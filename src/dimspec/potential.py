@@ -14,13 +14,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import GammaPoleError, InvalidParameterError
-from .model import PotentialNature, PotentialSpec
+from .model import PotentialSpec
 from .signedlog import SignedLogReal
 
 LN_PI = math.log(math.pi)
 LN_SQRT_PI = 0.5 * LN_PI
 LN_2 = math.log(2.0)
 LN_4 = math.log(4.0)
+
+# Largest dimension alpha_coefficient accepts. Its gamma factors are summed
+# term by term, so the cost grows linearly in D: about 1 ms at this bound,
+# about a day at D = 1e12.
+D_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -72,17 +77,19 @@ def alpha_coefficient(D: int, m: int) -> PotentialSpec:
     a signed-log value, with beta = D - 2m.  D == 2m degenerates to the
     logarithmic potential (the gamma factor hits its pole) and is returned
     as a classified spec rather than an error; D < 2m is short range and is
-    rejected.
+    rejected, and so is D > D_LIMIT.
     """
-    if D < 2 or m < 1:
-        raise InvalidParameterError("out-of-domain", f"need D >= 2, m >= 1; got D={D}, m={m}")
+    if not 2 <= D <= D_LIMIT or m < 1:
+        raise InvalidParameterError(
+            "out-of-domain", f"need 2 <= D <= {D_LIMIT}, m >= 1; got D={D}, m={m}"
+        )
     beta = D - 2 * m
     if beta < 0:
         raise InvalidParameterError(
             "short-range", f"beta = D - 2m = {beta} < 0: the potential is short-range"
         )
     if beta == 0:
-        return PotentialSpec(alpha=None, beta=0, nature=PotentialNature.LOGARITHMIC)
+        return PotentialSpec(alpha=None, beta=0)
     sign = 1 if m % 2 == 1 else -1
     lnmag = (
         log_gamma_half(HalfInteger(beta))
@@ -90,8 +97,7 @@ def alpha_coefficient(D: int, m: int) -> PotentialSpec:
         - (D - 2) * 0.5 * LN_PI
         - log_gamma_half(HalfInteger(2 * m))
     )
-    nature = PotentialNature.ATTRACTIVE if sign > 0 else PotentialNature.REPULSIVE
-    return PotentialSpec(alpha=SignedLogReal(sign, lnmag), beta=beta, nature=nature)
+    return PotentialSpec(alpha=SignedLogReal(sign, lnmag), beta=beta)
 
 
 def alpha_m1_closed_form(D: int) -> SignedLogReal:

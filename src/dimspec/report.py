@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimspecError, InvalidParameterError
-from .feasibility import bound_dims
+from .feasibility import D_MAX, D_MIN, N_MAX, N_MIN, bound_dims
 from .model import (
     Classification,
     EnergyOutcome,
@@ -326,8 +326,15 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
     """Minimize the effective potential at every bound grid point and compare.
 
     Covers the m = n scheme for odd n and the m = 1 scheme for every n up to
-    ``max_n``, dimensions capped at ``max_D``.
+    ``max_n``, dimensions capped at ``max_D``. Both caps must lie on the scan
+    grid, [N_MIN, N_MAX] and [D_MIN, D_MAX]; they are checked before any work.
     """
+    if not (N_MIN <= max_n <= N_MAX and D_MIN <= max_D <= D_MAX):
+        raise InvalidParameterError(
+            "range-bounds",
+            f"need max_n in [{N_MIN}, {N_MAX}] and max_D in [{D_MIN}, {D_MAX}]; "
+            f"got max_n={max_n}, max_D={max_D}",
+        )
     points: list[OraclePoint] = []
     combos = [(n, Scheme.M_EQUALS_N) for n in range(1, max_n + 1, 2)]
     combos += [(n, Scheme.M_EQUALS_ONE) for n in range(1, max_n + 1)]

@@ -22,7 +22,13 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import InvalidParameterError
-from .model import Classification, EnergyOutcome, classify_outcome, classify_regime
+from .model import (
+    Classification,
+    EnergyOutcome,
+    classify_coupling,
+    classify_outcome,
+    classify_regime,
+)
 from .potential import LN_2, alpha_coefficient
 from .signedlog import SignedLogReal
 
@@ -40,25 +46,20 @@ class EnergyQuery:
 def e0_general(q: EnergyQuery) -> EnergyOutcome:
     """Ground-state energy for an attractive coupling with 0 < beta < 2n.
 
-    Outside that window the outcome is the regime tag: beta == 0 is
-    logarithmic, a non-positive coupling repulsive, beta == 2n the divergent
-    boundary and beta > 2n singular (no minimum of the effective potential).
+    Outside that window the outcome is the ``classify_coupling`` tag of
+    (beta, sign of alpha, n); a missing alpha counts as zero.
     """
     if q.beta < 0 or q.n < 1 or q.D < 2:
         return EnergyOutcome.invalid(
             "malformed-query",
             f"need beta >= 0, n >= 1, D >= 2; got beta={q.beta}, n={q.n}, D={q.D}",
         )
-    if q.beta == 0:
-        return EnergyOutcome.logarithmic()
-    if q.alpha.sign <= 0:
-        return EnergyOutcome.repulsive()
-    two_n = 2 * q.n
-    if q.beta == two_n:
-        return EnergyOutcome.divergent()
-    if q.beta > two_n:
-        return EnergyOutcome.singular()
+    sign = q.alpha.sign if q.alpha is not None else 0
+    tag = classify_coupling(q.beta, sign, q.n)
+    if tag is not Classification.BOUND:
+        return EnergyOutcome(tag)
 
+    two_n = 2 * q.n
     # |E0| = alpha * (2n-beta)/(2n) * D^(-2n beta/(2n-beta))
     #              * (2n / (2^(2n) alpha beta))^(-beta/(2n-beta))
     x_dim = float(Fraction(two_n * q.beta, two_n - q.beta))
@@ -143,10 +144,7 @@ def e0_scheme_m1_rederived(D: int, n: int) -> EnergyOutcome:
         return EnergyOutcome.invalid(
             "malformed-query", f"need D >= 2, n >= 1; got D={D}, n={n}"
         )
-    spec = alpha_coefficient(D, 1)
-    if spec.alpha is None:
-        return EnergyOutcome.logarithmic()
-    return e0_general(EnergyQuery(spec.alpha, D - 2, n, D))
+    return e0_general(EnergyQuery(alpha_coefficient(D, 1).alpha, D - 2, n, D))
 
 
 class QuantumNumber(NamedTuple):

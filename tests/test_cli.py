@@ -89,6 +89,13 @@ class TestPotential:
         code, _, err = run(capsys, "potential", "--D", "3", "--m", "2")
         assert code == 1
 
+    def test_huge_dimension_rejected(self, capsys):
+        start = time.process_time()
+        code, out, err = run(capsys, "potential", "--D", "1000000000000", "--m", "1")
+        assert time.process_time() - start < 0.5
+        assert code == 1 and out == ""
+        assert "invalid parameters" in err and "Traceback" not in err
+
 
 class TestFeasible:
     def test_published_window(self, capsys):
@@ -186,6 +193,18 @@ class TestVerify:
         assert code == 1
         assert "invalid parameters" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--max-n", "2000", "--max-D", "2"), ("--max-n", "17"), ("--max-D", "65")],
+        ids=["max-n-2000", "max-n-17", "max-D-65"],
+    )
+    def test_caps_rejected_before_work(self, capsys, argv):
+        start = time.process_time()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.process_time() - start < 1.0
+        assert code == 1 and out == ""
+        assert "invalid parameters" in err and "Traceback" not in err
+
 
 class TestRadial:
     def test_half_laplacian_ground(self, capsys):
@@ -227,6 +246,9 @@ class TestRadial:
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(capsys, "no-such-verb")[0] == 1
+        # so is a --format the verb does not write
+        assert run(capsys, "feasible", "--n", "3", "--format", "csv")[0] == 1
+        assert run(capsys, "verify", "--format", "json")[0] == 1
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

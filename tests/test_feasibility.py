@@ -12,6 +12,7 @@ from dimspec import (
     excluded_dims_universal,
     scan,
 )
+from dimspec.feasibility import D_MAX, D_MIN, N_MAX, N_MIN
 
 
 class TestBoundDims:
@@ -117,6 +118,14 @@ class TestScan:
     def test_explicit_scheme_rejected(self):
         with pytest.raises(InvalidParameterError):
             scan([3], [1], Scheme.EXPLICIT)
+
+    @pytest.mark.parametrize("scheme", [Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE])
+    def test_full_grid_classified_as_classify_regime(self, scheme):
+        records = scan(range(D_MIN, D_MAX + 1), range(N_MIN, N_MAX + 1), scheme)
+        assert len(records) == 1008
+        for rec in records:
+            D, n, m = rec.params.D, rec.params.n, rec.params.m
+            assert rec.outcome.classification is classify_regime(D, n, m), (D, n, m)
 
     def test_no_bound_at_three_dimensions_unless_n_is_one(self):
         records = scan([3], range(1, 17), Scheme.M_EQUALS_N)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimspec import (
-    EffectivePotential,
     EnergyQuery,
     InvalidParameterError,
     KineticConvention,
@@ -29,16 +28,6 @@ ORACLE_R_STAR_7_3 = 20.342383994195174
 def query(D, n, m):
     spec = alpha_coefficient(D, m)
     return EnergyQuery(spec.alpha, D - 2 * m, n, D)
-
-
-class TestEffectivePotential:
-    def test_values_against_float_arithmetic(self):
-        pot = EffectivePotential.from_query(EnergyQuery(SignedLogReal.one(), 1, 1, 3))
-        # V(r) = 2.25 r^-2 - r^-1
-        for r in (0.5, 2.0, 4.5, 10.0):
-            expected = 2.25 / r**2 - 1.0 / r
-            got = pot.value_at_ln_r(math.log(r)).to_float()
-            assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestMinimizeVeff:
@@ -98,9 +87,9 @@ class TestMinimizeVeff:
             for D in bound_dims(n, scheme).members:
                 q = query(D, n, m)
                 found = minimize_v_eff(q)
-                pot = EffectivePotential.from_query(q)
+                ln_a = 2 * n * math.log(D / 2)  # A = (D/2)^(2n)
                 x = found.ln_r_star
-                lhs = math.log(2 * n) + pot.A.lnmag - 2 * n * x
+                lhs = math.log(2 * n) + ln_a - 2 * n * x
                 rhs = q.alpha.lnmag + math.log(q.beta) - q.beta * x
                 assert abs(lhs - rhs) <= 1e-9, (D, n, scheme)
 
@@ -145,6 +134,8 @@ class TestRadialGroundState:
             (dict(D=3, alpha=-math.inf, beta=1), InvalidParameterError),
             (dict(D=3, alpha=1e101, beta=1), InvalidParameterError),
             (dict(D=3, alpha=1.0, beta=1, excitation=-1), InvalidParameterError),
+            # a repulsive coupling is repulsive whatever its exponent
+            (dict(D=5, alpha=-1.0, beta=3), InvalidParameterError),
         ],
     )
     def test_rejections(self, kwargs, error):

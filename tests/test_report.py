@@ -132,6 +132,16 @@ class TestSerialization:
             "{",
             '[{"D": 3, "n": 1, "m": 1, "beta": 1, "alpha_sign": 1, "alpha_lnmag": 0.0, '
             '"classification": "nope"}]',
+        ]
+        + [
+            # formula tags that no evaluation route produces
+            pytest.param(
+                render_records_json(scan([3], [1], Scheme.M_EQUALS_N)).replace(
+                    '"Eq2"', f'"{tag}"'
+                ),
+                id=f"formula-{tag}",
+            )
+            for tag in ("OracleVeff", "Eq6")
         ],
     )
     def test_json_malformed_input_rejected(self, text):
