@@ -26,7 +26,6 @@ from .feasibility import (
 from .model import (
     Classification,
     EnergyOutcome,
-    Formula,
     PotentialNature,
     PotentialSpec,
     ScanRecord,
@@ -90,7 +89,6 @@ __all__ = [
     "EnergyOutcome",
     "EnergyQuery",
     "FeasibilityWindow",
-    "Formula",
     "GammaPoleError",
     "HalfInteger",
     "InvalidParameterError",

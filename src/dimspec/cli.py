@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .feasibility import bound_dims, evaluate_point, scan
-from .model import Formula, ScanRecord, Scheme, SystemParams
+from .model import ScanRecord, Scheme, SystemParams
 from .oracle import KineticConvention, radial_ground_state
 from .potential import alpha_coefficient
 from .refdata import PAPER_OMITTED_FLAG
@@ -96,7 +96,7 @@ def _energy_record(args) -> ScanRecord:
             )
         if not math.isfinite(args.alpha):
             raise InvalidParameterError("non-finite", f"--alpha must be finite, got {args.alpha!r}")
-        params = SystemParams(args.D, args.n, args.m if args.m is not None else 1, scheme)
+        params = SystemParams(args.D, args.n, args.m if args.m is not None else 1)
         alpha = SignedLogReal.from_float(args.alpha)
         outcome = e0_general(EnergyQuery(alpha, args.beta, args.n, args.D))
         return ScanRecord(
@@ -104,7 +104,6 @@ def _energy_record(args) -> ScanRecord:
             beta=args.beta,
             alpha=alpha if alpha.sign != 0 else None,
             outcome=outcome,
-            formula=Formula.GENERAL,
         )
     if args.m is not None:
         expected = args.n if scheme is Scheme.M_EQUALS_N else 1

@@ -13,7 +13,6 @@ from typing import Iterable
 
 from .errors import InvalidParameterError
 from .model import (
-    Formula,
     ScanRecord,
     Scheme,
     SystemParams,
@@ -92,7 +91,9 @@ def evaluate_point(D: int, n: int, scheme: Scheme) -> ScanRecord:
     classifies it; the logarithmic and short-range points have no coupling
     and are classified from (D, n, m) alone.
     """
-    params = SystemParams.for_scheme(D, n, scheme)
+    if scheme not in (Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE):
+        raise InvalidParameterError("bad-scheme", "grid points exist only in the mn and m1 schemes")
+    params = SystemParams(D, n, n if scheme is Scheme.M_EQUALS_N else 1)
     beta = params.beta
     alpha = None
     if beta > 0:
@@ -106,7 +107,6 @@ def evaluate_point(D: int, n: int, scheme: Scheme) -> ScanRecord:
         beta=beta,
         alpha=alpha,
         outcome=outcome,
-        formula=Formula.GENERAL,
         paper_value=paper,
     )
 
@@ -118,8 +118,6 @@ def scan(D_values: Iterable[int], n_values: Iterable[int], scheme: Scheme) -> li
     ascending n inner; ``sort_records`` gives the report order. D must lie in
     [D_MIN, D_MAX] and n in [N_MIN, N_MAX].
     """
-    if scheme not in (Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE):
-        raise InvalidParameterError("bad-scheme", "scan supports the mn and m1 schemes")
     Ds = _grid_axis("D", D_values, D_MIN, D_MAX)
     ns = _grid_axis("n", n_values, N_MIN, N_MAX)
     return [evaluate_point(D, n, scheme) for D in Ds for n in ns]

@@ -39,12 +39,6 @@ class PotentialNature(Enum):
     LOGARITHMIC = "logarithmic"
 
 
-class Formula(Enum):
-    """Which evaluation route produced a record (wire tags are fixed)."""
-
-    GENERAL = "Eq2"
-
-
 def _require_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidParameterError("non-integer", f"{name} must be an integer, got {value!r}")
@@ -53,7 +47,7 @@ def _require_int(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """The integer triple (D, n, m) plus the coupling scheme that fixed m.
+    """The integer triple (D, n, m).
 
     D >= 2 is the space dimension, n >= 1 the wave-equation Laplacian power,
     m >= 1 the power in the potential's field equation.
@@ -62,7 +56,6 @@ class SystemParams:
     D: int
     n: int
     m: int
-    scheme: Scheme = Scheme.EXPLICIT
 
     def __post_init__(self) -> None:
         _require_int("D", self.D)
@@ -74,29 +67,15 @@ class SystemParams:
             raise InvalidParameterError("bad-power", f"n must be >= 1, got {self.n}")
         if self.m < 1:
             raise InvalidParameterError("bad-power", f"m must be >= 1, got {self.m}")
-        if self.scheme is Scheme.M_EQUALS_N and self.m != self.n:
-            raise InvalidParameterError(
-                "scheme-mismatch", f"scheme mn requires m == n, got m={self.m}, n={self.n}"
-            )
-        if self.scheme is Scheme.M_EQUALS_ONE and self.m != 1:
-            raise InvalidParameterError(
-                "scheme-mismatch", f"scheme m1 requires m == 1, got m={self.m}"
-            )
 
-    @classmethod
-    def for_scheme(cls, D: int, n: int, scheme: Scheme, m: Optional[int] = None) -> "SystemParams":
-        """Build params deriving m from the scheme (m is required for EXPLICIT).
-
-        At n = 1 both schemes give m = 1; that point is built as mn, the
-        scheme the record parsers infer from (n, m), so it round-trips.
-        """
-        if scheme is Scheme.M_EQUALS_N or (scheme is Scheme.M_EQUALS_ONE and n == 1):
-            return cls(D, n, n, Scheme.M_EQUALS_N)
-        if scheme is Scheme.M_EQUALS_ONE:
-            return cls(D, n, 1, scheme)
-        if m is None:
-            raise InvalidParameterError("missing-m", "explicit scheme requires m")
-        return cls(D, n, m, scheme)
+    @property
+    def scheme(self) -> Scheme:
+        """The scheme (n, m) satisfies; n = m = 1 satisfies both and reads mn."""
+        if self.m == self.n:
+            return Scheme.M_EQUALS_N
+        if self.m == 1:
+            return Scheme.M_EQUALS_ONE
+        return Scheme.EXPLICIT
 
     @property
     def beta(self) -> int:
@@ -162,13 +141,12 @@ class EnergyOutcome:
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One evaluated grid point, with provenance and optional reference value."""
+    """One evaluated grid point, with its optional reference value."""
 
     params: SystemParams
     beta: int
     alpha: Optional[SignedLogReal]
     outcome: EnergyOutcome
-    formula: Formula
     paper_value: Optional[SignedLogReal] = None
 
 

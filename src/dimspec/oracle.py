@@ -78,11 +78,11 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     interior minimum exists, that is unless ``classify_coupling`` calls the
     query bound.
     """
-    tag = classify_coupling(q.beta, q.alpha.sign, q.n)
+    sign = q.alpha.sign if q.alpha is not None else 0
+    tag = classify_coupling(q.beta, sign, q.n)
     if tag is not Classification.BOUND:
         raise NoMinimumError(
-            f"no interior minimum for alpha sign {q.alpha.sign}, beta={q.beta}, "
-            f"n={q.n}: {tag.value}"
+            f"no interior minimum for alpha sign {sign}, beta={q.beta}, n={q.n}: {tag.value}"
         )
     two_n, beta = 2 * q.n, q.beta
     ln_amp = two_n * (math.log(q.D) - LN_2)  # ln A, A = (D/2)^(2n)

@@ -22,9 +22,9 @@ LN_SQRT_PI = 0.5 * LN_PI
 LN_2 = math.log(2.0)
 LN_4 = math.log(4.0)
 
-# Largest dimension alpha_coefficient accepts. Its gamma factors are summed
-# term by term, so the cost grows linearly in D: about 1 ms at this bound,
-# about a day at D = 1e12.
+# Largest dimension alpha_coefficient and alpha_m1_closed_form accept. Their
+# gamma factors are summed term by term, so the cost grows linearly in D:
+# about 1 ms at this bound, about a day at D = 1e12.
 D_LIMIT = 10_000
 
 
@@ -104,10 +104,10 @@ def alpha_m1_closed_form(D: int) -> SignedLogReal:
     """m = 1 coupling in its reduced closed form 2 Gamma(D/2) / (pi^(D/2-1) (D-2)).
 
     Kept as an independently coded expression so the general coefficient can
-    be cross-checked against it; both must agree for every D >= 3.
+    be cross-checked against it; both must agree for every 3 <= D <= D_LIMIT.
     """
-    if D < 3:
-        raise InvalidParameterError("out-of-domain", f"closed form needs D >= 3, got {D}")
+    if not 3 <= D <= D_LIMIT:
+        raise InvalidParameterError("out-of-domain", f"need 3 <= D <= {D_LIMIT}, got D={D}")
     lnmag = (
         LN_2
         + log_gamma_half(HalfInteger(D))

@@ -10,6 +10,8 @@ decimal string for humans. JSON uses the same keys, with null for fields
 that do not apply. Parsing reconstructs records generated by this library
 exactly: reference values are re-attached from the embedded table and
 invalid-outcome reasons are regenerated from the deterministic classifier.
+A record whose classification contradicts ``classify_coupling`` of its
+beta, coupling sign and n is rejected.
 ``render_csv`` and ``render_json`` are the writers behind every CLI table.
 """
 
@@ -27,10 +29,10 @@ from .feasibility import D_MAX, D_MIN, N_MAX, N_MIN, bound_dims
 from .model import (
     Classification,
     EnergyOutcome,
-    Formula,
     ScanRecord,
     Scheme,
     SystemParams,
+    classify_coupling,
     classify_outcome,
 )
 from .refdata import TABLE1_E0, TABLE1_E0_SLR
@@ -57,6 +59,9 @@ CSV_COLUMNS = [
     "ratio_log10",
 ]
 CSV_HEADER = ",".join(CSV_COLUMNS)
+
+# the formula column's one cell: every record comes from the general closed form
+FORMULA = "Eq2"
 
 
 # -- reference-table comparison ---------------------------------------------
@@ -139,19 +144,10 @@ def record_fields(rec: ScanRecord) -> dict:
         "E0_lnmag": energy.lnmag if energy is not None else None,
         "E0_decimal": energy.to_decimal() if energy is not None else None,
         "classification": rec.outcome.classification.value,
-        "formula": rec.formula.value,
+        "formula": FORMULA,
         "paper_E0": paper_float,
         "ratio_log10": ratio_log10,
     }
-
-
-def _infer_scheme(n: int, m: int) -> Scheme:
-    # (n=1, m=1) is genuinely ambiguous; the m = n reading wins there
-    if m == n:
-        return Scheme.M_EQUALS_N
-    if m == 1:
-        return Scheme.M_EQUALS_ONE
-    return Scheme.EXPLICIT
 
 
 def _record_from_fields(f: dict) -> ScanRecord:
@@ -169,12 +165,18 @@ def _build_record(f: dict) -> ScanRecord:
     D, n, m, beta = f["D"], f["n"], f["m"], f["beta"]
     if isinstance(beta, bool) or not isinstance(beta, int):
         raise InvalidParameterError("unparseable", f"beta must be an integer, got {beta!r}")
-    scheme = _infer_scheme(n, m)
-    params = SystemParams(D, n, m, scheme)
+    if f["formula"] != FORMULA:
+        raise InvalidParameterError("unparseable", f"unknown formula tag {f['formula']!r}")
+    params = SystemParams(D, n, m)
     alpha = None
     if f["alpha_sign"] is not None:
         alpha = SignedLogReal(f["alpha_sign"], f["alpha_lnmag"])
     classification = Classification(f["classification"])
+    expected = classify_coupling(beta, alpha.sign if alpha is not None else 0, n)
+    if classification is not expected:
+        raise InvalidParameterError(
+            "unparseable", f"record at D={D}, n={n}, beta={beta} classifies {expected.value}"
+        )
     if classification is Classification.BOUND:
         outcome = EnergyOutcome.bound(SignedLogReal(f["E0_sign"], f["E0_lnmag"]))
     elif classification is Classification.INVALID:
@@ -196,7 +198,6 @@ def _build_record(f: dict) -> ScanRecord:
         beta=beta,
         alpha=alpha,
         outcome=outcome,
-        formula=Formula(f["formula"]),
         paper_value=paper,
     )
 

@@ -80,20 +80,22 @@ def _ln_bracket_base(D: int, n: int) -> float:
     return math.log(n) + 2 * n * (math.log(D) - LN_2) - math.log((D - 2 * n) / 2.0)
 
 
-def e0_scheme_mn(D: int, n: int) -> EnergyOutcome:
-    """Published ground-state form for the m = n coupling scheme.
-
-    Evaluated exactly as printed, restricted to the window 2n < D < 4n where
-    its bracket base is positive; everywhere else the regime classification
-    is returned unchanged (even n is repulsive there, never an error).
-    """
-    tag_outcome = classify_outcome(D, n, n)
+def _e0_printed(D: int, n: int, m: int) -> EnergyOutcome:
+    # The printed m = n and m = 1 forms differ only in m: both keep the
+    # m = n bracket base n (D/2)^(2n) / (D/2 - n), raised to
+    # (D - 2n) / (D - 2n - 2m), with alpha(D, m) raised to -2n / (D - 2n - 2m).
+    tag_outcome = classify_outcome(D, n, m)
     if tag_outcome is not None:
         return tag_outcome
-    # bound-eligible: odd n and 2n < D < 4n
-    spec = alpha_coefficient(D, n)
-    e_bracket = float(Fraction(D - 2 * n, D - 4 * n))
-    e_coupling = float(Fraction(-2 * n, D - 4 * n))
+    if D <= 2 * n:  # only reachable at m = 1
+        return EnergyOutcome.invalid(
+            "printed-form-undefined",
+            f"printed-form undefined: bracket base n(D/2)^(2n)/(D/2-n) is not positive "
+            f"for D={D} <= 2n={2 * n}",
+        )
+    spec = alpha_coefficient(D, m)
+    e_bracket = float(Fraction(D - 2 * n, D - 2 * n - 2 * m))
+    e_coupling = float(Fraction(-2 * n, D - 2 * n - 2 * m))
     lnmag = (
         e_bracket * _ln_bracket_base(D, n)
         + e_coupling * spec.alpha.lnmag
@@ -101,6 +103,16 @@ def e0_scheme_mn(D: int, n: int) -> EnergyOutcome:
         - math.log(2 * n)
     )
     return EnergyOutcome.bound(SignedLogReal(-1, lnmag))
+
+
+def e0_scheme_mn(D: int, n: int) -> EnergyOutcome:
+    """Published ground-state form for the m = n coupling scheme.
+
+    Evaluated exactly as printed, restricted to the window 2n < D < 4n where
+    its bracket base is positive; everywhere else the regime classification
+    is returned unchanged (even n is repulsive there, never an error).
+    """
+    return _e0_printed(D, n, n)
 
 
 def e0_scheme_m1(D: int, n: int) -> EnergyOutcome:
@@ -113,25 +125,7 @@ def e0_scheme_m1(D: int, n: int) -> EnergyOutcome:
     a guessed value; see ``e0_scheme_m1_rederived`` for the well-defined
     route through the general evaluator.
     """
-    tag_outcome = classify_outcome(D, n, 1)
-    if tag_outcome is not None:
-        return tag_outcome
-    if D <= 2 * n:
-        return EnergyOutcome.invalid(
-            "printed-form-undefined",
-            f"printed-form undefined: bracket base n(D/2)^(2n)/(D/2-n) is not positive "
-            f"for D={D} <= 2n={2 * n}",
-        )
-    spec = alpha_coefficient(D, 1)
-    e_bracket = float(Fraction(D - 2 * n, D - 2 * n - 2))
-    e_coupling = float(Fraction(-2 * n, D - 2 * n - 2))
-    lnmag = (
-        e_bracket * _ln_bracket_base(D, n)
-        + e_coupling * spec.alpha.lnmag
-        + math.log(4 * n - D)
-        - math.log(2 * n)
-    )
-    return EnergyOutcome.bound(SignedLogReal(-1, lnmag))
+    return _e0_printed(D, n, 1)
 
 
 def e0_scheme_m1_rederived(D: int, n: int) -> EnergyOutcome:

@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from dimspec import parse_records_csv
-from dimspec.cli import run_cli
+from dimspec import parse_records_csv, parse_records_json, render_records_csv, render_records_json
+from dimspec.cli import _energy_record, build_parser, run_cli
 
 
 def run(capsys, *argv):
@@ -69,6 +69,28 @@ class TestEnergy:
     def test_bad_dimension_is_usage_error(self, capsys):
         code, _, err = run(capsys, "energy", "--D", "1", "--n", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("m", [[], ["--m", "2"]], ids=["m-default", "m-equals-n"])
+    @pytest.mark.parametrize(
+        "alpha,beta,tag",
+        [
+            ("0.5", "3", "bound"),
+            ("0.5", "0", "logarithmic"),
+            ("-0.5", "3", "repulsive"),
+            ("0", "3", "repulsive"),
+            ("0.5", "4", "divergent"),
+            ("0.5", "5", "singular"),
+        ],
+    )
+    def test_explicit_record_round_trips(self, capsys, m, alpha, beta, tag):
+        argv = ["energy", "--scheme", "explicit", "--D", "5", "--n", "2", *m,
+                f"--alpha={alpha}", "--beta", beta]
+        rec = _energy_record(build_parser().parse_args(argv))
+        assert rec.outcome.classification.value == tag
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and out == render_records_csv([rec])
+        assert parse_records_csv(out) == [rec]
+        assert parse_records_json(render_records_json([rec])) == [rec]
 
 
 class TestPotential:

@@ -4,15 +4,16 @@ from hypothesis import strategies as st
 
 from dimspec import (
     Classification,
-    Formula,
     InvalidParameterError,
     Scheme,
     bound_dims,
     classify_regime,
+    evaluate_point,
     excluded_dims_universal,
     scan,
 )
 from dimspec.feasibility import D_MAX, D_MIN, N_MAX, N_MIN
+from dimspec.report import record_fields
 
 
 class TestBoundDims:
@@ -90,7 +91,7 @@ class TestScan:
 
     def test_formula_tag_and_reference_values(self):
         records = scan(range(3, 12), [1, 3], Scheme.M_EQUALS_N)
-        assert all(rec.formula is Formula.GENERAL for rec in records)
+        assert all(record_fields(rec)["formula"] == "Eq2" for rec in records)
         with_reference = {
             (rec.params.D, rec.params.n)
             for rec in records
@@ -118,6 +119,8 @@ class TestScan:
     def test_explicit_scheme_rejected(self):
         with pytest.raises(InvalidParameterError):
             scan([3], [1], Scheme.EXPLICIT)
+        with pytest.raises(InvalidParameterError):
+            evaluate_point(3, 1, Scheme.EXPLICIT)
 
     @pytest.mark.parametrize("scheme", [Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE])
     def test_full_grid_classified_as_classify_regime(self, scheme):

@@ -16,12 +16,20 @@ from dimspec import (
 
 class TestSystemParams:
     def test_beta_property(self):
-        assert SystemParams(7, 3, 3, Scheme.M_EQUALS_N).beta == 1
-        assert SystemParams(7, 3, 1, Scheme.M_EQUALS_ONE).beta == 5
+        assert SystemParams(7, 3, 3).beta == 1
+        assert SystemParams(7, 3, 1).beta == 5
 
-    def test_for_scheme_derives_m(self):
-        assert SystemParams.for_scheme(9, 3, Scheme.M_EQUALS_N).m == 3
-        assert SystemParams.for_scheme(9, 3, Scheme.M_EQUALS_ONE).m == 1
+    @pytest.mark.parametrize(
+        "params,scheme",
+        [
+            ((9, 3, 3), Scheme.M_EQUALS_N),
+            ((9, 3, 1), Scheme.M_EQUALS_ONE),
+            ((9, 3, 2), Scheme.EXPLICIT),
+            ((3, 1, 1), Scheme.M_EQUALS_N),  # satisfies both rules; reads mn
+        ],
+    )
+    def test_scheme_derived_from_n_and_m(self, params, scheme):
+        assert SystemParams(*params).scheme is scheme
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -33,17 +41,11 @@ class TestSystemParams:
     )
     def test_domain_validation(self, kwargs):
         with pytest.raises(InvalidParameterError):
-            SystemParams(scheme=Scheme.EXPLICIT, **kwargs)
-
-    def test_scheme_consistency(self):
-        with pytest.raises(InvalidParameterError):
-            SystemParams(7, 3, 2, Scheme.M_EQUALS_N)
-        with pytest.raises(InvalidParameterError):
-            SystemParams(7, 3, 3, Scheme.M_EQUALS_ONE)
+            SystemParams(**kwargs)
 
     def test_non_integers_rejected(self):
         with pytest.raises(InvalidParameterError):
-            SystemParams(3.0, 1, 1, Scheme.EXPLICIT)
+            SystemParams(3.0, 1, 1)
 
 
 class TestClassifyRegime:

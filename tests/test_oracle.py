@@ -80,6 +80,11 @@ class TestMinimizeVeff:
         with pytest.raises(NoMinimumError):
             minimize_v_eff(EnergyQuery(SignedLogReal.from_float(-1.0), 1, 1, 3))
 
+    def test_no_minimum_without_coupling(self):
+        # alpha is None at beta = 0, as alpha_coefficient returns it there
+        with pytest.raises(NoMinimumError, match="logarithmic"):
+            minimize_v_eff(EnergyQuery(None, 0, 1, 2))
+
     def test_first_order_condition_at_r_star(self):
         # 2n A r*^-2n == alpha beta r*^-beta at the minimizer, to 1e-9
         for n, scheme in [(1, Scheme.M_EQUALS_N), (3, Scheme.M_EQUALS_N), (3, Scheme.M_EQUALS_ONE)]:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from dimspec import (
     alpha_m1_closed_form,
     log_gamma_half,
 )
+from dimspec.potential import D_LIMIT
 
 
 def naive_gamma_product(twice: int) -> float:
@@ -106,6 +108,13 @@ class TestAlphaCoefficient:
         D = 2 * m + extra
         spec = alpha_coefficient(D, m)
         assert spec.alpha.sign == (1 if m % 2 == 1 else -1)
+
+    @pytest.mark.parametrize("D", [2, D_LIMIT + 1, 10**6])
+    def test_m1_closed_form_domain(self, D):
+        start = time.process_time()
+        with pytest.raises(InvalidParameterError):
+            alpha_m1_closed_form(D)
+        assert time.process_time() - start < 0.05
 
     @given(D=st.integers(min_value=3, max_value=80))
     @settings(max_examples=100)

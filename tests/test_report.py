@@ -142,6 +142,15 @@ class TestSerialization:
                 id=f"formula-{tag}",
             )
             for tag in ("OracleVeff", "Eq6")
+        ]
+        + [
+            # a classification that contradicts classify_coupling
+            pytest.param(
+                render_records_json(scan([3], [1], Scheme.M_EQUALS_N)).replace(
+                    '"bound"', '"singular"'
+                ),
+                id="bound-relabelled-singular",
+            )
         ],
     )
     def test_json_malformed_input_rejected(self, text):
