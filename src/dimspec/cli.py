@@ -22,7 +22,7 @@ from .errors import (
     GammaPoleError,
     InvalidParameterError,
 )
-from .feasibility import bound_dims, evaluate_point, scan
+from .feasibility import bound_dims, build_record, evaluate_point, scan
 from .model import ScanRecord, Scheme, SystemParams
 from .oracle import KineticConvention, radial_ground_state
 from .potential import alpha_coefficient
@@ -39,7 +39,7 @@ from .report import (
     table1_compare,
 )
 from .signedlog import SignedLogReal
-from .spectrum import EnergyQuery, e0_general, scheme_m1_discrepancies
+from .spectrum import scheme_m1_discrepancies
 
 _SCHEMES = {s.value: s for s in Scheme}
 _CONVENTIONS = {c.value: c for c in KineticConvention}
@@ -98,13 +98,7 @@ def _energy_record(args) -> ScanRecord:
             raise InvalidParameterError("non-finite", f"--alpha must be finite, got {args.alpha!r}")
         params = SystemParams(args.D, args.n, args.m if args.m is not None else 1)
         alpha = SignedLogReal.from_float(args.alpha)
-        outcome = e0_general(EnergyQuery(alpha, args.beta, args.n, args.D))
-        return ScanRecord(
-            params=params,
-            beta=args.beta,
-            alpha=alpha if alpha.sign != 0 else None,
-            outcome=outcome,
-        )
+        return build_record(params, args.beta, alpha if alpha.sign != 0 else None, reference=False)
     if args.m is not None:
         expected = args.n if scheme is Scheme.M_EQUALS_N else 1
         if args.m != expected:

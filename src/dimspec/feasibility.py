@@ -3,25 +3,27 @@
 For m = n the window is the open interval (2n, 4n), empty for even n since
 the coupling turns repulsive; for m = 1 it is (2, 2(n+1)). The scan walks a
 rectangular (D, n) grid, classifies every point and evaluates the general
-closed form wherever a bound state exists.
+closed form wherever a bound state exists. ``build_record`` makes every
+record: the scan's, the ``energy`` verb's and each one the parsers read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import InvalidParameterError
 from .model import (
+    EnergyOutcome,
     ScanRecord,
     Scheme,
     SystemParams,
-    classify_outcome,
     classify_regime,
     Classification,
 )
 from .potential import alpha_coefficient
 from .refdata import PUBLISHED_MEMBERS_M1, PUBLISHED_MEMBERS_MN, TABLE1_E0_SLR
+from .signedlog import SignedLogReal
 from .spectrum import EnergyQuery, e0_general
 
 # Bounds of the (D, n) grid that scan accepts: the paper's whole parameter
@@ -84,31 +86,39 @@ def excluded_dims_universal(max_n: int = 64) -> list[int]:
     return sorted(excluded)
 
 
+def build_record(
+    params: SystemParams, beta: int, alpha: Optional[SignedLogReal], reference: bool
+) -> ScanRecord:
+    """The record of the coupling alpha r^-beta at ``params``: the one place a
+    record's outcome is decided, for the scan, the ``energy`` verb and both
+    parsers.
+
+    A short-range potential (beta < 0) is invalid; every other beta goes to
+    the general evaluator. ``reference`` attaches the published energy at
+    (D, n), if the table has one.
+    """
+    if beta < 0:
+        source = "D - 2m = " if beta == params.beta else ""
+        outcome = EnergyOutcome.invalid(
+            "short-range", f"beta = {source}{beta} < 0: the potential is short-range"
+        )
+    else:
+        outcome = e0_general(EnergyQuery(alpha, beta, params.n, params.D))
+    paper = TABLE1_E0_SLR.get((params.D, params.n)) if reference else None
+    return ScanRecord(params=params, beta=beta, alpha=alpha, outcome=outcome, paper_value=paper)
+
+
 def evaluate_point(D: int, n: int, scheme: Scheme) -> ScanRecord:
     """Classify one grid point and evaluate its energy when bound.
 
-    A power-law coupling (beta > 0) goes to the general evaluator, which
-    classifies it; the logarithmic and short-range points have no coupling
-    and are classified from (D, n, m) alone.
+    The coupling is the point charge's alpha(D, m), which exists only for
+    beta > 0; the m = n scheme carries the published reference energy.
     """
     if scheme not in (Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE):
         raise InvalidParameterError("bad-scheme", "grid points exist only in the mn and m1 schemes")
     params = SystemParams(D, n, n if scheme is Scheme.M_EQUALS_N else 1)
-    beta = params.beta
-    alpha = None
-    if beta > 0:
-        alpha = alpha_coefficient(D, params.m).alpha
-        outcome = e0_general(EnergyQuery(alpha, beta, n, D))
-    else:
-        outcome = classify_outcome(D, n, params.m)
-    paper = TABLE1_E0_SLR.get((D, n)) if scheme is Scheme.M_EQUALS_N else None
-    return ScanRecord(
-        params=params,
-        beta=beta,
-        alpha=alpha,
-        outcome=outcome,
-        paper_value=paper,
-    )
+    alpha = alpha_coefficient(D, params.m).alpha if params.beta > 0 else None
+    return build_record(params, params.beta, alpha, reference=scheme is Scheme.M_EQUALS_N)
 
 
 def scan(D_values: Iterable[int], n_values: Iterable[int], scheme: Scheme) -> list[ScanRecord]:

@@ -207,6 +207,11 @@ _NARROW = 1.1  # node-count bisection stops once lo / hi is at most this
 _REL_TOL = 1e-10
 _MAX_POLISH = 60
 _BIG = 1e250
+# Largest D solved. The step in ln r is fixed, so the Numerov factor
+# 1 - _STEP^2 (D-2)^2 / 48 falls with D, to 0 near D = 1388; the first D that
+# fails to solve is 1295 (half Laplacian). Every D up to the limit solves in
+# both conventions at alpha = 1e-100, 1 and 1e100.
+RADIAL_D_LIMIT = 1200
 
 
 def radial_ground_state(
@@ -219,14 +224,18 @@ def radial_ground_state(
     """Radial eigenstate of -c0 u'' + [c0 (D-1)(D-3)/(4 r^2) - alpha r^-beta] u = E u.
 
     c0 is 1 (full Laplacian) or 1/2 (half). Only the centrifugal-regular,
-    long-range-safe case beta = 1 with D >= 3 is supported; an attractive
-    beta >= 2 falls to the center and is rejected as singular. Every length
-    and energy scale comes from the closed-form estimate E_est, so the solve
-    costs the same at any alpha.
+    long-range-safe case beta = 1 with 3 <= D <= RADIAL_D_LIMIT is
+    supported; an attractive beta >= 2 falls to the center and is rejected
+    as singular. Every length and energy scale comes from the closed-form
+    estimate E_est, so the solve costs the same at any alpha.
     """
     if not isinstance(D, int) or isinstance(D, bool) or D < 3:
         raise InvalidParameterError(
             "centrifugal-irregular", f"radial solver needs integer D >= 3, got {D!r}"
+        )
+    if D > RADIAL_D_LIMIT:
+        raise InvalidParameterError(
+            "out-of-range", f"radial solver needs D <= {RADIAL_D_LIMIT}, got {D}"
         )
     if not isinstance(beta, int) or isinstance(beta, bool):
         raise InvalidParameterError("non-integer", f"beta must be an integer, got {beta!r}")
@@ -366,8 +375,10 @@ class _RadialProblem:
         self.sweeps += 2
         out = _sweep(c[1 : m + 1], float(t[0]) * self.y0, float(t[1]) * self.y1)
         inn = _sweep(c[-1:m:-1], 0.0, 1.0)[:0:-1]
-        a0, a1, b0, b1 = out[m], out[m + 1], inn[0], inn[1]
-        sine = (a0 * b1 - a1 * b0) / (math.hypot(a0, a1) * math.hypot(b0, b1))
+        # each pair scaled to unit length first: near _BIG the raw cross
+        # product would overflow to inf - inf
+        na, nb = math.hypot(out[m], out[m + 1]), math.hypot(inn[0], inn[1])
+        sine = (out[m] / na) * (inn[1] / nb) - (out[m + 1] / na) * (inn[0] / nb)
         return sine, (t, out, inn, m)
 
     def solve(self, k: int, lo: float, hi: float) -> tuple[float, np.ndarray, np.ndarray]:

@@ -7,11 +7,12 @@ The CSV header is part of the wire contract and is emitted bit-exactly:
 Signed-log values are split into their sign and lnmag columns (lossless,
 floats written with shortest round-trip repr) plus a 3-significant-digit
 decimal string for humans. JSON uses the same keys, with null for fields
-that do not apply. Parsing reconstructs records generated by this library
-exactly: reference values are re-attached from the embedded table and
-invalid-outcome reasons are regenerated from the deterministic classifier.
-A record whose classification contradicts ``classify_coupling`` of its
-beta, coupling sign and n is rejected.
+that do not apply. Parsing reads only the input cells (D, n, m, beta, the
+coupling's sign and lnmag, and whether paper_E0 is set), rebuilds the record
+with ``build_record`` and accepts it only if the rebuilt record renders to
+exactly the cells read; otherwise it names the first column that differs, or
+an unexpected extra field. So ``parse(render(x)) == x`` for every record this
+library writes, and no parsed record contradicts the evaluator.
 ``render_csv`` and ``render_json`` are the writers behind every CLI table.
 """
 
@@ -25,16 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimspecError, InvalidParameterError
-from .feasibility import D_MAX, D_MIN, N_MAX, N_MIN, bound_dims
-from .model import (
-    Classification,
-    EnergyOutcome,
-    ScanRecord,
-    Scheme,
-    SystemParams,
-    classify_coupling,
-    classify_outcome,
-)
+from .feasibility import D_MAX, D_MIN, N_MAX, N_MIN, bound_dims, build_record
+from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams
 from .refdata import TABLE1_E0, TABLE1_E0_SLR
 from .signedlog import SignedLogReal
 from .spectrum import EnergyQuery, e0_general, e0_scheme_mn
@@ -151,55 +144,38 @@ def record_fields(rec: ScanRecord) -> dict:
 
 
 def _record_from_fields(f: dict) -> ScanRecord:
-    """A record from its wire fields; a missing field, or a value of the wrong
-    type or out of its domain, makes it unparseable."""
+    """The record rebuilt from its input cells, accepted only if it renders
+    back to exactly ``f``. A missing field, a value of the wrong type or out
+    of its domain, or any cell the inputs do not give makes it unparseable."""
     try:
-        return _build_record(f)
+        beta = f["beta"]
+        if isinstance(beta, bool) or not isinstance(beta, int):
+            raise InvalidParameterError("unparseable", f"beta must be an integer, got {beta!r}")
+        alpha = None
+        if f["alpha_sign"] is not None:
+            alpha = SignedLogReal(f["alpha_sign"], f["alpha_lnmag"])
+        params = SystemParams(f["D"], f["n"], f["m"])
+        rec = build_record(params, beta, alpha, reference=f["paper_E0"] is not None)
     except KeyError as exc:
         raise InvalidParameterError("unparseable", f"record has no {exc.args[0]!r} field") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError("unparseable", f"unreadable record value: {exc}") from None
+    expected = record_fields(rec)
+    if expected != f:
+        raise InvalidParameterError("unparseable", _first_mismatch(f, expected))
+    return rec
 
 
-def _build_record(f: dict) -> ScanRecord:
-    D, n, m, beta = f["D"], f["n"], f["m"], f["beta"]
-    if isinstance(beta, bool) or not isinstance(beta, int):
-        raise InvalidParameterError("unparseable", f"beta must be an integer, got {beta!r}")
-    if f["formula"] != FORMULA:
-        raise InvalidParameterError("unparseable", f"unknown formula tag {f['formula']!r}")
-    params = SystemParams(D, n, m)
-    alpha = None
-    if f["alpha_sign"] is not None:
-        alpha = SignedLogReal(f["alpha_sign"], f["alpha_lnmag"])
-    classification = Classification(f["classification"])
-    expected = classify_coupling(beta, alpha.sign if alpha is not None else 0, n)
-    if classification is not expected:
-        raise InvalidParameterError(
-            "unparseable", f"record at D={D}, n={n}, beta={beta} classifies {expected.value}"
-        )
-    if classification is Classification.BOUND:
-        outcome = EnergyOutcome.bound(SignedLogReal(f["E0_sign"], f["E0_lnmag"]))
-    elif classification is Classification.INVALID:
-        rebuilt = classify_outcome(D, n, m)
-        if rebuilt is None or rebuilt.classification is not Classification.INVALID:
-            raise InvalidParameterError(
-                "unparseable", f"record at D={D}, n={n}, m={m} does not classify invalid"
-            )
-        outcome = rebuilt
-    else:
-        outcome = EnergyOutcome(classification)
-    paper = None
-    if f["paper_E0"] is not None:
-        paper = TABLE1_E0_SLR.get((D, n))
-        if paper is None:
-            paper = SignedLogReal.from_float(f["paper_E0"])
-    return ScanRecord(
-        params=params,
-        beta=beta,
-        alpha=alpha,
-        outcome=outcome,
-        paper_value=paper,
-    )
+def _first_mismatch(f: dict, expected: dict) -> str:
+    """Names the first column of ``f`` that its inputs do not give."""
+    where = f"record at D={f['D']}, n={f['n']}, m={f['m']}, beta={f['beta']}"
+    for col, value in expected.items():
+        if col not in f:
+            return f"record has no {col!r} field"
+        if f[col] != value:
+            return f"{where}: {col!r} reads {f[col]!r}, its inputs give {value!r}"
+    extra = next(key for key in f if key not in expected)
+    return f"{where}: unexpected field {extra!r}"
 
 
 def _csv_cell(value) -> str:

@@ -31,8 +31,10 @@ class SignedLogReal:
     lnmag: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
+        # an exact int: a bool or a float sign compares equal to 1 but would
+        # be written back as true or 1.0
+        if type(self.sign) is not int or self.sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be the int -1, 0 or +1, got {self.sign!r}")
         if self.sign == 0:
             if self.lnmag != 0.0:
                 raise ValueError("zero must carry lnmag == 0.0")

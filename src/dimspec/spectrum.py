@@ -8,17 +8,16 @@ cross-checked against it; for m = 1 with n > 1 the published form is not an
 algebraic rewriting of the general result, and ``scheme_m1_discrepancies``
 makes that visible instead of hiding it.
 
-All exponentiation happens in log space with the rational exponents reduced
-exactly before conversion to float, so points like (19, 5) - where an
-intermediate reaches 10^115 and the energy sits below 1e-150 - evaluate
-without overflow.
+All exponentiation happens in log space, and each rational exponent is the
+correctly rounded quotient of its two integers (int true division), so
+points like (19, 5) - where an intermediate reaches 10^115 and the energy
+sits below 1e-150 - evaluate without overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import InvalidParameterError
@@ -62,8 +61,8 @@ def e0_general(q: EnergyQuery) -> EnergyOutcome:
     two_n = 2 * q.n
     # |E0| = alpha * (2n-beta)/(2n) * D^(-2n beta/(2n-beta))
     #              * (2n / (2^(2n) alpha beta))^(-beta/(2n-beta))
-    x_dim = float(Fraction(two_n * q.beta, two_n - q.beta))
-    x_cpl = float(Fraction(q.beta, two_n - q.beta))
+    x_dim = two_n * q.beta / (two_n - q.beta)
+    x_cpl = q.beta / (two_n - q.beta)
     ln_t = math.log(two_n) - two_n * LN_2 - q.alpha.lnmag - math.log(q.beta)
     lnmag = (
         q.alpha.lnmag
@@ -94,8 +93,8 @@ def _e0_printed(D: int, n: int, m: int) -> EnergyOutcome:
             f"for D={D} <= 2n={2 * n}",
         )
     spec = alpha_coefficient(D, m)
-    e_bracket = float(Fraction(D - 2 * n, D - 2 * n - 2 * m))
-    e_coupling = float(Fraction(-2 * n, D - 2 * n - 2 * m))
+    e_bracket = (D - 2 * n) / (D - 2 * n - 2 * m)
+    e_coupling = -2 * n / (D - 2 * n - 2 * m)
     lnmag = (
         e_bracket * _ln_bracket_base(D, n)
         + e_coupling * spec.alpha.lnmag

@@ -80,6 +80,7 @@ class TestEnergy:
             ("0", "3", "repulsive"),
             ("0.5", "4", "divergent"),
             ("0.5", "5", "singular"),
+            ("0.5", "-1", "invalid"),
         ],
     )
     def test_explicit_record_round_trips(self, capsys, m, alpha, beta, tag):
@@ -257,6 +258,11 @@ class TestRadial:
     def test_non_finite_alpha_exit_code(self, capsys, alpha):
         code, _, err = run(capsys, "radial", "--D", "3", f"--alpha={alpha}")
         assert code == 1
+        assert "invalid parameters" in err and "Traceback" not in err
+
+    def test_dimension_above_limit_exit_code(self, capsys):
+        code, out, err = run(capsys, "radial", "--D", "1316", "--alpha", "1", "--convention", "half")
+        assert code == 1 and out == ""
         assert "invalid parameters" in err and "Traceback" not in err
 
     def test_singular_exit_code(self, capsys):

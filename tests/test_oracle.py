@@ -19,6 +19,7 @@ from dimspec import (
     minimize_v_eff,
     radial_ground_state,
 )
+from dimspec.oracle import RADIAL_D_LIMIT
 
 # Frozen from the development run of this module's own search (the value the
 # closed forms are then required to reproduce).
@@ -139,6 +140,7 @@ class TestRadialGroundState:
             (dict(D=3, alpha=-math.inf, beta=1), InvalidParameterError),
             (dict(D=3, alpha=1e101, beta=1), InvalidParameterError),
             (dict(D=3, alpha=1.0, beta=1, excitation=-1), InvalidParameterError),
+            (dict(D=RADIAL_D_LIMIT + 1, alpha=1.0, beta=1), InvalidParameterError),
             # a repulsive coupling is repulsive whatever its exponent
             (dict(D=5, alpha=-1.0, beta=3), InvalidParameterError),
         ],
@@ -162,7 +164,10 @@ EXACT_LEVEL_CASES = [
 ] + [
     (4, 1.0, KineticConvention.FULL_LAPLACIAN, 1),
     (4, 1.0, KineticConvention.HALF_LAPLACIAN, 1),
-]
+    # the first D, per convention, where an unscaled matching cross product overflows to nan
+    (690, 1.0, KineticConvention.FULL_LAPLACIAN, 0),
+    (736, 1.0, KineticConvention.HALF_LAPLACIAN, 0),
+] + [(RADIAL_D_LIMIT, 1.0, convention, 0) for convention in KineticConvention]
 
 
 @pytest.mark.parametrize("D,alpha,convention,k", EXACT_LEVEL_CASES)

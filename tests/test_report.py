@@ -151,11 +151,55 @@ class TestSerialization:
                 ),
                 id="bound-relabelled-singular",
             )
+        ]
+        + [
+            # a coupling sign that is not an int, though it compares equal to 1
+            pytest.param(
+                render_records_json(scan([3], [1], Scheme.M_EQUALS_N)).replace(
+                    '"alpha_sign": 1,', f'"alpha_sign": {sign},'
+                ),
+                id=f"alpha-sign-{sign}",
+            )
+            for sign in ("true", "1.0")
         ],
     )
     def test_json_malformed_input_rejected(self, text):
         with pytest.raises(InvalidParameterError):
             parse_records_json(text)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "point,column,value",
+        [
+            ((3, 1), "E0_decimal", "+5.00e+10"),
+            ((3, 1), "E0_lnmag", -2.0),
+            ((3, 1), "ratio_log10", 0.5),
+            # a point the reference table does not list
+            ((5, 2), "paper_E0", -0.11),
+        ],
+        ids=["E0_decimal", "E0_lnmag", "ratio_log10", "paper_E0"],
+    )
+    def test_cell_its_inputs_do_not_give_is_unparseable(self, fmt, point, column, value):
+        records = scan([point[0]], [point[1]], Scheme.M_EQUALS_N)
+        if fmt == "json":
+            payload = json.loads(render_records_json(records))
+            payload[0][column] = value
+            parse, text = parse_records_json, json.dumps(payload)
+        else:
+            header, row = render_records_csv(records).splitlines()
+            cells = row.split(",")
+            cells[header.split(",").index(column)] = str(value)
+            parse, text = parse_records_csv, header + "\n" + ",".join(cells) + "\n"
+        with pytest.raises(InvalidParameterError, match=repr(column)) as err:
+            parse(text)
+        assert err.value.code == "unparseable"
+
+    def test_json_extra_field_is_unparseable(self):
+        payload = json.loads(render_records_json(scan([3], [1], Scheme.M_EQUALS_N)))
+        payload[0]["E0"] = -0.11
+        with pytest.raises(InvalidParameterError, match="'E0'") as err:
+            parse_records_json(json.dumps(payload))
+        assert err.value.code == "unparseable"
 
     @pytest.mark.parametrize("beta", ["x", 1.5, None, True])
     def test_json_non_integer_beta_is_unparseable(self, beta):
