@@ -4,8 +4,11 @@
 # potential V_eff(r) = (D/2)^(2n) r^(-2n) - alpha r^(-beta). An honest
 # check therefore minimizes V_eff numerically, pretending the closed form
 # does not exist, and compares. The search runs in ln r (the minimizers
-# span sixteen decades across the grid) with the objective evaluated in
-# 40-digit arithmetic so a 1e-12 tolerance is meaningful.
+# span sixteen decades across the grid), in floats: it minimizes the
+# potential's change from its value at the stationarity estimate, which
+# floats resolve well inside the 1e-12 tolerance, where the potential
+# itself, a difference of two nearly equal terms, would not be. Only the
+# reported depth is evaluated in 40-digit arithmetic.
 
 from dimspec import (
     EnergyQuery,

@@ -5,10 +5,12 @@ Two routes that share no algebra with the spectrum module:
 * ``minimize_v_eff`` brackets the effective potential
   (D/2)^(2n) r^(-2n) - alpha r^(-beta) in ln r and searches it with Brent's
   parabolic-interpolation minimizer. Near the minimum the objective is flat
-  to ~1 part in 1e16 over a window of width ~1e-7 in ln r, which double
-  precision cannot resolve to the accuracy demanded here, so the objective
-  alone is evaluated in mpmath, at a precision derived from that flatness;
-  the search state and its parabolic steps stay in floats.
+  to ~1 part in 1e16 over a window of width ~1e-7 in ln r, so its two terms,
+  which nearly cancel there, are not subtracted as they stand: the search
+  minimizes the objective's change from its value at the stationarity
+  estimate, P expm1(-2n t) - Q expm1(-beta t) at a distance t in ln r, which
+  floats resolve to ~1e-14 in ln r. Only the reported energy, one value at
+  the minimizer found, is evaluated in mpmath.
 
 * ``radial_ground_state`` solves the n = 1 reduced radial equation by
   Numerov sweeps in x = ln r, with the grid, each sweep's cutoff and the
@@ -52,18 +54,39 @@ class VeffMinimum:
     bracket_expansions: int
 
 
-# Objective precision. Around the minimum V_eff is flat as delta^2: relative to
-# |V_min| it rises by n beta delta^2 at a distance delta in ln r (V'' / |V_min|
-# = 2n beta there). Resolving delta = 1e-12 max(1, |ln r*|) needs relative
-# differences of 1e-24 in V, so 24 digits; the two terms of V are at most
-# 2n / (2n - beta) <= 32 times |V_min| and cancel, costing 1.5 more; the
-# exponents are computed exactly from float inputs and so lose nothing. 40
-# digits leaves about 14 guard digits.
+# Precision of the reported energy. Around the minimum V_eff is flat as
+# delta^2: relative to |V_min| it rises by n beta delta^2 at a distance delta
+# in ln r (V'' / |V_min| = 2n beta there). Resolving delta = 1e-12 max(1,
+# |ln r*|) as a difference of the two terms of V would take relative
+# differences of 1e-24, so the search takes none: it minimizes the change from
+# the seed, whose float noise, ~1e-16 |t| 2n beta / (2n - beta), sits below
+# n beta t^2 for every |t| above ~1e-15. Only the energy at the minimizer found
+# is the difference itself; its two terms are at most 2n / (2n - beta) times
+# |V_min| and cancel, so 40 digits leave over 35 for it.
 _VEFF_DPS = 40
 _VEFF_TOL = 1e-12  # search tolerance in ln r, relative to max(1, |ln r*|)
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 0.381966...
 _MAX_BRACKET = 200
 _MAX_SEARCH = 200
+
+
+def _exact_sum(*terms: tuple[int, float]) -> float:
+    """The sum of k v over the (k, v) pairs, rounded once. Every float is a
+    dyadic fraction, so the exact sum is one integer over the largest
+    denominator, and int true division rounds it correctly."""
+    ratios = [(k, *v.as_integer_ratio()) for k, v in terms]
+    den = max(d for _, _, d in ratios)
+    return sum(k * num * (den // d) for k, num, d in ratios) / den
+
+
+def _change_from_seed(t: float, p: float, q: float, two_n: int, beta: int) -> float:
+    """V_eff / |V(r*)| at ln r = x_seed + t less its value at the seed, for
+    V_eff / |V(r*)| = p e^(-2n t) - q e^(-beta t); +inf once e^(-2n t)
+    overflows, far inside the seed."""
+    try:
+        return p * math.expm1(-two_n * t) - q * math.expm1(-beta * t)
+    except OverflowError:
+        return math.inf
 
 
 def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
@@ -88,81 +111,89 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     ln_amp = two_n * (math.log(q.D) - LN_2)  # ln A, A = (D/2)^(2n)
     x_seed = (math.log(two_n) + ln_amp - q.alpha.lnmag - math.log(beta)) / (two_n - beta)
     # ln |V_eff(r*)|: the objective is divided by it, so that its values near
-    # the minimum, and the differences the search takes of them, are floats
+    # the minimum are of order 1
     ln_scale = q.alpha.lnmag - beta * x_seed + math.log1p(-beta / two_n)
+    # both terms at the seed, from their exponents as the float inputs give
+    # them; the stationarity identity p = beta / (2n - beta) is not used
+    p_seed = math.exp(_exact_sum((1, ln_amp), (-1, ln_scale), (-two_n, x_seed)))
+    q_seed = math.exp(_exact_sum((1, q.alpha.lnmag), (-1, ln_scale), (-beta, x_seed)))
     evaluations = 0
-    with mpmath.workdps(_VEFF_DPS):
-        ln_a = mpmath.mpf(ln_amp) - ln_scale
-        ln_alpha = mpmath.mpf(q.alpha.lnmag) - ln_scale
 
-        def f(x: float):
-            nonlocal evaluations
-            evaluations += 1
-            x = mpmath.mpf(x)  # before the products, which floats would round
-            return mpmath.exp(ln_a - two_n * x) - mpmath.exp(ln_alpha - beta * x)
+    def f(x: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return _change_from_seed(x - x_seed, p_seed, q_seed, two_n, beta)
 
-        f_seed = f(x_seed)
-        half = 1.0
-        for expansions in range(_MAX_BRACKET):
-            a, b = x_seed - half, x_seed + half
-            if f(a) > f_seed < f(b):
-                break
-            half *= 2.0
-        else:
-            raise NoMinimumError("failed to bracket an interior minimum")
+    f_seed = f(x_seed)
+    # 1 in ln r, narrowed above beta = 32 so that e^(-beta t) stays above the
+    # objective's float resolution across the bracket: on a plateau where it
+    # does not, every value reads q - p and ties would lead the search off
+    half = min(1.0, 32.0 / beta)
+    for expansions in range(_MAX_BRACKET):
+        a, b = x_seed - half, x_seed + half
+        if f(a) > f_seed < f(b):
+            break
+        half *= 2.0
+    else:
+        raise NoMinimumError("failed to bracket an interior minimum")
 
-        # Brent's search state: x is the best point so far, w the second best
-        # and v the one before it; only f and the comparisons of its values
-        # stay in mpmath
-        tol = _VEFF_TOL * max(1.0, abs(x_seed))
-        x = w = v = a + _GOLDEN * (b - a)
-        fx = fw = fv = f(x)
-        d = e = 0.0
-        for _ in range(_MAX_SEARCH):
-            mid = 0.5 * (a + b)
-            if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-                break
-            golden = True
-            if abs(e) > tol:
-                r = (x - w) * float(fx - fv)
-                s = (x - v) * float(fx - fw)
-                p = (x - v) * s - (x - w) * r
-                s = 2.0 * (s - r)
-                if s > 0.0:
-                    p = -p
-                s = abs(s)
-                e_prev, e = e, d
-                # written so that a nan step falls through to the golden one
-                if abs(p) < abs(0.5 * s * e_prev) and s * (a - x) < p < s * (b - x):
-                    golden = False
-                    d = p / s
-                    if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
-                        d = math.copysign(tol, mid - x)
-            if golden:
-                e = (a if x >= mid else b) - x
-                d = _GOLDEN * e
-            u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-            fu = f(u)
-            if fu <= fx:
-                if u >= x:
-                    a = x
-                else:
-                    b = x
-                v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+    # Brent's search state: x is the best point so far, w the second best
+    # and v the one before it
+    tol = _VEFF_TOL * max(1.0, abs(x_seed))
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    for _ in range(_MAX_SEARCH):
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            s = (x - v) * (fx - fw)
+            p = (x - v) * s - (x - w) * r
+            s = 2.0 * (s - r)
+            if s > 0.0:
+                p = -p
+            s = abs(s)
+            e_prev, e = e, d
+            # written so that a nan step falls through to the golden one
+            if abs(p) < abs(0.5 * s * e_prev) and s * (a - x) < p < s * (b - x):
+                golden = False
+                d = p / s
+                if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                    d = math.copysign(tol, mid - x)
+        if golden:
+            e = (a if x >= mid else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
             else:
-                if u < x:
-                    a = u
-                else:
-                    b = u
-                if fu <= fw or w == x:
-                    v, fv, w, fw = w, fw, u, fu
-                elif fu <= fv or v == x or v == w:
-                    v, fv = u, fu
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            raise NoConvergenceError(f"V_eff search unresolved after {_MAX_SEARCH} steps")
-        if fx >= 0:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    else:
+        raise NoConvergenceError(f"V_eff search unresolved after {_MAX_SEARCH} steps")
+
+    # the energy is the objective itself at the minimizer, in full
+    with mpmath.workdps(_VEFF_DPS):
+        x_mp = mpmath.mpf(x)  # before the products, which floats would round
+        kin = mpmath.exp(mpmath.mpf(ln_amp) - ln_scale - two_n * x_mp)
+        f_min = kin - mpmath.exp(mpmath.mpf(q.alpha.lnmag) - ln_scale - beta * x_mp)
+        if f_min >= 0:
             raise NoMinimumError("search ended on a non-negative minimum")
-        ln_e = float(mpmath.log(-fx) + ln_scale)
+        ln_e = float(mpmath.log(-f_min) + ln_scale)
 
     if abs(x - x_seed) > 1e-10 * max(1.0, abs(x_seed)):
         raise NoConvergenceError(

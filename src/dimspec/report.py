@@ -10,9 +10,10 @@ decimal string for humans. JSON uses the same keys, with null for fields
 that do not apply. Parsing reads only the input cells (D, n, m, beta, the
 coupling's sign and lnmag, and whether paper_E0 is set), rebuilds the record
 with ``build_record`` and accepts it only if the rebuilt record renders to
-exactly the cells read; otherwise it names the first column that differs, or
-an unexpected extra field. So ``parse(render(x)) == x`` for every record this
-library writes, and no parsed record contradicts the evaluator.
+exactly the cells read, and in JSON only if each cell has its column's type;
+otherwise it names the first column that differs, or an unexpected extra
+field. So ``parse(render(x)) == x`` for every record this library writes,
+and no parsed record contradicts the evaluator.
 ``render_csv`` and ``render_json`` are the writers behind every CLI table.
 """
 
@@ -166,9 +167,13 @@ def _record_from_fields(f: dict) -> ScanRecord:
     return rec
 
 
+def _where(f: dict) -> str:
+    return f"record at D={f['D']}, n={f['n']}, m={f['m']}, beta={f['beta']}"
+
+
 def _first_mismatch(f: dict, expected: dict) -> str:
     """Names the first column of ``f`` that its inputs do not give."""
-    where = f"record at D={f['D']}, n={f['n']}, m={f['m']}, beta={f['beta']}"
+    where = _where(f)
     for col, value in expected.items():
         if col not in f:
             return f"record has no {col!r} field"
@@ -206,9 +211,11 @@ def render_records_csv(records: list[ScanRecord]) -> str:
     return render_csv(map(record_fields, records), CSV_COLUMNS)
 
 
-# cell type of each CSV column, in CSV_COLUMNS order; an empty cell reads as
-# None, except in the integer key columns, which every record fills
+# cell type of each column, in CSV_COLUMNS order: the CSV reader converts each
+# cell to it and the JSON reader requires it. An empty cell or a null is None,
+# except in the integer key columns, which every record fills
 _CSV_KINDS = (int, int, int, int, int, float, int, float, str, str, str, float, float)
+_COLUMN_KINDS = tuple(zip(CSV_COLUMNS, _CSV_KINDS))
 _CSV_KEYS = frozenset(("D", "n", "m", "beta"))
 
 
@@ -249,7 +256,23 @@ def parse_records_json(text: str) -> list[ScanRecord]:
         raise InvalidParameterError("bad-json", f"not JSON: {exc}") from None
     if not isinstance(payload, list):
         raise InvalidParameterError("bad-json", "expected a top-level JSON array")
-    return [_record_from_fields(entry) for entry in payload]
+    return [_json_record(entry) for entry in payload]
+
+
+def _json_record(entry: dict) -> ScanRecord:
+    """``_record_from_fields``, with every cell of its column's type as well:
+    a JSON 1.0 or true compares equal to 1, and 0 to 0.0, but the writer
+    never writes one for the other."""
+    rec = _record_from_fields(entry)
+    for col, kind in _COLUMN_KINDS:
+        value = entry[col]
+        if value is not None and type(value) is not kind:
+            raise InvalidParameterError(
+                "unparseable",
+                f"{_where(entry)}: {col!r} reads {value!r} of type {type(value).__name__}, "
+                f"not {kind.__name__}",
+            )
+    return rec
 
 
 def sort_records(records: list[ScanRecord]) -> list[ScanRecord]:

@@ -52,6 +52,15 @@ class TestEnergy:
         assert code == 1
         assert "dimspec: invalid parameters:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("n", ["10001", "9" * 401])
+    def test_n_above_limit_exit_code(self, capsys, n):
+        code, out, err = run(
+            capsys, "energy", "--scheme", "explicit", "--D", "3", "--n", n,
+            "--alpha", "1", "--beta", "1",
+        )
+        assert code == 1 and out == ""
+        assert "dimspec: invalid parameters: need n <= 10000" in err and "Traceback" not in err
+
     def test_magnitude_stress_point(self, capsys):
         code, out, _ = run(
             capsys, "energy", "--D", "19", "--n", "5", "--format", "json"

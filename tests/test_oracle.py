@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,8 @@ from dimspec import (
     minimize_v_eff,
     radial_ground_state,
 )
-from dimspec.oracle import RADIAL_D_LIMIT
+from dimspec.oracle import RADIAL_D_LIMIT, _change_from_seed
+from dimspec.spectrum import N_LIMIT
 
 # Frozen from the development run of this module's own search (the value the
 # closed forms are then required to reproduce).
@@ -176,3 +178,64 @@ def test_radial_matches_exact_level(D, alpha, convention, k):
     exact = exact_level(D, alpha, convention, k)
     assert abs(sol.energy - exact) <= 1e-6 * abs(exact)
     assert sol.nodes == k
+
+
+def _v_eff_reference(q: EnergyQuery, x: float) -> tuple:
+    """V_eff and its first two derivatives in x = ln r, at 40 digits, with
+    A = (D/2)^(2n) exact: (A e^(-2n x) - alpha e^(-beta x), V', V'')."""
+    two_n, beta = 2 * q.n, q.beta
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        kin = (mpmath.mpf(q.D) / 2) ** two_n * mpmath.exp(-two_n * x)
+        pot = mpmath.exp(q.alpha.lnmag - beta * x)
+        return (
+            kin - pot,
+            -two_n * kin + beta * pot,
+            two_n**2 * kin - beta**2 * pot,
+        )
+
+
+_PARITY_GRID = [
+    (D, n, beta, alpha)
+    for D in range(2, 65)
+    for n in range(1, 17)
+    for beta in sorted({1, n, 2 * n - 1})
+    for alpha in (1e-100, 1.0, 1e100)
+]
+
+
+class TestVeffObjective:
+    def test_parity_with_a_reference_objective(self):
+        # one Newton step on the reference objective from the minimizer found
+        # lands within ~1e-23 of the reference minimizer, far inside 1e-12
+        worst_x = worst_e = 0.0
+        most_evaluations = 0
+        for D, n, beta, alpha in _PARITY_GRID:
+            q = EnergyQuery(SignedLogReal.from_float(alpha), beta, n, D)
+            found = minimize_v_eff(q)
+            v, dv, d2v = _v_eff_reference(q, found.ln_r_star)
+            x_ref = found.ln_r_star - dv / d2v
+            worst_x = max(worst_x, float(abs(found.ln_r_star - x_ref) / max(1, abs(x_ref))))
+            ln_e = float(mpmath.log(-v))
+            worst_e = max(worst_e, abs(found.e_min.lnmag - ln_e) / max(1.0, abs(ln_e)))
+            most_evaluations = max(most_evaluations, found.evaluations)
+        assert worst_x <= 1e-12
+        assert worst_e <= 1e-14
+        assert most_evaluations <= 23
+
+    def test_far_inside_the_seed_reads_inf(self):
+        # e^(2000) overflows a float: the objective reads +inf, it does not raise
+        assert _change_from_seed(-1000.0, 0.5, 1.5, 2, 1) == math.inf
+        assert _change_from_seed(-1000.0, 31.0, 32.0, 32, 31) == math.inf
+
+    @pytest.mark.parametrize("n", [100, N_LIMIT])
+    def test_large_n(self, n):
+        # the bracket edge inside the seed overflows e^(-2n t) at n = N_LIMIT,
+        # and beta > 32 narrows the bracket
+        for beta in (1, n, 2 * n - 1):
+            for D, alpha in [(3, 1e-100), (64, 1.0), (10_000, 1e100)]:
+                q = EnergyQuery(SignedLogReal.from_float(alpha), beta, n, D)
+                found = minimize_v_eff(q)
+                closed = e0_general(q).energy.lnmag
+                gap = abs(found.e_min.lnmag - closed)
+                assert gap <= 1e-8 * max(1.0, abs(closed)), (beta, D, alpha)

@@ -161,6 +161,18 @@ class TestSerialization:
                 id=f"alpha-sign-{sign}",
             )
             for sign in ("true", "1.0")
+        ]
+        + [
+            # cells that compare equal to what the writer writes, but are of
+            # another type: a float sign and an int lnmag
+            pytest.param(
+                render_records_json(scan([3], [1], Scheme.M_EQUALS_N)).replace(old, new),
+                id=case,
+            )
+            for case, old, new in (
+                ("E0-sign-float", '"E0_sign": -1,', '"E0_sign": -1.0,'),
+                ("alpha-lnmag-int", '"alpha_lnmag": 0.0,', '"alpha_lnmag": 0,'),
+            )
         ],
     )
     def test_json_malformed_input_rejected(self, text):

@@ -19,6 +19,7 @@ from dimspec import (
     effective_quantum_number,
     scheme_m1_discrepancies,
 )
+from dimspec.spectrum import N_LIMIT
 
 # Frozen values computed with the effective-potential minimization oracle
 # (60-digit golden-section search) before the closed forms were trusted.
@@ -65,6 +66,13 @@ class TestE0General:
     def test_malformed(self):
         out = e0_general(EnergyQuery(SignedLogReal.one(), -1, 1, 3))
         assert out.classification is Classification.INVALID
+
+    def test_n_above_limit_is_rejected(self):
+        assert e0_general(EnergyQuery(SignedLogReal.one(), 1, N_LIMIT, 3)).is_bound
+        # n past ~1e308 once overflowed the float 2n ln 2
+        for n in (N_LIMIT + 1, 10**400):
+            with pytest.raises(InvalidParameterError, match="n <= "):
+                EnergyQuery(SignedLogReal.one(), 1, n, 3)
 
     @given(
         D=st.integers(min_value=2, max_value=64),
