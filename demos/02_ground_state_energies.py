@@ -20,7 +20,7 @@ from dimspec import (
 )
 
 # The ordinary hydrogen atom: D = 3, n = 1, alpha = 1, beta = 1.
-out = e0_general(EnergyQuery(SignedLogReal.one(), 1, 1, 3))
+out = e0_general(EnergyQuery(SignedLogReal(1, 0.0), 1, 1, 3))
 print("D=3, n=1:", out.energy.to_float(), "hartree  (= -1/9)")
 print()
 

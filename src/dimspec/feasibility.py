@@ -24,7 +24,7 @@ from .model import (
 from .potential import alpha_coefficient
 from .refdata import PUBLISHED_MEMBERS_M1, PUBLISHED_MEMBERS_MN, TABLE1_E0_SLR
 from .signedlog import SignedLogReal
-from .spectrum import EnergyQuery, e0_general
+from .spectrum import N_LIMIT, EnergyQuery, e0_general
 
 # Bounds of the (D, n) grid that scan accepts: the paper's whole parameter
 # space, 1008 closed-form points per scheme.
@@ -45,9 +45,12 @@ class FeasibilityWindow:
 
 
 def bound_dims(n: int, scheme: Scheme) -> FeasibilityWindow:
-    """Enumerate the integer dimensions inside the bound-state window."""
+    """Enumerate the integer dimensions inside the bound-state window, for
+    1 <= n <= N_LIMIT: the window holds ~2n dimensions."""
     if n < 1:
         raise InvalidParameterError("bad-power", f"n must be >= 1, got {n}")
+    if n > N_LIMIT:
+        raise InvalidParameterError("out-of-range", f"need n <= {N_LIMIT}, got n={n}")
     if scheme is Scheme.M_EQUALS_N:
         d_min, d_max = 2 * n, 4 * n
         m = n

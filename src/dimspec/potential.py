@@ -34,20 +34,8 @@ class HalfInteger:
 
     twice: int
 
-    @classmethod
-    def from_int(cls, k: int) -> "HalfInteger":
-        return cls(2 * k)
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __str__(self) -> str:
-        if self.is_integer:
+        if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
 

@@ -3,9 +3,12 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimspec import parse_records_csv, parse_records_json, render_records_csv, render_records_json
 from dimspec.cli import _energy_record, build_parser, run_cli
+from dimspec.oracle import RADIAL_EXCITATION_LIMIT
 
 
 def run(capsys, *argv):
@@ -150,6 +153,11 @@ class TestFeasible:
         assert obj["paper_omitted"] == [4]
         assert (obj["d_min"], obj["d_max"]) == (2, 8)
 
+    def test_n_above_limit_exit_code(self, capsys):
+        code, out, err = run(capsys, "feasible", "--n", "10001")
+        assert code == 1 and out == ""
+        assert "dimspec: invalid parameters: need n <= 10000" in err and "Traceback" not in err
+
 
 class TestScan:
     def test_csv_to_stdout(self, capsys):
@@ -279,6 +287,15 @@ class TestRadial:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_excitation_above_limit_exit_code(self, capsys):
+        code, out, err = run(
+            capsys, "radial", "--D", "3", "--alpha", "1", "--convention", "half",
+            "--excitation", str(RADIAL_EXCITATION_LIMIT + 1),
+        )
+        assert code == 1 and out == ""
+        assert f"needs excitation <= {RADIAL_EXCITATION_LIMIT}" in err
+        assert "Traceback" not in err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -289,3 +306,39 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+# integers from the edges of every domain up to far past every limit
+_ints = st.one_of(st.integers(-3, 40), st.integers(-(10**30), 10**30))
+
+
+def _flag(name, values, optional=False):
+    flag = values.map(lambda v: [f"--{name}={v}"])
+    return st.one_of(st.just([]), flag) if optional else flag
+
+
+_ARGVS = st.one_of(
+    st.tuples(
+        st.just(["energy"]), _flag("D", _ints), _flag("n", _ints), _flag("m", _ints, True),
+        _flag("scheme", st.sampled_from(["mn", "m1", "explicit"]), True),
+        _flag("alpha", st.floats(), True), _flag("beta", _ints, True),
+    ),
+    st.tuples(st.just(["potential"]), _flag("D", _ints), _flag("m", _ints)),
+    st.tuples(
+        st.just(["feasible"]), _flag("n", _ints),
+        _flag("scheme", st.sampled_from(["mn", "m1"]), True),
+    ),
+    st.tuples(
+        st.just(["radial"]), _flag("D", _ints), _flag("alpha", st.floats()),
+        _flag("beta", _ints, True), _flag("convention", st.sampled_from(["full", "half"]), True),
+        _flag("excitation", _ints, True),
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+class TestRobustness:
+    @given(argv=_ARGVS, fmt=st.sampled_from([[], ["--format=json"], ["--format=text"]]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_argv_ends_in_an_exit_code(self, argv, fmt):
+        # a classified result or a DimspecError mapped to 1 or 2, never a raise
+        assert run_cli(argv + fmt) in (0, 1, 2)

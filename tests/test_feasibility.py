@@ -13,6 +13,7 @@ from dimspec import (
     scan,
 )
 from dimspec.feasibility import D_MAX, D_MIN, N_MAX, N_MIN
+from dimspec.spectrum import N_LIMIT
 from dimspec.report import record_fields
 
 
@@ -40,6 +41,15 @@ class TestBoundDims:
     def test_explicit_scheme_rejected(self):
         with pytest.raises(InvalidParameterError):
             bound_dims(3, Scheme.EXPLICIT)
+
+    @pytest.mark.parametrize("scheme", [Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE])
+    def test_n_limit(self, scheme):
+        # the window of n holds ~2n dimensions, so n is capped like a query's
+        assert bound_dims(N_LIMIT, scheme).n == N_LIMIT
+        for n in (N_LIMIT + 1, 10**30):
+            with pytest.raises(InvalidParameterError) as err:
+                bound_dims(n, scheme)
+            assert err.value.code == "out-of-range"
 
     @given(n=st.integers(min_value=1, max_value=32).filter(lambda n: n % 2 == 1))
     @settings(max_examples=60)

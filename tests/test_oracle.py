@@ -20,7 +20,7 @@ from dimspec import (
     minimize_v_eff,
     radial_ground_state,
 )
-from dimspec.oracle import RADIAL_D_LIMIT, _change_from_seed
+from dimspec.oracle import RADIAL_D_LIMIT, RADIAL_EXCITATION_LIMIT, _change_from_seed
 from dimspec.spectrum import N_LIMIT
 
 # Frozen from the development run of this module's own search (the value the
@@ -35,7 +35,7 @@ def query(D, n, m):
 
 class TestMinimizeVeff:
     def test_analytic_three_dim_case(self):
-        found = minimize_v_eff(EnergyQuery(SignedLogReal.one(), 1, 1, 3))
+        found = minimize_v_eff(EnergyQuery(SignedLogReal(1, 0.0), 1, 1, 3))
         assert found.r_star == pytest.approx(4.5, rel=1e-9)
         assert found.e_min.to_float() == pytest.approx(-1.0 / 9.0, rel=1e-10)
 
@@ -52,7 +52,7 @@ class TestMinimizeVeff:
             assert gap <= 1e-8 * max(1.0, abs(closed.energy.lnmag)), (D, n, m)
 
     def test_analytic_case_effort(self):
-        found = minimize_v_eff(EnergyQuery(SignedLogReal.one(), 1, 1, 3))
+        found = minimize_v_eff(EnergyQuery(SignedLogReal(1, 0.0), 1, 1, 3))
         assert found.evaluations < 40
         assert found.bracket_expansions == 0
 
@@ -77,7 +77,7 @@ class TestMinimizeVeff:
 
     def test_no_minimum_at_divergent_boundary(self):
         with pytest.raises(NoMinimumError):
-            minimize_v_eff(EnergyQuery(SignedLogReal.one(), 2, 1, 4))
+            minimize_v_eff(EnergyQuery(SignedLogReal(1, 0.0), 2, 1, 4))
 
     def test_no_minimum_for_repulsive(self):
         with pytest.raises(NoMinimumError):
@@ -178,6 +178,21 @@ def test_radial_matches_exact_level(D, alpha, convention, k):
     exact = exact_level(D, alpha, convention, k)
     assert abs(sol.energy - exact) <= 1e-6 * abs(exact)
     assert sol.nodes == k
+
+
+@pytest.mark.parametrize("convention", list(KineticConvention))
+@pytest.mark.parametrize("D", [3, RADIAL_D_LIMIT])
+def test_radial_excitation_limit(D, convention):
+    # the fixed step in ln r lets the error grow as ~k^4: the limit keeps it
+    # within 1e-4 at both ends of the D range, and anything above is rejected
+    k = RADIAL_EXCITATION_LIMIT
+    sol = radial_ground_state(D, 1.0, 1, convention, k)
+    exact = exact_level(D, 1.0, convention, k)
+    assert abs(sol.energy - exact) <= 1e-4 * abs(exact)
+    assert sol.nodes == k
+    with pytest.raises(InvalidParameterError) as err:
+        radial_ground_state(D, 1.0, 1, convention, k + 1)
+    assert err.value.code == "out-of-range"
 
 
 def _v_eff_reference(q: EnergyQuery, x: float) -> tuple:

@@ -57,12 +57,6 @@ class TestArithmetic:
         assert p.sign == (1 if (a > 0) == (b > 0) else -1)
         assert p.lnmag == pytest.approx(math.log(abs(a)) + math.log(abs(b)), abs=1e-9)
 
-    @given(a=signed, b=signed)
-    @settings(max_examples=300)
-    def test_div_matches_log_identity(self, a, b):
-        q = SignedLogReal.from_float(a) / SignedLogReal.from_float(b)
-        assert q.lnmag == pytest.approx(math.log(abs(a)) - math.log(abs(b)), abs=1e-9)
-
     @given(
         a=st.floats(min_value=-1e6, max_value=1e6),
         b=st.floats(min_value=-1e6, max_value=1e6),
@@ -77,51 +71,6 @@ class TestArithmetic:
             return  # catastrophic cancellation: float reference itself unusable
         assert s.to_float() == pytest.approx(expected, rel=1e-9)
 
-    def test_sub_exact_cancellation(self):
-        x = SignedLogReal.from_float(3.5)
-        assert (x - x).sign == 0
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            SignedLogReal.one() / SignedLogReal.zero()
-
-    def test_integer_pow_keeps_sign(self):
-        x = SignedLogReal.from_float(-2.0)
-        assert x.pow(3).to_float() == pytest.approx(-8.0)
-        assert x.pow(2).to_float() == pytest.approx(4.0)
-
-    def test_fractional_pow_rejects_negative_base(self):
-        with pytest.raises(ValueError):
-            SignedLogReal.from_float(-2.0).pow(0.5)
-
-    @given(
-        lnmag=st.floats(min_value=-1e4, max_value=1e4),
-        p=st.floats(min_value=-1e3, max_value=1e3),
-    )
-    @settings(max_examples=300)
-    def test_pow_of_positive_never_overflows(self, lnmag, p):
-        # |p| <= 1e3 with lnmag <= 1e4 stays finite in log space by design
-        r = SignedLogReal(1, lnmag).pow(p)
-        assert math.isfinite(r.lnmag)
-
-
-class TestOrdering:
-    @given(xs=st.lists(signed, min_size=2, max_size=8))
-    @settings(max_examples=200)
-    def test_sort_matches_float_sort(self, xs):
-        slrs = sorted(SignedLogReal.from_float(x) for x in xs)
-        assert [s.sign for s in slrs] == [
-            1 if x > 0 else -1 for x in sorted(xs)
-        ]
-        # spot-check pairwise ordering against the float order
-        for s, x in zip(slrs, sorted(xs)):
-            assert s.to_float() == pytest.approx(x, rel=1e-12)
-
-    def test_zero_sits_between_signs(self):
-        neg = SignedLogReal.from_float(-1e-300)
-        pos = SignedLogReal.from_float(1e-300)
-        assert neg < SignedLogReal.zero() < pos
-
 
 class TestDecimalRendering:
     def test_reference_style(self):
@@ -131,7 +80,7 @@ class TestDecimalRendering:
         assert SignedLogReal.from_float(-1.0 / 9.0).to_decimal() == "-1.11e-01"
 
     def test_zero(self):
-        assert SignedLogReal.zero().to_decimal() == "0"
+        assert SignedLogReal(0).to_decimal() == "0"
 
     def test_mantissa_carry(self):
         # 9.999 rounds up at 3 significant digits and must carry the exponent

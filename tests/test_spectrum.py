@@ -35,7 +35,7 @@ def query(D, n, m):
 
 class TestE0General:
     def test_three_dim_anchor(self):
-        out = e0_general(EnergyQuery(SignedLogReal.one(), 1, 1, 3))
+        out = e0_general(EnergyQuery(SignedLogReal(1, 0.0), 1, 1, 3))
         assert out.is_bound
         assert out.energy.to_float() == pytest.approx(-1.0 / 9.0, rel=1e-12)
 
@@ -48,11 +48,11 @@ class TestE0General:
         assert out.energy.to_float() == pytest.approx(ORACLE_E0_M1_5_3, rel=1e-9)
 
     def test_divergent_boundary(self):
-        out = e0_general(EnergyQuery(SignedLogReal.one(), 2, 1, 4))
+        out = e0_general(EnergyQuery(SignedLogReal(1, 0.0), 2, 1, 4))
         assert out.classification is Classification.DIVERGENT
 
     def test_singular(self):
-        out = e0_general(EnergyQuery(SignedLogReal.one(), 3, 1, 5))
+        out = e0_general(EnergyQuery(SignedLogReal(1, 0.0), 3, 1, 5))
         assert out.classification is Classification.SINGULAR
 
     def test_repulsive(self):
@@ -60,19 +60,19 @@ class TestE0General:
         assert out.classification is Classification.REPULSIVE
 
     def test_logarithmic(self):
-        out = e0_general(EnergyQuery(SignedLogReal.one(), 0, 1, 2))
+        out = e0_general(EnergyQuery(SignedLogReal(1, 0.0), 0, 1, 2))
         assert out.classification is Classification.LOGARITHMIC
 
     def test_malformed(self):
-        out = e0_general(EnergyQuery(SignedLogReal.one(), -1, 1, 3))
+        out = e0_general(EnergyQuery(SignedLogReal(1, 0.0), -1, 1, 3))
         assert out.classification is Classification.INVALID
 
     def test_n_above_limit_is_rejected(self):
-        assert e0_general(EnergyQuery(SignedLogReal.one(), 1, N_LIMIT, 3)).is_bound
+        assert e0_general(EnergyQuery(SignedLogReal(1, 0.0), 1, N_LIMIT, 3)).is_bound
         # n past ~1e308 once overflowed the float 2n ln 2
         for n in (N_LIMIT + 1, 10**400):
             with pytest.raises(InvalidParameterError, match="n <= "):
-                EnergyQuery(SignedLogReal.one(), 1, n, 3)
+                EnergyQuery(SignedLogReal(1, 0.0), 1, n, 3)
 
     @given(
         D=st.integers(min_value=2, max_value=64),
