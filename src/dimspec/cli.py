@@ -75,9 +75,23 @@ def _emit(payload: str, out_path: Optional[str]) -> None:
     if not payload.endswith("\n"):
         payload += "\n"
     if out_path:
-        Path(out_path).write_text(payload, encoding="utf-8")
+        try:
+            Path(out_path).write_text(payload, encoding="utf-8")
+        except OSError as exc:
+            raise InvalidParameterError(
+                "unwritable-output", f"cannot write {out_path}: {exc.strerror or exc}"
+            ) from None
     else:
         sys.stdout.write(payload)
+
+
+def _json_float(value: Optional[float]) -> Optional[float]:
+    """A plain-float JSON cell: null when the value is missing or not finite.
+
+    ``SignedLogReal.to_float`` saturates to +-inf, which strict JSON cannot
+    write; the lossless sign and lnmag cells beside it carry the value.
+    """
+    return value if value is not None and math.isfinite(value) else None
 
 
 def _add_io_flags(sub: argparse.ArgumentParser, formats=("csv", "json", "text")) -> None:
@@ -122,8 +136,8 @@ def cmd_energy(args) -> int:
     if args.format == "csv":
         _emit(render_records_csv([rec]), args.out)
     elif args.format == "json":
-        fields["alpha"] = rec.alpha.to_float() if rec.alpha is not None else None
-        fields["E0"] = rec.outcome.energy.to_float() if rec.outcome.is_bound else None
+        fields["alpha"] = _json_float(rec.alpha.to_float() if rec.alpha is not None else None)
+        fields["E0"] = _json_float(rec.outcome.energy.to_float() if rec.outcome.is_bound else None)
         _emit(render_json({key: fields[key] for key in _ENERGY_JSON_KEYS}), args.out)
     else:
         # the requested scheme: an n = 1 point is one record under mn and m1
@@ -152,7 +166,7 @@ def cmd_potential(args) -> int:
         "m": args.m,
         "beta": spec.beta,
         "nature": spec.nature.value,
-        "alpha": spec.alpha.to_float() if spec.alpha is not None else None,
+        "alpha": _json_float(spec.alpha.to_float() if spec.alpha is not None else None),
         "alpha_sign": spec.alpha.sign if spec.alpha is not None else None,
         "alpha_lnmag": spec.alpha.lnmag if spec.alpha is not None else None,
         "alpha_decimal": spec.alpha.to_decimal(6) if spec.alpha is not None else None,
@@ -229,7 +243,7 @@ def cmd_table1(args) -> int:
             "computed_E0_decimal": r.computed_E0.energy.to_decimal(),
             "computed_E0_lnmag": r.computed_E0.energy.lnmag,
             "paper_E0": r.paper_E0.to_float(),
-            "ratio": r.ratio,
+            "ratio": _json_float(r.ratio),
             "ratio_log10": r.ratio_log10,
         }
         for r in rows

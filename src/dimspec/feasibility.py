@@ -108,7 +108,7 @@ def build_record(
     else:
         outcome = e0_general(EnergyQuery(alpha, beta, params.n, params.D))
     paper = TABLE1_E0_SLR.get((params.D, params.n)) if reference else None
-    return ScanRecord(params=params, beta=beta, alpha=alpha, outcome=outcome, paper_value=paper)
+    return ScanRecord(params, beta, alpha, outcome, paper)
 
 
 def evaluate_point(D: int, n: int, scheme: Scheme) -> ScanRecord:

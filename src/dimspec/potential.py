@@ -79,11 +79,12 @@ def alpha_coefficient(D: int, m: int) -> PotentialSpec:
     if beta == 0:
         return PotentialSpec(alpha=None, beta=0)
     sign = 1 if m % 2 == 1 else -1
+    # beta > 0 and m >= 1 put both arguments on the positive lattice
     lnmag = (
-        log_gamma_half(HalfInteger(beta))
+        _log_gamma_twice(beta)
         - (m - 1) * LN_4
         - (D - 2) * 0.5 * LN_PI
-        - log_gamma_half(HalfInteger(2 * m))
+        - _log_gamma_twice(2 * m)
     )
     return PotentialSpec(alpha=SignedLogReal(sign, lnmag), beta=beta)
 

@@ -24,6 +24,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimspecError, InvalidParameterError
@@ -183,27 +184,44 @@ def _first_mismatch(f: dict, expected: dict) -> str:
     return f"{where}: unexpected field {extra!r}"
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
     """The CSV writer behind every table: a ``columns`` header, then each
-    row's cells in that order."""
+    row's cells in that order. ``csv.writer`` writes None as an empty cell,
+    a float by ``repr`` and anything else by ``str``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_csv_cell(row[col]) for col in columns] for row in rows)
+    cells = itemgetter(*columns)
+    if len(columns) == 1:  # itemgetter of one key returns the cell, not a tuple
+        writer.writerows((cells(row),) for row in rows)
+    else:
+        writer.writerows(map(cells, rows))
     return buf.getvalue()
 
 
+# CPython takes its C encoder only when indent is None. With the item
+# separator carrying the newline and the field indent, it lays out each flat
+# object's fields exactly as indent=2 does inside an array; only the brackets
+# and the boundaries between objects are left to rewrite. An escaped JSON
+# string never holds a raw newline, so "},\n    {" can only fall between two
+# objects.
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def render_json(payload) -> str:
-    """The JSON writer behind every table: an object or an array of them."""
-    return json.dumps(payload, indent=2)
+    """The JSON writer behind every table, byte-identical to
+    ``json.dumps(payload, indent=2)``.
+
+    An array must be an array of flat, non-empty objects (no list or object
+    as a value), as every array the CLI writes is: it is encoded in one pass
+    of the C encoder. Any other payload goes through ``json.dumps``.
+    """
+    if not isinstance(payload, list):
+        return json.dumps(payload, indent=2)
+    if not payload:
+        return "[]"
+    body = _ROWS_ENCODER.encode(payload)[2:-2]
+    return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
 
 
 def render_records_csv(records: list[ScanRecord]) -> str:

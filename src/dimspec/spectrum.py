@@ -86,7 +86,7 @@ def e0_general(q: EnergyQuery) -> EnergyOutcome:
         - x_dim * math.log(q.D)
         - x_cpl * ln_t
     )
-    return EnergyOutcome.bound(SignedLogReal(-1, lnmag))
+    return EnergyOutcome(Classification.BOUND, SignedLogReal(-1, lnmag))
 
 
 def _ln_bracket_base(D: int, n: int) -> float:
@@ -116,7 +116,7 @@ def _e0_printed(D: int, n: int, m: int) -> EnergyOutcome:
         + math.log(4 * n - D)
         - math.log(2 * n)
     )
-    return EnergyOutcome.bound(SignedLogReal(-1, lnmag))
+    return EnergyOutcome(Classification.BOUND, SignedLogReal(-1, lnmag))
 
 
 def e0_scheme_mn(D: int, n: int) -> EnergyOutcome:

@@ -1,6 +1,10 @@
+import io
 import json
 import re
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,14 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that rejects the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestEnergy:
@@ -199,6 +211,39 @@ class TestScan:
         assert "Traceback" not in err
 
 
+class TestOutputFile:
+    def test_missing_directory_exit_code(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "records.csv"
+        code, out, err = run(capsys, "scan", "--D", "3", "--n", "1", "--out", str(target))
+        assert code == 1 and out == ""
+        assert f"dimspec: invalid parameters: cannot write {target}" in err
+        assert "Traceback" not in err
+
+    def test_directory_path_exit_code(self, capsys, tmp_path):
+        code, out, err = run(capsys, "table1", "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert f"dimspec: invalid parameters: cannot write {tmp_path}" in err
+        assert "Traceback" not in err
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv,cell,lnmag",
+        [
+            (["energy", "--scheme", "explicit", "--D", "3", "--n", "1",
+              "--alpha", "1e308", "--beta", "1"], "E0", "E0_lnmag"),
+            (["potential", "--D", "10000", "--m", "1"], "alpha", "alpha_lnmag"),
+        ],
+        ids=["energy-E0", "potential-alpha"],
+    )
+    def test_saturated_float_is_null(self, capsys, argv, cell, lnmag):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        obj = strict_json(out)
+        assert obj[cell] is None
+        assert obj[lnmag] > 709.0  # the lossless cell keeps the value
+
+
 class TestTable1:
     def test_text_has_all_rows(self, capsys):
         code, out, _ = run(capsys, "table1")
@@ -342,3 +387,46 @@ class TestRobustness:
     def test_every_argv_ends_in_an_exit_code(self, argv, fmt):
         # a classified result or a DimspecError mapped to 1 or 2, never a raise
         assert run_cli(argv + fmt) in (0, 1, 2)
+
+
+# integer-set tokens for --D/--n: single values and ranges, joined by commas,
+# drawn often enough from the grid that some scans succeed
+_set_ints = st.one_of(st.integers(2, 16), _ints)
+_set_token = st.one_of(
+    _set_ints.map(str), st.tuples(_set_ints, _set_ints).map(lambda r: f"{r[0]}:{r[1]}")
+)
+_int_sets = st.lists(_set_token, min_size=1, max_size=3).map(",".join)
+
+_TABLE_ARGVS = st.one_of(
+    st.tuples(
+        st.just(["scan"]), _flag("D", _int_sets), _flag("n", _int_sets),
+        _flag("scheme", st.sampled_from(["mn", "m1"]), True),
+    ).map(lambda parts: [arg for part in parts for arg in part]),
+    st.just(["table1"]),
+)
+
+
+class TestTableRobustness:
+    @given(
+        argv=_TABLE_ARGVS,
+        fmt=st.sampled_from(["csv", "json", "text"]),
+        out=st.sampled_from(["stdout", "file", "missing-dir", "dir"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scan_and_table1_end_in_an_exit_code(self, argv, fmt, out):
+        with tempfile.TemporaryDirectory() as tmp:
+            target = {
+                "stdout": None,
+                "file": Path(tmp, "table"),
+                "missing-dir": Path(tmp, "missing", "table"),
+                "dir": Path(tmp),
+            }[out]
+            out_argv = [] if target is None else [f"--out={target}"]
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                code = run_cli(argv + [f"--format={fmt}"] + out_argv)
+            assert code in (0, 1, 2)
+            if out in ("missing-dir", "dir"):
+                assert code == 1
+            if code == 0 and fmt == "json":
+                strict_json(stdout.getvalue() if target is None else target.read_text())

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -8,6 +10,8 @@ from dimspec import (
     Classification,
     InvalidParameterError,
     Scheme,
+    SignedLogReal,
+    SystemParams,
     oracle_equivalence_report,
     parse_records_csv,
     parse_records_json,
@@ -17,6 +21,8 @@ from dimspec import (
     sort_records,
     table1_compare,
 )
+from dimspec.feasibility import build_record
+from dimspec.report import CSV_COLUMNS, record_fields, render_csv, render_json
 
 
 class TestTable1Compare:
@@ -235,6 +241,106 @@ class TestSerialization:
         ordered = sort_records(records)
         keys = [(r.params.n, r.params.D) for r in ordered]
         assert keys == sorted(keys)
+
+
+def _grid_rows():
+    records = scan(range(2, 65), range(1, 17), Scheme.M_EQUALS_N)
+    records += scan(range(2, 65), range(1, 17), Scheme.M_EQUALS_ONE)
+    assert len(records) == 2016
+    return [record_fields(rec) for rec in sort_records(records)]
+
+
+def _explicit_rows():
+    """Explicit-coupling records whose cells are null: beta < 0, beta = 0,
+    a repulsive and a zero coupling, next to a bound one."""
+    params = SystemParams(5, 2, 1)
+    half = SignedLogReal.from_float(0.5)
+    records = [
+        build_record(params, -1, half, reference=False),
+        build_record(params, 0, half, reference=False),
+        build_record(params, 3, SignedLogReal.from_float(-0.5), reference=False),
+        build_record(params, 3, None, reference=False),
+        build_record(params, 3, half, reference=False),
+    ]
+    tags = [rec.outcome.classification.value for rec in records]
+    assert tags == ["invalid", "logarithmic", "repulsive", "repulsive", "bound"]
+    return [record_fields(rec) for rec in records]
+
+
+def _table1_rows():
+    # the shape of the table1 verb's rows
+    return [
+        {
+            "D": r.D,
+            "n": r.n,
+            "computed_E0_decimal": r.computed_E0.energy.to_decimal(),
+            "computed_E0_lnmag": r.computed_E0.energy.lnmag,
+            "paper_E0": r.paper_E0.to_float(),
+            "ratio": r.ratio,
+            "ratio_log10": r.ratio_log10,
+        }
+        for r in table1_compare()
+    ]
+
+
+def _reference_csv(rows, columns):
+    """The per-cell rule the CSV writer keeps: None empty, a float by repr,
+    anything else by str."""
+    def cell(value):
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cell(row[col]) for col in columns] for row in rows)
+    return buf.getvalue()
+
+
+class TestWriterBytes:
+    """The writers are pinned to the bytes of the plain stdlib calls."""
+
+    @pytest.mark.parametrize(
+        "rows_of",
+        [_grid_rows, _explicit_rows, _table1_rows, lambda: _explicit_rows()[-1:], list],
+        ids=["grid", "explicit", "table1", "one-row", "empty"],
+    )
+    def test_json_array_matches_indent_2(self, rows_of):
+        rows = rows_of()
+        assert render_json(rows) == json.dumps(rows, indent=2)
+
+    def test_json_array_boundary_inside_a_string(self):
+        # an escaped string never holds a raw newline, so a string that reads
+        # like a record boundary stays inside its record
+        rows = [{"a": "},\n    {", "b": None, "c": True}, {"a": "\u00e9\"", "b": 1e-300, "c": 0}]
+        assert render_json(rows) == json.dumps(rows, indent=2)
+
+    def test_json_object_matches_indent_2(self):
+        obj = {"n": 3, "members": [7, 8, 9], "paper_omitted": [], "nested": {"x": None}}
+        assert render_json(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize(
+        "rows_of", [_grid_rows, _explicit_rows, _table1_rows, list],
+        ids=["grid", "explicit", "table1", "empty"],
+    )
+    def test_csv_matches_cell_rule(self, rows_of):
+        rows = rows_of()
+        columns = list(rows[0]) if rows else CSV_COLUMNS
+        assert render_csv(rows, columns) == _reference_csv(rows, columns)
+
+    def test_csv_mixed_cells(self):
+        rows = [
+            {"a": None, "b": 1.0, "c": "x,y", "d": True, "e": 10**30},
+            {"a": "", "b": -0.0, "c": 'say "hi"', "d": False, "e": -3},
+        ]
+        columns = ["a", "b", "c", "d", "e"]
+        assert render_csv(rows, columns) == _reference_csv(rows, columns)
+
+    def test_csv_one_column(self):
+        rows = [{"a": None, "b": 1}, {"a": "x,y", "b": 2}, {"a": 2.5, "b": 3}, {"a": "", "b": 4}]
+        assert render_csv(rows, ["a"]) == _reference_csv(rows, ["a"])
+        assert render_csv(rows, ["a"]) == 'a\n""\n"x,y"\n2.5\n""\n'
 
 
 class TestOracleEquivalenceReport:
