@@ -8,13 +8,14 @@
 
 import math
 
-from dimspec import HalfInteger, alpha_coefficient, alpha_m1_closed_form, log_gamma_half
+from dimspec import alpha_coefficient, alpha_m1_closed_form, log_gamma_half
 
 # The coefficients are built from gamma values on the half-integer lattice,
-# evaluated by exact recurrence in log space. A few familiar anchors:
-print("Gamma(1/2) =", math.exp(log_gamma_half(HalfInteger(1))), "= sqrt(pi)")
-print("Gamma(3)   =", math.exp(log_gamma_half(HalfInteger(6))))
-print("Gamma(7/2) =", math.exp(log_gamma_half(HalfInteger(7))))
+# evaluated by exact recurrence in log space; log_gamma_half takes twice the
+# argument. A few familiar anchors:
+print("Gamma(1/2) =", math.exp(log_gamma_half(1)), "= sqrt(pi)")
+print("Gamma(3)   =", math.exp(log_gamma_half(6)))
+print("Gamma(7/2) =", math.exp(log_gamma_half(7)))
 print()
 
 # The ordinary world sits at D = 3, m = 1: alpha = 1, V = 1/r exactly.

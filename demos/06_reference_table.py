@@ -13,7 +13,7 @@ print(f"{'(D,n)':>8} {'computed':>13} {'published':>12} {'log10 ratio':>12}")
 for row in table1_compare():
     print(
         f"({row.D:>2},{row.n})   {row.computed_E0.energy.to_decimal():>13} "
-        f"{row.paper_E0.to_decimal():>12} {row.ratio_log10:>12.3f}"
+        f"{row.paper_E0:>12.2e} {row.ratio_log10:>12.3f}"
     )
 print()
 

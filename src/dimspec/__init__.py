@@ -43,12 +43,11 @@ from .oracle import (
     radial_ground_state,
 )
 from .potential import (
-    HalfInteger,
     alpha_coefficient,
     alpha_m1_closed_form,
     log_gamma_half,
 )
-from .refdata import TABLE1_E0, TABLE1_E0_SLR
+from .refdata import TABLE1_E0
 from .report import (
     CSV_HEADER,
     OraclePoint,
@@ -90,7 +89,6 @@ __all__ = [
     "EnergyQuery",
     "FeasibilityWindow",
     "GammaPoleError",
-    "HalfInteger",
     "InvalidParameterError",
     "KineticConvention",
     "M1Discrepancy",
@@ -108,7 +106,6 @@ __all__ = [
     "SingularPotentialError",
     "SystemParams",
     "TABLE1_E0",
-    "TABLE1_E0_SLR",
     "Table1Row",
     "THREADS_ENV_VAR",
     "VeffMinimum",

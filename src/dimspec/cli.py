@@ -85,13 +85,18 @@ def _emit(payload: str, out_path: Optional[str]) -> None:
         sys.stdout.write(payload)
 
 
-def _json_float(value: Optional[float]) -> Optional[float]:
-    """A plain-float JSON cell: null when the value is missing or not finite.
-
-    ``SignedLogReal.to_float`` saturates to +-inf, which strict JSON cannot
-    write; the lossless sign and lnmag cells beside it carry the value.
+def _json_float(value: Optional[SignedLogReal]) -> Optional[float]:
+    """A plain-float JSON cell: null when the value is missing or no float
+    holds it, that is when ``to_float`` saturates to +-inf, which strict JSON
+    cannot write, or flushes a nonzero value to 0.0, which would read as a
+    zero. The lossless sign and lnmag cells beside it carry the value.
     """
-    return value if value is not None and math.isfinite(value) else None
+    if value is None:
+        return None
+    x = value.to_float()
+    if math.isinf(x) or (x == 0.0 and value.sign != 0):
+        return None
+    return x
 
 
 def _add_io_flags(sub: argparse.ArgumentParser, formats=("csv", "json", "text")) -> None:
@@ -136,8 +141,8 @@ def cmd_energy(args) -> int:
     if args.format == "csv":
         _emit(render_records_csv([rec]), args.out)
     elif args.format == "json":
-        fields["alpha"] = _json_float(rec.alpha.to_float() if rec.alpha is not None else None)
-        fields["E0"] = _json_float(rec.outcome.energy.to_float() if rec.outcome.is_bound else None)
+        fields["alpha"] = _json_float(rec.alpha)
+        fields["E0"] = _json_float(rec.outcome.energy)
         _emit(render_json({key: fields[key] for key in _ENERGY_JSON_KEYS}), args.out)
     else:
         # the requested scheme: an n = 1 point is one record under mn and m1
@@ -166,7 +171,7 @@ def cmd_potential(args) -> int:
         "m": args.m,
         "beta": spec.beta,
         "nature": spec.nature.value,
-        "alpha": _json_float(spec.alpha.to_float() if spec.alpha is not None else None),
+        "alpha": _json_float(spec.alpha),
         "alpha_sign": spec.alpha.sign if spec.alpha is not None else None,
         "alpha_lnmag": spec.alpha.lnmag if spec.alpha is not None else None,
         "alpha_decimal": spec.alpha.to_decimal(6) if spec.alpha is not None else None,
@@ -242,7 +247,7 @@ def cmd_table1(args) -> int:
             "n": r.n,
             "computed_E0_decimal": r.computed_E0.energy.to_decimal(),
             "computed_E0_lnmag": r.computed_E0.energy.lnmag,
-            "paper_E0": r.paper_E0.to_float(),
+            "paper_E0": r.paper_E0,
             "ratio": _json_float(r.ratio),
             "ratio_log10": r.ratio_log10,
         }
@@ -257,7 +262,7 @@ def cmd_table1(args) -> int:
         for r in rows:
             lines.append(
                 f"{r.D:>4} {r.n:>3} {r.computed_E0.energy.to_decimal():>12} "
-                f"{r.paper_E0.to_decimal():>12} {r.ratio_log10:>12.3f}"
+                f"{r.paper_E0:>12.2e} {r.ratio_log10:>12.3f}"
             )
         _emit("\n".join(lines), args.out)
     return 0

@@ -22,7 +22,7 @@ from .model import (
     Classification,
 )
 from .potential import alpha_coefficient
-from .refdata import PUBLISHED_MEMBERS_M1, PUBLISHED_MEMBERS_MN, TABLE1_E0_SLR
+from .refdata import PUBLISHED_MEMBERS_M1, PUBLISHED_MEMBERS_MN, TABLE1_E0
 from .signedlog import SignedLogReal
 from .spectrum import N_LIMIT, EnergyQuery, e0_general
 
@@ -72,14 +72,14 @@ def bound_dims(n: int, scheme: Scheme) -> FeasibilityWindow:
     return FeasibilityWindow(n, scheme, d_min, d_max, members, omitted)
 
 
-def excluded_dims_universal(max_n: int = 64) -> list[int]:
+def excluded_dims_universal() -> list[int]:
     """Dimensions 4, 5, 6 admit no bound state for any n in the m = n scheme.
 
-    Verified by exhaustive enumeration of every window up to ``max_n`` before
+    Verified by exhaustive enumeration of every window up to n = 64 before
     the set is returned.
     """
     excluded = {4, 5, 6}
-    for n in range(1, max_n + 1):
+    for n in range(1, 64 + 1):
         window = bound_dims(n, Scheme.M_EQUALS_N)
         overlap = excluded & set(window.members)
         if overlap:  # cannot happen: (2n, 4n) misses {4,5,6} for every odd n
@@ -107,7 +107,7 @@ def build_record(
         )
     else:
         outcome = e0_general(EnergyQuery(alpha, beta, params.n, params.D))
-    paper = TABLE1_E0_SLR.get((params.D, params.n)) if reference else None
+    paper = TABLE1_E0.get((params.D, params.n)) if reference else None
     return ScanRecord(params, beta, alpha, outcome, paper)
 
 

@@ -147,7 +147,7 @@ class ScanRecord:
     beta: int
     alpha: Optional[SignedLogReal]
     outcome: EnergyOutcome
-    paper_value: Optional[SignedLogReal] = None
+    paper_value: Optional[float] = None  # the published energy, as printed
 
 
 def classify_coupling(beta: int, sign: int, n: int) -> Classification:

@@ -44,14 +44,12 @@ from .spectrum import EnergyQuery, e0_general
 
 @dataclass(frozen=True)
 class VeffMinimum:
-    """The searched minimum; ``evaluations`` counts objective calls and
-    ``bracket_expansions`` the doublings the bracket needed."""
+    """The searched minimum; ``evaluations`` counts objective calls."""
 
     r_star: float
     e_min: SignedLogReal
     ln_r_star: float
     evaluations: int
-    bracket_expansions: int
 
 
 # Precision of the reported energy. Around the minimum V_eff is flat as
@@ -66,7 +64,6 @@ class VeffMinimum:
 _VEFF_DPS = 40
 _VEFF_TOL = 1e-12  # search tolerance in ln r, relative to max(1, |ln r*|)
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 0.381966...
-_MAX_BRACKET = 200
 _MAX_SEARCH = 200
 
 
@@ -93,8 +90,9 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     """Locate the interior minimum of the effective potential by search.
 
     The bracket is centered on the stationarity estimate
-    r*^(2n-beta) = 2n (D/2)^(2n) / (alpha beta) and expanded geometrically
-    until the minimum is interior. Brent's parabolic-interpolation search
+    r*^(2n-beta) = 2n (D/2)^(2n) / (alpha beta), where the objective is 0 and
+    positive everywhere else, so the minimum is interior by construction; its
+    edges are tested once all the same. Brent's parabolic-interpolation search
     (Brent 1973, ch. 5) then starts from the bracket's golden point, off the
     estimate, and the minimizer it finds is cross-checked against the
     estimate to 1e-10 relative in ln r. Raises NoMinimumError when no
@@ -127,14 +125,12 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     f_seed = f(x_seed)
     # 1 in ln r, narrowed above beta = 32 so that e^(-beta t) stays above the
     # objective's float resolution across the bracket: on a plateau where it
-    # does not, every value reads q - p and ties would lead the search off
+    # does not, every value reads q - p and ties would lead the search off.
+    # The objective is smallest at the edges for n = 1, beta = 1, t = +1,
+    # where it reads 0.40.
     half = min(1.0, 32.0 / beta)
-    for expansions in range(_MAX_BRACKET):
-        a, b = x_seed - half, x_seed + half
-        if f(a) > f_seed < f(b):
-            break
-        half *= 2.0
-    else:
+    a, b = x_seed - half, x_seed + half
+    if not f(a) > f_seed < f(b):
         raise NoMinimumError("failed to bracket an interior minimum")
 
     # Brent's search state: x is the best point so far, w the second best
@@ -200,13 +196,11 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
             f"search minimizer ln r = {x!r} disagrees with the stationarity "
             f"estimate {x_seed!r}"
         )
-    r_star = math.exp(x) if x < 709.0 else math.inf
     return VeffMinimum(
-        r_star=r_star,
+        r_star=SignedLogReal(1, x).to_float(),
         e_min=SignedLogReal(-1, ln_e),
         ln_r_star=x,
         evaluations=evaluations,
-        bracket_expansions=expansions,
     )
 
 

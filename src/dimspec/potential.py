@@ -10,7 +10,6 @@ error; no Stirling or Lanczos fit is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import GammaPoleError, InvalidParameterError
@@ -28,18 +27,6 @@ LN_4 = math.log(4.0)
 D_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class HalfInteger:
-    """A number k/2 stored as its integer double ``twice``."""
-
-    twice: int
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-
 @lru_cache(maxsize=None)
 def _log_gamma_twice(twice: int) -> float:
     if twice % 2 == 0:
@@ -50,11 +37,11 @@ def _log_gamma_twice(twice: int) -> float:
     return LN_SQRT_PI + math.fsum(math.log(j - 0.5) for j in range(1, k + 1))
 
 
-def log_gamma_half(x: HalfInteger) -> float:
-    """ln Gamma(x) for positive x on the half-integer lattice."""
-    if x.twice <= 0:
-        raise GammaPoleError(f"Gamma pole or reflection region at x = {x}")
-    return _log_gamma_twice(x.twice)
+def log_gamma_half(twice: int) -> float:
+    """ln Gamma(twice / 2) for a positive ``twice``: the half-integer lattice."""
+    if twice <= 0:
+        raise GammaPoleError(f"Gamma pole or reflection region at x = {twice}/2")
+    return _log_gamma_twice(twice)
 
 
 def alpha_coefficient(D: int, m: int) -> PotentialSpec:
@@ -99,7 +86,7 @@ def alpha_m1_closed_form(D: int) -> SignedLogReal:
         raise InvalidParameterError("out-of-domain", f"need 3 <= D <= {D_LIMIT}, got D={D}")
     lnmag = (
         LN_2
-        + log_gamma_half(HalfInteger(D))
+        + log_gamma_half(D)
         - (D - 2) * 0.5 * LN_PI
         - math.log(D - 2)
     )

@@ -9,8 +9,6 @@ log-ratio instead.
 
 from __future__ import annotations
 
-from .signedlog import SignedLogReal
-
 # (D, n) -> published ground-state energy in hartree, m = n scheme
 TABLE1_E0: dict[tuple[int, int], float] = {
     (3, 1): -0.11,
@@ -23,10 +21,6 @@ TABLE1_E0: dict[tuple[int, int], float] = {
     (12, 5): -3.23e-9,
     (18, 5): -5.70e-47,
     (19, 5): -4.41e-97,
-}
-
-TABLE1_E0_SLR: dict[tuple[int, int], SignedLogReal] = {
-    key: SignedLogReal.from_float(value) for key, value in TABLE1_E0.items()
 }
 
 # Dimension lists quoted in the published discussion, used to flag members

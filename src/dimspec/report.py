@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimspecError, InvalidParameterError
 from .feasibility import D_MAX, D_MIN, N_MAX, N_MIN, bound_dims, build_record
 from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams
-from .refdata import TABLE1_E0, TABLE1_E0_SLR
+from .refdata import TABLE1_E0
 from .signedlog import SignedLogReal
 from .spectrum import EnergyQuery, e0_general, e0_scheme_mn
 from .oracle import minimize_v_eff
@@ -62,21 +62,31 @@ FORMULA = "Eq2"
 # -- reference-table comparison ---------------------------------------------
 
 
+def _ln_ratio(energy: SignedLogReal, paper_E0: float) -> float:
+    """ln(computed / published) of a bound energy and its published value."""
+    return energy.lnmag - math.log(abs(paper_E0))
+
+
 @dataclass(frozen=True)
 class Table1Row:
     """Computed-versus-published energy at one (D, n) of the m = n scheme."""
 
     D: int
     n: int
-    paper_E0: SignedLogReal
+    paper_E0: float  # as printed
     computed_E0: EnergyOutcome
-    ratio: Optional[float]  # computed / published, when both are defined
+
+    @property
+    def ratio(self) -> Optional[SignedLogReal]:
+        """computed / published, when the computed state is bound."""
+        if not self.computed_E0.is_bound:
+            return None
+        return SignedLogReal(1, _ln_ratio(self.computed_E0.energy, self.paper_E0))
 
     @property
     def ratio_log10(self) -> Optional[float]:
-        if not self.computed_E0.is_bound:
-            return None
-        return (self.computed_E0.energy.lnmag - self.paper_E0.lnmag) / _LN10
+        ratio = self.ratio
+        return ratio.lnmag / _LN10 if ratio is not None else None
 
 
 def table1_compare() -> list[Table1Row]:
@@ -86,21 +96,14 @@ def table1_compare() -> list[Table1Row]:
     two-figure precision; every other row is reported, never asserted, since
     the published n > 1 values do not follow from the printed formulas.
     """
-    rows: list[Table1Row] = []
-    for (D, n) in sorted(TABLE1_E0_SLR, key=lambda k: (k[1], k[0])):
-        paper = TABLE1_E0_SLR[(D, n)]
-        computed = e0_scheme_mn(D, n)
-        ratio = None
-        if computed.is_bound:
-            ln_ratio = computed.energy.lnmag - paper.lnmag
-            ratio = math.exp(ln_ratio) if ln_ratio < 709.0 else math.inf
-        rows.append(Table1Row(D, n, paper, computed, ratio))
+    rows = [
+        Table1Row(D, n, TABLE1_E0[(D, n)], e0_scheme_mn(D, n))
+        for (D, n) in sorted(TABLE1_E0, key=lambda k: (k[1], k[0]))
+    ]
     anchor = next(r for r in rows if (r.D, r.n) == (3, 1))
     if not anchor.computed_E0.is_bound:
         raise DimspecError("anchor row (3,1) failed to evaluate as bound")
-    rel = abs(anchor.computed_E0.energy.to_float() - anchor.paper_E0.to_float()) / abs(
-        anchor.paper_E0.to_float()
-    )
+    rel = abs(anchor.computed_E0.energy.to_float() - anchor.paper_E0) / abs(anchor.paper_E0)
     if rel > 2e-2:
         raise DimspecError(
             f"anchor row (3,1) deviates from the published value by {rel:.3e}"
@@ -117,17 +120,8 @@ def record_fields(rec: ScanRecord) -> dict:
     alpha_lnmag = rec.alpha.lnmag if rec.alpha is not None else None
     energy = rec.outcome.energy
     ratio_log10 = None
-    paper_float = None
-    if rec.paper_value is not None:
-        # prefer the defining table constant so the cell reads "-0.11", not
-        # the value round-tripped through log space
-        table_value = TABLE1_E0.get((rec.params.D, rec.params.n))
-        if table_value is not None and SignedLogReal.from_float(table_value) == rec.paper_value:
-            paper_float = table_value
-        else:
-            paper_float = rec.paper_value.to_float()
-        if energy is not None:
-            ratio_log10 = (energy.lnmag - rec.paper_value.lnmag) / _LN10
+    if rec.paper_value is not None and energy is not None:
+        ratio_log10 = _ln_ratio(energy, rec.paper_value) / _LN10
     return {
         "D": rec.params.D,
         "n": rec.params.n,
@@ -140,7 +134,7 @@ def record_fields(rec: ScanRecord) -> dict:
         "E0_decimal": energy.to_decimal() if energy is not None else None,
         "classification": rec.outcome.classification.value,
         "formula": FORMULA,
-        "paper_E0": paper_float,
+        "paper_E0": rec.paper_value,
         "ratio_log10": ratio_log10,
     }
 
@@ -381,7 +375,7 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
                     lnmag_closed=closed.energy.lnmag,
                     lnmag_oracle=found.e_min.lnmag,
                     r_star_search=found.r_star,
-                    r_star_stationarity=math.exp(ln_r_stat),
+                    r_star_stationarity=SignedLogReal(1, ln_r_stat).to_float(),
                 )
             )
     if not points:

@@ -171,7 +171,7 @@ def effective_quantum_number(energy: SignedLogReal) -> QuantumNumber:
             "nonnegative-energy", "effective quantum number needs a negative energy"
         )
     ln_k = -0.5 * (LN_2 + energy.lnmag)
-    k_star = math.exp(ln_k) if ln_k < 709.0 else math.inf
+    k_star = SignedLogReal(1, ln_k).to_float()
     nearest = int(math.floor(k_star + 0.5)) if math.isfinite(k_star) else 0
     return QuantumNumber(k_star, nearest)
 
@@ -187,12 +187,13 @@ class M1Discrepancy:
     lnmag_gap: Optional[float]  # ln|E_printed| - ln|E_rederived| when both bound
 
 
-def scheme_m1_discrepancies(n: int, lnmag_tol: float = 1e-12) -> list[M1Discrepancy]:
+def scheme_m1_discrepancies(n: int) -> list[M1Discrepancy]:
     """Compare the printed m = 1 form against the rederived route over its window.
 
     Empty for n = 1 (the forms coincide there); non-empty for every n > 1,
     which is the point: the printed form is not a rewriting of the general
-    result once n exceeds 1.
+    result once n exceeds 1. Two bound energies agree when their ln|E| differ
+    by at most 1e-12 relative.
     """
     if n < 1:
         raise InvalidParameterError("bad-power", f"n must be >= 1, got {n}")
@@ -204,7 +205,7 @@ def scheme_m1_discrepancies(n: int, lnmag_tol: float = 1e-12) -> list[M1Discrepa
         rederived = e0_scheme_m1_rederived(D, n)
         if printed.is_bound and rederived.is_bound:
             gap = printed.energy.lnmag - rederived.energy.lnmag
-            if abs(gap) <= lnmag_tol * max(1.0, abs(rederived.energy.lnmag)):
+            if abs(gap) <= 1e-12 * max(1.0, abs(rederived.energy.lnmag)):
                 continue
             out.append(M1Discrepancy(D, n, printed, rederived, gap))
         elif printed.classification is not rederived.classification:

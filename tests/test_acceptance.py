@@ -102,7 +102,7 @@ def test_criterion_05_feasibility_lists():
         assert bound_dims(3, Scheme.M_EQUALS_N).members == (7, 8, 9, 10, 11)
         for n in (2, 4, 6, 8, 10):
             assert bound_dims(n, Scheme.M_EQUALS_N).members == ()
-        assert excluded_dims_universal(max_n=64) == [4, 5, 6]
+        assert excluded_dims_universal() == [4, 5, 6]
         window = bound_dims(3, Scheme.M_EQUALS_ONE)
         assert window.members == (3, 4, 5, 6, 7)
         assert window.paper_omitted == (4,)

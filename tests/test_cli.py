@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import re
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimspec import parse_records_csv, parse_records_json, render_records_csv, render_records_json
+from dimspec import (
+    TABLE1_E0,
+    parse_records_csv,
+    parse_records_json,
+    render_records_csv,
+    render_records_json,
+)
 from dimspec.cli import _energy_record, build_parser, run_cli
 from dimspec.oracle import RADIAL_EXCITATION_LIMIT
 
@@ -243,6 +250,23 @@ class TestStrictJson:
         assert obj[cell] is None
         assert obj[lnmag] > 709.0  # the lossless cell keeps the value
 
+    @pytest.mark.parametrize(
+        "argv,cell,sign",
+        [
+            (["energy", "--scheme", "explicit", "--D", "3", "--n", "1",
+              "--alpha", "1e-308", "--beta", "1"], "E0", "E0_sign"),
+            (["potential", "--D", "2423", "--m", "1147"], "alpha", "alpha_sign"),
+        ],
+        ids=["energy-E0", "potential-alpha"],
+    )
+    def test_underflowed_float_is_null(self, capsys, argv, cell, sign):
+        # a nonzero value below the float range is not written as a zero
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        obj = strict_json(out)
+        assert obj[cell] is None
+        assert obj[sign] in (-1, 1)
+
 
 class TestTable1:
     def test_text_has_all_rows(self, capsys):
@@ -258,6 +282,24 @@ class TestTable1:
         assert len(rows) == 10
         extreme = next(r for r in rows if (r["D"], r["n"]) == (19, 5))
         assert extreme["paper_E0"] == pytest.approx(-4.41e-97)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_paper_E0_as_printed(self, capsys, fmt):
+        # the published energies are written as the table prints them, the
+        # same cell as scan writes at that point
+        _, out, _ = run(capsys, "table1", "--format", fmt)
+        _, scanned, _ = run(capsys, "scan", "--D", "3:19", "--n", "1:5", "--format", fmt)
+        if fmt == "csv":
+            rows = list(csv.DictReader(io.StringIO(out)))
+            scan_rows = list(csv.DictReader(io.StringIO(scanned)))
+        else:
+            rows, scan_rows = json.loads(out), json.loads(scanned)
+        scan_cells = {(int(r["D"]), int(r["n"])): r["paper_E0"] for r in scan_rows}
+        assert len(rows) == len(TABLE1_E0)
+        for row in rows:
+            key = (int(row["D"]), int(row["n"]))
+            assert row["paper_E0"] == scan_cells[key]
+            assert float(row["paper_E0"]) == TABLE1_E0[key]
 
 
 class TestVerify:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dimspec import (
     GammaPoleError,
-    HalfInteger,
     InvalidParameterError,
     PotentialNature,
     alpha_coefficient,
@@ -32,35 +31,35 @@ def naive_gamma_product(twice: int) -> float:
 
 class TestLogGammaHalf:
     def test_half(self):
-        assert log_gamma_half(HalfInteger(1)) == pytest.approx(
+        assert log_gamma_half(1) == pytest.approx(
             math.log(math.sqrt(math.pi)), abs=1e-15
         )
 
     def test_three(self):
-        assert log_gamma_half(HalfInteger(6)) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert log_gamma_half(6) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_seven_halves(self):
         # 2.5 * 1.5 * 0.5 * sqrt(pi) = 3.3233509704478426
         expected = math.log(1.875 * math.sqrt(math.pi))
-        assert log_gamma_half(HalfInteger(7)) == pytest.approx(expected, abs=1e-13)
+        assert log_gamma_half(7) == pytest.approx(expected, abs=1e-13)
 
     @pytest.mark.parametrize("twice", [0, -1, -2, -7])
     def test_pole(self, twice):
         with pytest.raises(GammaPoleError):
-            log_gamma_half(HalfInteger(twice))
+            log_gamma_half(twice)
 
     def test_product_oracle_on_lattice(self):
         # every lattice point in (0, 50]
         for twice in range(1, 101):
             expected = math.log(naive_gamma_product(twice))
-            got = log_gamma_half(HalfInteger(twice))
+            got = log_gamma_half(twice)
             assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected)), twice
 
     @given(twice=st.integers(min_value=1, max_value=400))
     @settings(max_examples=200)
     def test_recurrence_step(self, twice):
         # ln Gamma(x + 1) - ln Gamma(x) == ln x on the lattice
-        step = log_gamma_half(HalfInteger(twice + 2)) - log_gamma_half(HalfInteger(twice))
+        step = log_gamma_half(twice + 2) - log_gamma_half(twice)
         assert step == pytest.approx(math.log(twice / 2.0), rel=1e-12, abs=1e-12)
 
 

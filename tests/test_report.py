@@ -275,8 +275,8 @@ def _table1_rows():
             "n": r.n,
             "computed_E0_decimal": r.computed_E0.energy.to_decimal(),
             "computed_E0_lnmag": r.computed_E0.energy.lnmag,
-            "paper_E0": r.paper_E0.to_float(),
-            "ratio": r.ratio,
+            "paper_E0": r.paper_E0,
+            "ratio": r.ratio.to_float(),
             "ratio_log10": r.ratio_log10,
         }
         for r in table1_compare()
