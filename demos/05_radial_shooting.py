@@ -1,8 +1,10 @@
 # A second, completely different check: solve the n = 1 radial equation.
 #
 # For n = 1 the wave equation is an ordinary Schroedinger problem and the
-# reduced radial equation can be integrated directly. Numerov sweeps in
-# ln r, node counting and a matching-condition root give the low-lying
+# reduced radial equation can be integrated directly. Near the origin the
+# regular solution is its power series, so the Numerov sweeps in ln r start
+# where that series' first-order term reaches 0.1, from the series itself;
+# node counting and a matching-condition root then give the low-lying
 # levels to ~1e-10 relative, which pins down the kinetic-term convention
 # question: with the literal operator -Laplacian the hydrogen ground state
 # sits at -1/4 hartree, while the conventional -Laplacian/2 puts it at the
@@ -34,4 +36,4 @@ print(f"ground-state peak at r = {sol.grid[peak_index]:.3f} bohr, "
 print(f"norm = {np.trapezoid(sol.u**2, sol.grid):.9f}, "
       f"boundary values u = ({sol.u[0]:.2e}, {sol.u[-1]:.2e})")
 print(f"cutoff r_max = {sol.r_max:.1f} bohr (turning point plus 40 decay lengths), "
-      f"{len(sol.grid)} grid points, {sol.sweeps} Numerov sweeps")
+      f"{len(sol.grid)} grid points, {sol.sweeps} Numerov sweeps, {sol.steps} steps")

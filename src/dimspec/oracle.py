@@ -14,8 +14,12 @@ Two routes that share no algebra with the spectrum module:
 
 * ``radial_ground_state`` solves the n = 1 reduced radial equation by
   Numerov sweeps in x = ln r, with the grid, each sweep's cutoff and the
-  energy bracket scaled by the closed-form estimate. Node counting isolates
-  the level and a bracketed root of the matching condition polishes it.
+  energy bracket scaled by the closed-form estimate. Near the origin the
+  regular solution is its power series in r, so each sweep starts where the
+  series' first-order term reaches 0.1, from the full series at the sweep's
+  energy, and the grid points inside that come from the series too. Node
+  counting isolates the level and a bracketed root of the matching
+  condition polishes it.
   Both the full-Laplacian and half-Laplacian kinetic conventions are
   supported, so the -1/4 and -1/2 hartree ground levels of the 3-D Coulomb
   problem can each be pinned.
@@ -24,6 +28,8 @@ Two routes that share no algebra with the spectrum module:
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -212,7 +218,8 @@ class KineticConvention(Enum):
 @dataclass(frozen=True)
 class RadialSolution:
     """``u`` normalized on ``grid``, which steps by ``h`` in ln r up to the
-    cutoff ``r_max``; ``sweeps`` counts node-count and matching sweeps."""
+    cutoff ``r_max``; ``sweeps`` counts node-count and matching sweeps and
+    ``steps`` the Numerov steps summed over every sweep."""
 
     grid: np.ndarray
     u: np.ndarray
@@ -222,6 +229,7 @@ class RadialSolution:
     r_max: float
     h: float
     sweeps: int
+    steps: int
 
 
 _STEP = 0.005  # Numerov step in ln r: every level varies slowly in ln r
@@ -232,6 +240,13 @@ _NARROW = 1.1  # node-count bisection stops once lo / hi is at most this
 _REL_TOL = 1e-10
 _MAX_POLISH = 60
 _BIG = 1e250
+# Sweeps start at the last mesh point where the series' first-order term
+# alpha r / (c0 (D-1)) is at most this.
+_SERIES_EDGE = 0.1
+# Terms of the series summed. Up to the sweep start z / (D-1) <= 0.1, and the
+# energy bracket keeps |q| <= 8 z^2 / D^2, so |T_j| falls below 2^-60 of the
+# sum by j = 13 for every D up to the limit.
+_SERIES_TERMS = 14
 # Largest D solved. The step in ln r is fixed, so the Numerov factor
 # 1 - _STEP^2 (D-2)^2 / 48 falls with D, to 0 near D = 1388; the first D that
 # fails to solve is 1295 (half Laplacian). Every D up to the limit solves in
@@ -269,10 +284,21 @@ def radial_ground_state(
         )
     if not isinstance(beta, int) or isinstance(beta, bool):
         raise InvalidParameterError("non-integer", f"beta must be an integer, got {beta!r}")
+    if not isinstance(excitation, int) or isinstance(excitation, bool):
+        raise InvalidParameterError(
+            "non-integer", f"excitation must be an integer, got {excitation!r}"
+        )
+    if not isinstance(convention, KineticConvention):
+        raise InvalidParameterError(
+            "bad-convention", f"convention must be a KineticConvention, got {convention!r}"
+        )
+    if not isinstance(alpha, numbers.Real) or isinstance(alpha, bool):
+        raise InvalidParameterError("non-real", f"alpha must be a real number, got {alpha!r}")
     if not 1e-100 <= abs(alpha) <= 1e100:  # also catches 0, nan and inf
         raise InvalidParameterError(
             "out-of-range", f"radial solver needs 1e-100 <= |alpha| <= 1e100, got {alpha!r}"
         )
+    alpha = float(alpha)
     tag = classify_coupling(beta, 1 if alpha > 0 else -1, 1)
     if tag in (Classification.DIVERGENT, Classification.SINGULAR):
         raise SingularPotentialError(
@@ -297,8 +323,8 @@ def radial_ground_state(
     # at most (D / (D-1))^2 / c0, and the k-th level lies below |E_est| / (k+1)^2
     lo = -_DEEP * scale / c0
     hi = -scale / (excitation + 1) ** 2
-    r_min = _INNER * (alpha / scale) ** (1.0 / beta)
-    problem = _RadialProblem(D, alpha, beta, c0, r_min, hi)
+    r_min = _INNER * (alpha / scale)
+    problem = _RadialProblem(D, alpha, c0, r_min, hi)
     energy, grid, u = problem.solve(excitation, lo, hi)
 
     signs = np.sign(u[np.abs(u) > 0.0])
@@ -316,13 +342,27 @@ def radial_ground_state(
         r_max=problem.r_stop(energy),
         h=_STEP,
         sweeps=problem.sweeps,
+        steps=problem.steps,
     )
 
 
-def _sweep(coeffs: list, w0: float, w1: float) -> list:
-    """Numerov recurrence w[i+1] = c[i] w[i] - w[i-1] from (w0, w1), rescaled
-    as a whole whenever it nears overflow."""
-    w = [w0, w1]
+def _series(z, q, D: int):
+    """y / r^((D-2)/2) of the regular solution, the sum of T_j over
+    j < _SERIES_TERMS with T_0 = 1 and T_j = -(z T_(j-1) + q T_(j-2)) /
+    (j (D-2+j)), at z = alpha r / c0 and q = E r^2 / c0: floats or arrays."""
+    total = term = 1.0
+    before = 0.0
+    for j in range(1, _SERIES_TERMS):
+        before, term = term, -(z * term + q * before) / (j * (D - 2 + j))
+        total = total + term
+    return total
+
+
+def _sweep(coeffs: list, w: list) -> list:
+    """Numerov recurrence w[i+1] = c[i] w[i] - w[i-1] on from the last two
+    values of ``w``, appended to it; rescaled as a whole whenever it nears
+    overflow."""
+    w0, w1 = w[-2], w[-1]
     for ci in coeffs:
         w2 = ci * w1 - w0
         if w2 > _BIG or w2 < -_BIG:
@@ -335,55 +375,87 @@ def _sweep(coeffs: list, w0: float, w1: float) -> list:
     return w
 
 
+def _sweep_end(coeffs: list, w0: float, w1: float) -> tuple[float, float]:
+    """The last two values of ``_sweep(coeffs, [w0, w1])``, with the same
+    arithmetic and no list."""
+    for ci in coeffs:
+        w2 = ci * w1 - w0
+        if w2 > _BIG or w2 < -_BIG:
+            w1 /= _BIG
+            w2 /= _BIG
+        w0 = w1
+        w1 = w2
+    return w0, w1
+
+
 class _RadialProblem:
-    """Numerov sweeps in x = ln r for one (D, alpha, beta, c0).
+    """Numerov sweeps in x = ln r for one (D, alpha, c0) at beta = 1.
 
     With u = r^(1/2) y the radial equation becomes
-    y'' = [(D-2)^2/4 + r^2 (-E - alpha r^-beta) / c0] y, whose regular
-    solution starts as y ~ r^((D-2)/2) (1 - alpha r / (2 c0 s)) with
-    s = (D-1)/2. The centrifugal term is a constant in x, so the sweeps
-    start at the first mesh point for every D. A sweep at energy E stops at
-    r_stop(E).
+    y'' = [(D-2)^2/4 + r^2 (-E - alpha / r) / c0] y, whose regular solution
+    is y = r^((D-2)/2) sum_j T_j (``_series``). Where its first-order term
+    alpha r / (c0 (D-1)) is small the series is the solution, so every sweep
+    starts at ``start``, the last mesh point where that term is at most
+    _SERIES_EDGE (never before the first), from the series at the sweep's
+    energy; y is scaled to r^((D-2)/2) = 1 there. A sweep at energy E stops
+    at r_stop(E).
     """
 
-    def __init__(self, D: int, alpha: float, beta: int, c0: float, r_min: float, e_top: float):
+    def __init__(self, D: int, alpha: float, c0: float, r_min: float, e_top: float):
+        self.D = D
         self.alpha = alpha
-        self.beta = beta
         self.c0 = c0
         self.sweeps = 0
+        self.steps = 0
         self.ln_r_min = math.log(r_min)
         n_pts = self._points(e_top)
         self.rr = r_min * np.exp(_STEP * np.arange(n_pts))
         k = _STEP * _STEP / 12.0
-        self.base = 1.0 - k * ((D - 2) ** 2 / 4.0 - (alpha / c0) * self.rr ** (2.0 - beta))
+        self.base = 1.0 - k * ((D - 2) ** 2 / 4.0 - (alpha / c0) * self.rr)
         self.slope = (k / c0) * self.rr**2
-        corr = alpha / (c0 * (D - 1))
-        # y / r_min^((D-2)/2) at the first two mesh points
-        self.y0 = 1.0 - corr * r_min
-        self.y1 = math.exp((D - 2) / 2.0 * _STEP) * (1.0 - corr * float(self.rr[1]))
+        self.z = (alpha / c0) * self.rr
+        self.start = max(0, int(np.searchsorted(self.z / (D - 1), _SERIES_EDGE, "right")) - 1)
+        # r^((D-2)/2) one step past the start, relative to the start
+        self.lift = math.exp((D - 2) / 2.0 * _STEP)
 
     def r_stop(self, energy: float) -> float:
         """Outer turning point plus _TAIL decay lengths."""
-        return (self.alpha / -energy) ** (1.0 / self.beta) + _TAIL * math.sqrt(self.c0 / -energy)
+        return self.alpha / -energy + _TAIL * math.sqrt(self.c0 / -energy)
 
     def _points(self, energy: float) -> int:
         return int(math.ceil((math.log(self.r_stop(energy)) - self.ln_r_min) / _STEP)) + 1
 
-    def _coeffs(self, energy: float) -> tuple[np.ndarray, list]:
+    def _coeffs(self, energy: float, first: int) -> tuple[np.ndarray, list]:
+        """t = 1 - h^2 g / 12 and the recurrence factors 12 / t - 10 on mesh
+        points first .. r_stop(energy)."""
         n_pts = self._points(energy)
-        t = self.base[:n_pts] + self.slope[:n_pts] * energy
+        t = self.base[first:n_pts] + self.slope[first:n_pts] * energy
         return t, (12.0 / t - 10.0).tolist()
+
+    def _q_per_z2(self, energy: float) -> float:
+        """E c0 / alpha^2, so that q = E r^2 / c0 is this times z^2 at any
+        alpha without overflow."""
+        return (energy / self.alpha) * (self.c0 / self.alpha)
+
+    def _start(self, energy: float, t: np.ndarray) -> tuple[float, float]:
+        """w = t y at the first two swept points, from the series."""
+        s = self.start
+        eps = self._q_per_z2(energy)
+        z0, z1 = float(self.z[s]), float(self.z[s + 1])
+        y0 = _series(z0, eps * z0 * z0, self.D)
+        y1 = self.lift * _series(z1, eps * z1 * z1, self.D)
+        return float(t[0]) * y0, float(t[1]) * y1
 
     def nodes_at(self, energy: float, limit: int) -> int:
         """Sign changes of the outward solution up to r_stop(energy); stops
         counting once the count exceeds ``limit``."""
-        t, c = self._coeffs(energy)
+        t, c = self._coeffs(energy, self.start)
         self.sweeps += 1
-        w0 = float(t[0]) * self.y0
-        w1 = float(t[1]) * self.y1
+        w0, w1 = self._start(energy, t)
         nodes = 0
         pos = True
-        for ci in c[1:-1]:
+        rest = iter(c[1:-1])
+        for ci in rest:
             w2 = ci * w1 - w0
             if w2 > _BIG or w2 < -_BIG:
                 w2 /= _BIG
@@ -395,26 +467,27 @@ class _RadialProblem:
                 if nodes > limit:
                     break
                 pos = not pos
+        # what a break left of the iterator is steps not taken
+        self.steps += len(c) - 2 - operator.length_hint(rest)
         return nodes
 
-    def _match(self, energy: float, m: int) -> tuple[float, tuple]:
-        """Outward sweep to point m + 1 and inward sweep from r_stop(energy)
-        to point m.
-
-        Returns the sine of the angle between the two solutions' (w[m], w[m+1])
-        pairs: continuous in the energy and zero exactly where the solutions
-        are proportional. The inward sweep starts at zero one point past the
-        last mesh point, where the decaying tail is stable.
+    def _match(self, energy: float, m: int) -> float:
+        """The sine of the angle between the (w[m], w[m+1]) pairs of the
+        outward sweep to point m + 1 and the inward sweep from r_stop(energy)
+        to point m: continuous in the energy and zero exactly where the two
+        solutions are proportional. The inward sweep starts at zero one point
+        past the last mesh point, where the decaying tail is stable.
         """
-        t, c = self._coeffs(energy)
+        t, c = self._coeffs(energy, self.start)
         self.sweeps += 2
-        out = _sweep(c[1 : m + 1], float(t[0]) * self.y0, float(t[1]) * self.y1)
-        inn = _sweep(c[-1:m:-1], 0.0, 1.0)[:0:-1]
+        self.steps += len(c) - 1
+        i = m - self.start  # the matching point in the swept arrays
+        out_m, out_m1 = _sweep_end(c[1 : i + 1], *self._start(energy, t))
+        inn_m1, inn_m = _sweep_end(c[-1:i:-1], 0.0, 1.0)
         # each pair scaled to unit length first: near _BIG the raw cross
         # product would overflow to inf - inf
-        na, nb = math.hypot(out[m], out[m + 1]), math.hypot(inn[0], inn[1])
-        sine = (out[m] / na) * (inn[1] / nb) - (out[m + 1] / na) * (inn[0] / nb)
-        return sine, (t, out, inn, m)
+        na, nb = math.hypot(out_m, out_m1), math.hypot(inn_m, inn_m1)
+        return (out_m / na) * (inn_m1 / nb) - (out_m1 / na) * (inn_m / nb)
 
     def solve(self, k: int, lo: float, hi: float) -> tuple[float, np.ndarray, np.ndarray]:
         """The k-th level: node-count bisection isolates it, then a bracketed
@@ -439,16 +512,16 @@ class _RadialProblem:
         # match at the bottom of the well in x, r = alpha / (2 |E|), which lies
         # inside the allowed region of any level in this narrow bracket
         m = int(np.argmax(self.base + self.slope * hi * math.sqrt(lo / hi)))
-        f_lo, _ = self._match(lo, m)
-        f_hi, _ = self._match(hi, m)
+        f_lo = self._match(lo, m)
+        f_hi = self._match(hi, m)
         if (f_lo > 0.0) == (f_hi > 0.0):
             raise NoConvergenceError(f"matching condition keeps its sign over [{lo}, {hi}]")
         side = 0
         for _ in range(_MAX_POLISH):
             energy = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            f, parts = self._match(energy, m)
+            f = self._match(energy, m)
             if f == 0.0 or min(energy - lo, hi - energy) <= _REL_TOL * -energy:
-                return (energy, *self._assemble(*parts))
+                return (energy, *self._assemble(energy, m))
             if (f > 0.0) == (f_hi > 0.0):
                 hi, f_hi = energy, f
                 if side == 1:
@@ -461,8 +534,18 @@ class _RadialProblem:
                 side = -1
         raise NoConvergenceError(f"matching condition unresolved after {_MAX_POLISH} steps")
 
-    def _assemble(self, t: np.ndarray, out: list, inn: list, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Glue the outward and inward solutions at point m into u = r^(1/2) w / t."""
+    def _assemble(self, energy: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The full outward and inward solutions at ``energy``, glued at point
+        m into u = r^(1/2) w / t. Below the sweep start w is t y from the
+        series, on the scale the outward sweep starts from."""
+        s = self.start
+        t, c = self._coeffs(energy, 0)
+        self.steps += len(c) - s - 1
+        z = self.z[:s]
+        lift = np.exp((self.D - 2) / 2.0 * _STEP * np.arange(-s, 0))
+        y = lift * _series(z, self._q_per_z2(energy) * z * z, self.D)
+        out = _sweep(c[s + 1 : m + 1], (t[:s] * y).tolist() + list(self._start(energy, t[s:])))
+        inn = _sweep(c[-1:m:-1], [0.0, 1.0])[:0:-1]
         if inn[0] == 0.0:
             raise NoConvergenceError("inward sweep vanished at the matching point")
         scale = out[m] / inn[0]

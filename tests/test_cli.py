@@ -431,6 +431,24 @@ class TestRobustness:
         assert run_cli(argv + fmt) in (0, 1, 2)
 
 
+_VERIFY_ARGVS = st.tuples(
+    st.just(["verify"]), _flag("max-n", _ints), _flag("max-D", _ints),
+    _flag("format", st.sampled_from(["csv", "json", "text"]), True),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+class TestVerifyRobustness:
+    # a sweep runs only when both caps land inside the grid and no --format
+    # is drawn, a few draws in a hundred; the largest, (16, 64), takes ~60 ms
+    @given(argv=_VERIFY_ARGVS)
+    @settings(max_examples=100, deadline=None)
+    def test_every_verify_argv_ends_in_an_exit_code(self, argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = run_cli(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
 # integer-set tokens for --D/--n: single values and ranges, joined by commas,
 # drawn often enough from the grid that some scans succeed
 _set_ints = st.one_of(st.integers(2, 16), _ints)

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -20,7 +22,14 @@ from dimspec import (
     minimize_v_eff,
     radial_ground_state,
 )
-from dimspec.oracle import RADIAL_D_LIMIT, RADIAL_EXCITATION_LIMIT, _change_from_seed
+from dimspec.oracle import (
+    RADIAL_D_LIMIT,
+    RADIAL_EXCITATION_LIMIT,
+    _change_from_seed,
+    _series,
+    _sweep,
+    _sweep_end,
+)
 from dimspec.spectrum import N_LIMIT
 
 # Frozen from the development run of this module's own search (the value the
@@ -144,11 +153,45 @@ class TestRadialGroundState:
             (dict(D=RADIAL_D_LIMIT + 1, alpha=1.0, beta=1), InvalidParameterError),
             # a repulsive coupling is repulsive whatever its exponent
             (dict(D=5, alpha=-1.0, beta=3), InvalidParameterError),
+            # a convention's value is not a convention: "full" was once solved
+            # with the half-Laplacian c0
+            (dict(D=3, alpha=1.0, beta=1, convention="full"), InvalidParameterError),
+            (dict(D=3, alpha=1.0, beta=1, convention=None), InvalidParameterError),
+            (dict(D=3, alpha=1.0, beta=1, excitation=1.5), InvalidParameterError),
+            (dict(D=3, alpha=1.0, beta=1, excitation="0"), InvalidParameterError),
+            (dict(D=3, alpha=1.0, beta=1, excitation=True), InvalidParameterError),
+            (dict(D=3, alpha="1", beta=1), InvalidParameterError),
+            (dict(D=3, alpha=True, beta=1), InvalidParameterError),
+            (dict(D=3, alpha=10**400, beta=1), InvalidParameterError),
         ],
     )
     def test_rejections(self, kwargs, error):
         with pytest.raises(error):
             radial_ground_state(**kwargs)
+
+    @pytest.mark.parametrize("alpha", [1, Fraction(1), np.float64(1.0)])
+    def test_any_real_alpha(self, alpha):
+        sol = radial_ground_state(3, alpha, 1, KineticConvention.FULL_LAPLACIAN, 0)
+        assert sol.energy == radial_ground_state(3, 1.0).energy
+
+    @pytest.mark.parametrize("convention", list(KineticConvention))
+    def test_steps_skip_the_power_law_core(self, convention):
+        # the sweeps start where the series' first-order term reaches 0.1, past
+        # about half the grid at D = 3, and the matching sweeps meet halfway
+        sol = radial_ground_state(3, 1.0, 1, convention, 0)
+        assert sol.steps < 0.45 * sol.sweeps * len(sol.grid)
+
+    def test_wavefunction_matches_the_exact_state(self):
+        # at D = 3 the full-Laplacian ground state is r e^(-r/2), here scaled
+        # by a least-squares fit; the grid's inner points, r <= 0.2, come from
+        # the series and not from a sweep
+        sol = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
+        exact = sol.grid * np.exp(-sol.grid / 2.0)
+        exact *= float(np.dot(sol.u, exact) / np.dot(exact, exact))
+        assert float(np.abs(sol.u - exact).max()) <= 1e-8
+        inner = sol.grid <= 0.2
+        assert inner[:1000].all()
+        assert float(np.abs(sol.u[inner] / exact[inner] - 1.0).max()) <= 1e-10
 
 
 def exact_level(D, alpha, convention, k):
@@ -177,6 +220,46 @@ def test_radial_matches_exact_level(D, alpha, convention, k):
     exact = exact_level(D, alpha, convention, k)
     assert abs(sol.energy - exact) <= 1e-6 * abs(exact)
     assert sol.nodes == k
+
+
+def test_low_levels_within_the_step_error():
+    # the fixed step's error grows as h^4 with D and k: within 1e-10 up to
+    # D = 5, 4.0e-10 at D = 25 and 1.1e-9 at D = 64 (k = 1), the same at any
+    # alpha and in both conventions; halving the step shrinks it 16-fold
+    worst = {}
+    for D, k, convention, alpha in itertools.product(
+        (3, 4, 5, 25, 64), (0, 1), KineticConvention, (1e-6, 1.0, 1e6)
+    ):
+        exact = exact_level(D, alpha, convention, k)
+        sol = radial_ground_state(D, alpha, 1, convention, k)
+        assert sol.nodes == k
+        worst[D] = max(worst.get(D, 0.0), abs(sol.energy - exact) / abs(exact))
+    assert max(worst[D] for D in (3, 4, 5)) <= 1e-10
+    assert max(worst[D] for D in (25, 64)) <= 2e-9
+
+
+class TestRadialParts:
+    @pytest.mark.parametrize("D", [3, 4, 25, RADIAL_D_LIMIT])
+    def test_series_is_the_regular_coulomb_solution(self, D):
+        # y / r^((D-2)/2) = e^(-kappa r) M(l + 1 - eta, 2l + 2, 2 kappa r), with
+        # kappa = sqrt(-E / c0), eta = alpha / (2 c0 kappa), 2l + 2 = D - 1
+        alpha, c0, energy = 1.0, 0.5, -0.3 / D**2
+        kappa = math.sqrt(-energy / c0)
+        eta = alpha / (2.0 * c0 * kappa)
+        for z in (1e-3, 0.01 * (D - 1), 0.1 * (D - 1)):
+            r = c0 * z / alpha
+            series = _series(z, energy * r * r / c0, D)
+            exact = mpmath.exp(-kappa * r) * mpmath.hyp1f1(
+                (D - 1) / 2 - eta, D - 1, 2 * kappa * r
+            )
+            assert abs(series - float(exact)) <= 1e-15
+
+    def test_end_only_sweep_is_the_full_sweep(self):
+        # the matching sweeps keep two values; they must be the full sweep's,
+        # bit for bit, through a rescale near _BIG too
+        coeffs = [2.5, 1e200, 1e60, 2.0, 1.5]
+        for w0, w1 in [(0.0, 1.0), (1e-3, 2e-3), (1.0, -3.0)]:
+            assert _sweep_end(coeffs, w0, w1) == tuple(_sweep(coeffs, [w0, w1])[-2:])
 
 
 @pytest.mark.parametrize("convention", list(KineticConvention))
