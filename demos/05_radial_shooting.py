@@ -3,9 +3,12 @@
 # For n = 1 the wave equation is an ordinary Schroedinger problem and the
 # reduced radial equation can be integrated directly. Near the origin the
 # regular solution is its power series, so the Numerov sweeps in ln r start
-# where that series' first-order term reaches 0.1, from the series itself;
-# node counting and a matching-condition root then give the low-lying
-# levels to ~1e-10 relative, which pins down the kinetic-term convention
+# where that series' first-order term reaches 0.1, from the series itself.
+# Each sweep carries the ratio of successive values, which never overflows,
+# and counts a node at each negative ratio. Node counting from the Hardy
+# floor, a proven lower bound on every level, isolates a level, and Brent's
+# zero finder on the matching condition gives it to ~1e-10 relative for the
+# low-lying levels. That pins down the kinetic-term convention
 # question: with the literal operator -Laplacian the hydrogen ground state
 # sits at -1/4 hartree, while the conventional -Laplacian/2 puts it at the
 # familiar -1/2.
@@ -36,4 +39,5 @@ print(f"ground-state peak at r = {sol.grid[peak_index]:.3f} bohr, "
 print(f"norm = {np.trapezoid(sol.u**2, sol.grid):.9f}, "
       f"boundary values u = ({sol.u[0]:.2e}, {sol.u[-1]:.2e})")
 print(f"cutoff r_max = {sol.r_max:.1f} bohr (turning point plus 40 decay lengths), "
-      f"{len(sol.grid)} grid points, {sol.sweeps} Numerov sweeps, {sol.steps} steps")
+      f"{len(sol.grid)} grid points, {sol.sweeps} Numerov sweeps "
+      f"({sol.matches} matches of two sweeps each), {sol.steps} steps")

@@ -14,12 +14,13 @@ Two routes that share no algebra with the spectrum module:
 
 * ``radial_ground_state`` solves the n = 1 reduced radial equation by
   Numerov sweeps in x = ln r, with the grid, each sweep's cutoff and the
-  energy bracket scaled by the closed-form estimate. Near the origin the
+  upper energy bracket scaled by the closed-form estimate. Near the origin the
   regular solution is its power series in r, so each sweep starts where the
   series' first-order term reaches 0.1, from the full series at the sweep's
-  energy, and the grid points inside that come from the series too. Node
-  counting isolates the level and a bracketed root of the matching
-  condition polishes it.
+  energy, and the grid points inside that come from the series too. The
+  sweeps carry the ratio of successive values, which never overflows.
+  Node counting from the Hardy floor, a proven lower bound, isolates the
+  level, and Brent's zero finder on the matching condition polishes it.
   Both the full-Laplacian and half-Laplacian kinetic conventions are
   supported, so the -1/4 and -1/2 hartree ground levels of the 3-D Coulomb
   problem can each be pinned.
@@ -218,8 +219,9 @@ class KineticConvention(Enum):
 @dataclass(frozen=True)
 class RadialSolution:
     """``u`` normalized on ``grid``, which steps by ``h`` in ln r up to the
-    cutoff ``r_max``; ``sweeps`` counts node-count and matching sweeps and
-    ``steps`` the Numerov steps summed over every sweep."""
+    cutoff ``r_max``; ``sweeps`` counts node-count and matching sweeps,
+    ``matches`` the matching evaluations, two sweeps each, and ``steps`` the
+    Numerov steps summed over every sweep."""
 
     grid: np.ndarray
     u: np.ndarray
@@ -229,27 +231,30 @@ class RadialSolution:
     r_max: float
     h: float
     sweeps: int
+    matches: int
     steps: int
 
 
 _STEP = 0.005  # Numerov step in ln r: every level varies slowly in ln r
 _INNER = 1e-5  # inner grid edge, as a fraction of the length alpha / |E_est|
 _TAIL = 40.0  # decay lengths sqrt(c0 / |E|) kept beyond the outer turning point
-_DEEP = 8.0  # lower bracket edge, in units of |E_est| / c0
-_NARROW = 1.1  # node-count bisection stops once lo / hi is at most this
+# The node-count bisection stops once lo / hi is at most this. A wider bracket
+# costs Brent's zero finder more matching sweeps than it saves bisection
+# sweeps: the benchmark's seven solves (five at D = 3, one each at D = 5 and
+# 25) take 136, 132, 138 and 143 sweeps at 1.1, 1.6, 2.0 and 4.0.
+_NARROW = 1.6
 _REL_TOL = 1e-10
 _MAX_POLISH = 60
-_BIG = 1e250
 # Sweeps start at the last mesh point where the series' first-order term
 # alpha r / (c0 (D-1)) is at most this.
 _SERIES_EDGE = 0.1
 # Terms of the series summed. Up to the sweep start z / (D-1) <= 0.1, and the
-# energy bracket keeps |q| <= 8 z^2 / D^2, so |T_j| falls below 2^-60 of the
-# sum by j = 13 for every D up to the limit.
+# Hardy floor keeps |eps| <= 1 / (D-2)^2, so |a_j z^j| falls below 2^-60 of
+# the sum by j = 13 for every D up to the limit.
 _SERIES_TERMS = 14
 # Largest D solved. The step in ln r is fixed, so the Numerov factor
 # 1 - _STEP^2 (D-2)^2 / 48 falls with D, to 0 near D = 1388; the first D that
-# fails to solve is 1295 (half Laplacian). Every D up to the limit solves in
+# fails to solve is 1296 (full Laplacian). Every D up to the limit solves in
 # both conventions at alpha = 1e-100, 1 and 1e100.
 RADIAL_D_LIMIT = 1200
 # Largest excitation k solved. The fixed step lets the level's relative error
@@ -319,9 +324,8 @@ def radial_ground_state(
     c0 = 1.0 if convention is KineticConvention.FULL_LAPLACIAN else 0.5
     estimate = e0_general(EnergyQuery(SignedLogReal.from_float(alpha), beta, 1, D))
     scale = math.exp(estimate.energy.lnmag)
-    # the closed form is the large-D limit: the true ground level is deeper by
-    # at most (D / (D-1))^2 / c0, and the k-th level lies below |E_est| / (k+1)^2
-    lo = -_DEEP * scale / c0
+    # every level lies above the Hardy floor, and the k-th below |E_est| / (k+1)^2
+    lo = _hardy_floor(D, alpha, c0)
     hi = -scale / (excitation + 1) ** 2
     r_min = _INNER * (alpha / scale)
     problem = _RadialProblem(D, alpha, c0, r_min, hi)
@@ -342,50 +346,77 @@ def radial_ground_state(
         r_max=problem.r_stop(energy),
         h=_STEP,
         sweeps=problem.sweeps,
+        matches=problem.matches,
         steps=problem.steps,
     )
 
 
-def _series(z, q, D: int):
-    """y / r^((D-2)/2) of the regular solution, the sum of T_j over
-    j < _SERIES_TERMS with T_0 = 1 and T_j = -(z T_(j-1) + q T_(j-2)) /
-    (j (D-2+j)), at z = alpha r / c0 and q = E r^2 / c0: floats or arrays."""
-    total = term = 1.0
-    before = 0.0
-    for j in range(1, _SERIES_TERMS):
-        before, term = term, -(z * term + q * before) / (j * (D - 2 + j))
-        total = total + term
+def _hardy_floor(D: int, alpha: float, c0: float) -> float:
+    """-alpha^2 / (c0 (D-2)^2), a proven lower bound on every level of
+    -c0 Laplacian - alpha / r in D >= 3 dimensions: Hardy's inequality
+    c0 (-Laplacian) >= c0 ((D-2)/2)^2 r^-2 leaves at least
+    min_r [c0 ((D-2)/2)^2 r^-2 - alpha / r], which is this value."""
+    return -(alpha / (D - 2)) * (alpha / (D - 2)) / c0
+
+
+def _series(z, eps: float, D: int):
+    """y / r^((D-2)/2) of the regular solution at z = alpha r / c0, a float
+    or an array, for eps = E c0 / alpha^2: the sum of a_j z^j over
+    j < _SERIES_TERMS, with a_0 = 1 and a_j = -(a_(j-1) + eps a_(j-2)) /
+    (j (D-2+j)), by Horner's rule."""
+    a = [1.0, -1.0 / (D - 1)]
+    for j in range(2, _SERIES_TERMS):
+        a.append(-(a[-1] + eps * a[-2]) / (j * (D - 2 + j)))
+    total = a.pop()
+    while a:
+        total = total * z + a.pop()
     return total
 
 
-def _sweep(coeffs: list, w: list) -> list:
-    """Numerov recurrence w[i+1] = c[i] w[i] - w[i-1] on from the last two
-    values of ``w``, appended to it; rescaled as a whole whenever it nears
-    overflow."""
-    w0, w1 = w[-2], w[-1]
-    for ci in coeffs:
-        w2 = ci * w1 - w0
-        if w2 > _BIG or w2 < -_BIG:
-            w = [v / _BIG for v in w]
-            w1 /= _BIG
-            w2 /= _BIG
-        w.append(w2)
-        w0 = w1
-        w1 = w2
-    return w
+def _ratio_sweep(coeffs: list, ratio: float, limit: float = math.inf) -> tuple[float, int, int]:
+    """The Numerov recurrence w[i+1] = c[i] w[i] - w[i-1] carried as the
+    ratio R = w[i+1] / w[i], through R = c[i] - 1/R from ``ratio``: returns the
+    last R, the number of negative R (sign changes of w), and the steps
+    taken. Stops once that number exceeds ``limit``."""
+    negatives = 0
+    rest = iter(coeffs)
+    for ci in rest:
+        try:
+            ratio = ci - 1.0 / ratio
+        except ZeroDivisionError:  # w[i] = 0 exactly, so w[i+1] = -w[i-1]
+            ratio = -math.inf
+        if ratio < 0.0:
+            negatives += 1
+            if negatives > limit:
+                break
+    return ratio, negatives, len(coeffs) - operator.length_hint(rest)
 
 
-def _sweep_end(coeffs: list, w0: float, w1: float) -> tuple[float, float]:
-    """The last two values of ``_sweep(coeffs, [w0, w1])``, with the same
-    arithmetic and no list."""
+def _ratio_list(coeffs: list, ratio: float) -> list:
+    """Every R of ``_ratio_sweep(coeffs, ratio)``, in order."""
+    ratios = []
     for ci in coeffs:
-        w2 = ci * w1 - w0
-        if w2 > _BIG or w2 < -_BIG:
-            w1 /= _BIG
-            w2 /= _BIG
-        w0 = w1
-        w1 = w2
-    return w0, w1
+        try:
+            ratio = ci - 1.0 / ratio
+        except ZeroDivisionError:
+            ratio = -math.inf
+        ratios.append(ratio)
+    return ratios
+
+
+def _log_path(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln|w[j] / w[0]| and the number of sign changes up to w[j], for j = 0
+    .. len(r), from the ratios r[j] = w[j+1] / w[j] (overwritten). An
+    infinite r[j] means w[j] is zero to the float range: ln|w[j]| reads -inf
+    there, and |w[j+1] / w[j-1]| = |c r[j-1] - 1| is 1 to the same precision.
+    Signs are counted by sign bit, so a -0.0 that stands for the reciprocal
+    of a negative infinite ratio counts as negative."""
+    flips = np.concatenate(([0], np.cumsum(np.signbit(r))))
+    gap = np.flatnonzero(np.isinf(r))
+    r[gap] = r[gap - 1] = 1.0
+    ln = np.concatenate(([0.0], np.cumsum(np.log(np.abs(r)))))
+    ln[gap] = -np.inf
+    return ln, flips
 
 
 class _RadialProblem:
@@ -393,12 +424,17 @@ class _RadialProblem:
 
     With u = r^(1/2) y the radial equation becomes
     y'' = [(D-2)^2/4 + r^2 (-E - alpha / r) / c0] y, whose regular solution
-    is y = r^((D-2)/2) sum_j T_j (``_series``). Where its first-order term
+    is y = r^((D-2)/2) sum_j a_j z^j (``_series``). Where its first-order term
     alpha r / (c0 (D-1)) is small the series is the solution, so every sweep
     starts at ``start``, the last mesh point where that term is at most
     _SERIES_EDGE (never before the first), from the series at the sweep's
     energy; y is scaled to r^((D-2)/2) = 1 there. A sweep at energy E stops
     at r_stop(E).
+
+    Each sweep carries the ratio R = w[i+1] / w[i] of the Numerov values
+    w = t y through R = c[i] - 1/R, the renormalized Numerov method (B. R.
+    Johnson, J. Chem. Phys. 67, 4086 (1977)): R does not grow with the
+    solution, so nothing overflows at any D, and a node is a negative R.
     """
 
     def __init__(self, D: int, alpha: float, c0: float, r_min: float, e_top: float):
@@ -406,6 +442,7 @@ class _RadialProblem:
         self.alpha = alpha
         self.c0 = c0
         self.sweeps = 0
+        self.matches = 0
         self.steps = 0
         self.ln_r_min = math.log(r_min)
         n_pts = self._points(e_top)
@@ -432,18 +469,17 @@ class _RadialProblem:
         t = self.base[first:n_pts] + self.slope[first:n_pts] * energy
         return t, (12.0 / t - 10.0).tolist()
 
-    def _q_per_z2(self, energy: float) -> float:
-        """E c0 / alpha^2, so that q = E r^2 / c0 is this times z^2 at any
-        alpha without overflow."""
+    def _eps(self, energy: float) -> float:
+        """E c0 / alpha^2, the energy in the series' scale-free form: finite
+        at any alpha."""
         return (energy / self.alpha) * (self.c0 / self.alpha)
 
     def _start(self, energy: float, t: np.ndarray) -> tuple[float, float]:
         """w = t y at the first two swept points, from the series."""
         s = self.start
-        eps = self._q_per_z2(energy)
-        z0, z1 = float(self.z[s]), float(self.z[s + 1])
-        y0 = _series(z0, eps * z0 * z0, self.D)
-        y1 = self.lift * _series(z1, eps * z1 * z1, self.D)
+        eps = self._eps(energy)
+        y0 = _series(float(self.z[s]), eps, self.D)
+        y1 = self.lift * _series(float(self.z[s + 1]), eps, self.D)
         return float(t[0]) * y0, float(t[1]) * y1
 
     def nodes_at(self, energy: float, limit: int) -> int:
@@ -452,23 +488,8 @@ class _RadialProblem:
         t, c = self._coeffs(energy, self.start)
         self.sweeps += 1
         w0, w1 = self._start(energy, t)
-        nodes = 0
-        pos = True
-        rest = iter(c[1:-1])
-        for ci in rest:
-            w2 = ci * w1 - w0
-            if w2 > _BIG or w2 < -_BIG:
-                w2 /= _BIG
-                w1 /= _BIG
-            w0 = w1
-            w1 = w2
-            if (w2 > 0.0) != pos and w2 != 0.0:
-                nodes += 1
-                if nodes > limit:
-                    break
-                pos = not pos
-        # what a break left of the iterator is steps not taken
-        self.steps += len(c) - 2 - operator.length_hint(rest)
+        _, nodes, steps = _ratio_sweep(c[1:-1], w1 / w0, limit)
+        self.steps += steps
         return nodes
 
     def _match(self, energy: float, m: int) -> float:
@@ -477,21 +498,27 @@ class _RadialProblem:
         to point m: continuous in the energy and zero exactly where the two
         solutions are proportional. The inward sweep starts at zero one point
         past the last mesh point, where the decaying tail is stable.
+
+        With R = w[m+1] / w[m] outward and S = w[m] / w[m+1] inward the sine
+        is (1 - R S) / (hypot(1, R) hypot(1, S)) = cos(atan R + atan S), the
+        latter finite where R or S is infinite, times the signs of the outward
+        w[m] and the inward w[m+1]: -1 to the number of negative ratios before
+        each.
         """
         t, c = self._coeffs(energy, self.start)
         self.sweeps += 2
+        self.matches += 1
         self.steps += len(c) - 1
         i = m - self.start  # the matching point in the swept arrays
-        out_m, out_m1 = _sweep_end(c[1 : i + 1], *self._start(energy, t))
-        inn_m1, inn_m = _sweep_end(c[-1:i:-1], 0.0, 1.0)
-        # each pair scaled to unit length first: near _BIG the raw cross
-        # product would overflow to inf - inf
-        na, nb = math.hypot(out_m, out_m1), math.hypot(inn_m, inn_m1)
-        return (out_m / na) * (inn_m1 / nb) - (out_m1 / na) * (inn_m / nb)
+        w0, w1 = self._start(energy, t)
+        out, n_out, _ = _ratio_sweep(c[1 : i + 1], w1 / w0)
+        inn, n_in, _ = _ratio_sweep(c[-1:i:-1], math.inf)
+        sine = math.cos(math.atan(out) + math.atan(inn))
+        return -sine if (n_out - (out < 0.0) + n_in - (inn < 0.0)) % 2 else sine
 
     def solve(self, k: int, lo: float, hi: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """The k-th level: node-count bisection isolates it, then a bracketed
-        regula falsi (Illinois) on the matching condition polishes it."""
+        """The k-th level: node-count bisection isolates it, then Brent's
+        zero finder on the matching condition polishes it."""
         n_lo = self.nodes_at(lo, k + 1)
         n_hi = self.nodes_at(hi, k + 1)
         if n_lo > k:
@@ -512,47 +539,79 @@ class _RadialProblem:
         # match at the bottom of the well in x, r = alpha / (2 |E|), which lies
         # inside the allowed region of any level in this narrow bracket
         m = int(np.argmax(self.base + self.slope * hi * math.sqrt(lo / hi)))
-        f_lo = self._match(lo, m)
-        f_hi = self._match(hi, m)
-        if (f_lo > 0.0) == (f_hi > 0.0):
-            raise NoConvergenceError(f"matching condition keeps its sign over [{lo}, {hi}]")
-        side = 0
-        for _ in range(_MAX_POLISH):
-            energy = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            f = self._match(energy, m)
-            if f == 0.0 or min(energy - lo, hi - energy) <= _REL_TOL * -energy:
-                return (energy, *self._assemble(energy, m))
-            if (f > 0.0) == (f_hi > 0.0):
-                hi, f_hi = energy, f
-                if side == 1:
-                    f_lo *= 0.5
-                side = 1
-            else:
-                lo, f_lo = energy, f
-                if side == -1:
-                    f_hi *= 0.5
-                side = -1
-        raise NoConvergenceError(f"matching condition unresolved after {_MAX_POLISH} steps")
+        energy = _brent_zero(lambda e: self._match(e, m), lo, hi)
+        return (energy, *self._assemble(energy, m))
 
     def _assemble(self, energy: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The full outward and inward solutions at ``energy``, glued at point
-        m into u = r^(1/2) w / t. Below the sweep start w is t y from the
-        series, on the scale the outward sweep starts from."""
+        """The outward and inward solutions at ``energy``, glued at point m
+        into u = r^(1/2) w / t, built from their ratios in log space: ln|w|
+        is a running sum of ln|R| and its sign flips at each negative R. Below
+        the sweep start u is r^(1/2) y from the series, on the scale the
+        outward sweep starts from."""
         s = self.start
-        t, c = self._coeffs(energy, 0)
-        self.steps += len(c) - s - 1
+        t, c = self._coeffs(energy, s)
+        self.steps += len(c) - 2
+        i = m - s  # the matching point in the swept arrays
+        w0, w1 = self._start(energy, t)
+        out = [w1 / w0] + _ratio_list(c[1:i], w1 / w0)  # w[j+1] / w[j] up to w[m]
+        inn = _ratio_list(c[-1:i:-1], math.inf)[::-1]  # w[j] / w[j+1] from w[m]
+        if out[-1] == 0.0 or inn[0] == 0.0:
+            raise NoConvergenceError("a sweep vanished at the matching point")
+        with np.errstate(divide="ignore"):
+            ratios = np.concatenate((out, 1.0 / np.array(inn)))
+        ln_w, flips = _log_path(ratios)
+        ln_w += math.log(w0)
         z = self.z[:s]
-        lift = np.exp((self.D - 2) / 2.0 * _STEP * np.arange(-s, 0))
-        y = lift * _series(z, self._q_per_z2(energy) * z * z, self.D)
-        out = _sweep(c[s + 1 : m + 1], (t[:s] * y).tolist() + list(self._start(energy, t[s:])))
-        inn = _sweep(c[-1:m:-1], [0.0, 1.0])[:0:-1]
-        if inn[0] == 0.0:
-            raise NoConvergenceError("inward sweep vanished at the matching point")
-        scale = out[m] / inn[0]
-        w = np.array(out[:m] + inn)
-        w[m:] *= scale
-        rr = self.rr[: len(t)]
-        u = np.sqrt(rr) * w / t
-        u /= np.abs(u).max()  # w may reach _BIG, where u * u would overflow
+        ln_y = (self.D - 2) / 2.0 * _STEP * np.arange(-s, 0) + np.log(
+            _series(z, self._eps(energy), self.D)
+        )
+        rr = self.rr[: s + len(t)]
+        ln_u = 0.5 * np.log(rr) + np.concatenate((ln_y, ln_w - np.log(np.abs(t))))
+        u = np.exp(ln_u - ln_u.max())
+        u[s:] *= np.where(flips % 2, -1.0, 1.0) * np.sign(t)
         u /= math.sqrt(float(np.trapezoid(u * u, rr)))
         return rr, u
+
+
+def _brent_zero(f, a: float, b: float) -> float:
+    """A zero of f in [a, b], where f changes sign, to _REL_TOL relative by
+    Brent's zero finder (Brent 1973, ch. 4: inverse quadratic interpolation
+    or secant steps, bisection whenever they would not shrink the bracket
+    fast enough)."""
+    fa, fb = f(a), f(b)
+    if (fa > 0.0) == (fb > 0.0):
+        raise NoConvergenceError(f"matching condition keeps its sign over [{a}, {b}]")
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(_MAX_POLISH):
+        if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best estimate so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * _REL_TOL * abs(b)
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = half
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * half * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = f(b)
+    raise NoConvergenceError(f"matching condition unresolved after {_MAX_POLISH} steps")

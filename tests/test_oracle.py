@@ -26,9 +26,11 @@ from dimspec.oracle import (
     RADIAL_D_LIMIT,
     RADIAL_EXCITATION_LIMIT,
     _change_from_seed,
+    _hardy_floor,
+    _log_path,
+    _ratio_list,
+    _ratio_sweep,
     _series,
-    _sweep,
-    _sweep_end,
 )
 from dimspec.spectrum import N_LIMIT
 
@@ -122,8 +124,12 @@ class TestRadialGroundState:
         assert sol.nodes == 0
 
     def test_ground_state_sweep_budget(self):
+        # from the Hardy floor -1 and the upper edge -1/9, two node counts and
+        # three bisections reach lo / hi <= 1.6; Brent's zero finder then
+        # takes six matches of two sweeps each
         sol = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
-        assert sol.sweeps < 40
+        assert sol.sweeps <= 17
+        assert sol.sweeps - 2 * sol.matches == 5
 
     def test_wavefunction_shape(self):
         sol = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
@@ -248,18 +254,90 @@ class TestRadialParts:
         eta = alpha / (2.0 * c0 * kappa)
         for z in (1e-3, 0.01 * (D - 1), 0.1 * (D - 1)):
             r = c0 * z / alpha
-            series = _series(z, energy * r * r / c0, D)
+            series = _series(z, energy * c0 / alpha**2, D)
             exact = mpmath.exp(-kappa * r) * mpmath.hyp1f1(
                 (D - 1) / 2 - eta, D - 1, 2 * kappa * r
             )
             assert abs(series - float(exact)) <= 1e-15
 
-    def test_end_only_sweep_is_the_full_sweep(self):
-        # the matching sweeps keep two values; they must be the full sweep's,
-        # bit for bit, through a rescale near _BIG too
-        coeffs = [2.5, 1e200, 1e60, 2.0, 1.5]
-        for w0, w1 in [(0.0, 1.0), (1e-3, 2e-3), (1.0, -3.0)]:
-            assert _sweep_end(coeffs, w0, w1) == tuple(_sweep(coeffs, [w0, w1])[-2:])
+    @pytest.mark.parametrize(
+        "coeffs,w0,w1",
+        [
+            ([2.5, 1.5, 0.3, -1.0, 2.0, 1.9, -0.5], 1.0, 2.0),
+            ([2.5, 1.5, 0.3, -1.0, 2.0, 1.9, -0.5], 0.0, 1.0),  # an inward start
+            ([0.5, 3.0, 2.0, 1.0, -2.0], 1.0, 2.0),  # w[2] = 0 exactly
+            ([1e200, 1e200, 2.0, -3.0, 0.1], 1.0, 1.0),  # w passes 1e300
+            ([2.0] * 12 + [1.0, 0.5, -0.2], 1e-3, 3e-3),
+            ([2.0, 0.5, 3.0, 2.0, 1.5], 0.0, 1.0),  # inward, w[3] = 0 exactly
+        ],
+        ids=["mixed", "inward-start", "exact-zero", "past-1e300", "growing", "inward-zero"],
+    )
+    def test_ratio_sweep_is_the_w_recurrence(self, coeffs, w0, w1):
+        # the sweeps carry R = w[i+1] / w[i]; the exact w recurrence must give
+        # the same sign changes, ratios and ln|w| wherever w is not zero
+        w = [Fraction(w0), Fraction(w1)]
+        for ci in coeffs:
+            w.append(Fraction(ci) * w[-1] - w[-2])
+        signs = [x > 0 for x in w[1:] if x != 0]
+        nodes = sum(a != b for a, b in zip(signs, signs[1:]))
+        start = w1 / w0 if w0 else math.inf
+        ratio, negatives, steps = _ratio_sweep(coeffs, start)
+        assert (negatives, steps) == (nodes, len(coeffs))
+        assert ratio == pytest.approx(float(w[-1] / w[-2]), rel=1e-12)
+        ratios = _ratio_list(coeffs, start)
+        assert ratios[-1] == ratio
+        for got, (a, b) in zip(ratios, zip(w[1:], w[2:])):
+            if a != 0 and b != 0:
+                assert got == pytest.approx(float(b / a), rel=1e-12)
+        # ln|w| and its sign from the ratios; an inward sweep is read from its
+        # far end, where w[j+1] / w[j] = 1 / S
+        if w0:
+            ln, flips = _log_path(np.array([start] + ratios))
+        else:
+            with np.errstate(divide="ignore"):
+                ln, flips = _log_path(1.0 / np.array(ratios[::-1]))
+            w = w[:0:-1]
+        for x, ln_x, flip in zip(w, ln, flips):
+            if x == 0:
+                assert ln_x == -math.inf
+            else:
+                rel = x / w[0]
+                exact = math.log(abs(rel.numerator)) - math.log(rel.denominator)
+                assert ln_x == pytest.approx(exact, rel=1e-12, abs=1e-12)
+                assert (-1) ** int(flip) == (1 if rel > 0 else -1)
+
+    def test_ratio_sweep_stops_past_the_limit(self):
+        # with every c = -3 every ratio is negative: each step is a sign change
+        ratio, negatives, steps = _ratio_sweep([-3.0] * 10, 1.0, limit=3)
+        assert (negatives, steps) == (4, 4)
+        assert ratio < 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.integers(3, RADIAL_D_LIMIT),
+    k=st.integers(0, RADIAL_EXCITATION_LIMIT),
+    convention=st.sampled_from(KineticConvention),
+    ln_alpha=st.floats(math.log(1e-100), math.log(1e100)),
+)
+def test_hardy_floor_lies_below_every_level(D, k, convention, ln_alpha):
+    alpha = math.exp(ln_alpha)
+    c0 = 1.0 if convention is KineticConvention.FULL_LAPLACIAN else 0.5
+    assert _hardy_floor(D, alpha, c0) < exact_level(D, alpha, convention, k) < 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    D=st.integers(3, RADIAL_D_LIMIT),
+    k=st.integers(0, RADIAL_EXCITATION_LIMIT),
+    convention=st.sampled_from(KineticConvention),
+    alpha=st.sampled_from([1e-100, 1.0, 1e100]),
+)
+def test_solved_levels_lie_above_the_hardy_floor(D, k, convention, alpha):
+    sol = radial_ground_state(D, alpha, 1, convention, k)
+    c0 = 1.0 if convention is KineticConvention.FULL_LAPLACIAN else 0.5
+    assert sol.energy >= _hardy_floor(D, alpha, c0)
+    assert sol.nodes == k
 
 
 @pytest.mark.parametrize("convention", list(KineticConvention))
