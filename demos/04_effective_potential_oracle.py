@@ -4,11 +4,11 @@
 # potential V_eff(r) = (D/2)^(2n) r^(-2n) - alpha r^(-beta). An honest
 # check therefore minimizes V_eff numerically, pretending the closed form
 # does not exist, and compares. The search runs in ln r (the minimizers
-# span sixteen decades across the grid), in floats: it minimizes the
-# potential's change from its value at the stationarity estimate, which
-# floats resolve well inside the 1e-12 tolerance, where the potential
-# itself, a difference of two nearly equal terms, would not be. Only the
-# reported depth is evaluated in 40-digit arithmetic.
+# span sixteen decades across the grid), in floats: it finds the zero of
+# the potential's slope, which floats resolve to ~1e-16 in ln r, where the
+# potential itself, a difference of two nearly equal terms, is flat to
+# double precision over ~1e-7. Only the reported depth is evaluated in
+# 40-digit arithmetic.
 
 from dimspec import (
     EnergyQuery,
@@ -29,7 +29,7 @@ for r in (1.0, 2.0, 4.5, 8.0, 16.0):
 q = EnergyQuery(SignedLogReal.from_float(alpha), beta, n, D)
 found = minimize_v_eff(q)
 print(f"search minimum: r* = {found.r_star}, E = {found.e_min.to_float()}")
-print(f"  ({found.evaluations} objective evaluations)")
+print(f"  ({found.evaluations} slope evaluations)")
 print()
 
 # Now a point far from any textbook: D = 7, n = 3, with the coupling the

@@ -312,13 +312,15 @@ def cmd_radial(args) -> int:
             "r_max": solution.r_max,
             "h": solution.h,
             "sweeps": solution.sweeps,
+            "matches": solution.matches,
+            "steps": solution.steps,
         }
         _emit(render_json(obj), args.out)
     else:
         _emit(
             f"E = {solution.energy:.9g} hartree (nodes={solution.nodes}, "
             f"convention={args.convention}, r_max={solution.r_max}, h={solution.h}, "
-            f"sweeps={solution.sweeps})",
+            f"sweeps={solution.sweeps}, matches={solution.matches}, steps={solution.steps})",
             args.out,
         )
     return 0

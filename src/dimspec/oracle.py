@@ -2,15 +2,14 @@
 
 Two routes that share no algebra with the spectrum module:
 
-* ``minimize_v_eff`` brackets the effective potential
-  (D/2)^(2n) r^(-2n) - alpha r^(-beta) in ln r and searches it with Brent's
-  parabolic-interpolation minimizer. Near the minimum the objective is flat
-  to ~1 part in 1e16 over a window of width ~1e-7 in ln r, so its two terms,
-  which nearly cancel there, are not subtracted as they stand: the search
-  minimizes the objective's change from its value at the stationarity
-  estimate, P expm1(-2n t) - Q expm1(-beta t) at a distance t in ln r, which
-  floats resolve to ~1e-14 in ln r. Only the reported energy, one value at
-  the minimizer found, is evaluated in mpmath.
+* ``minimize_v_eff`` locates the minimum of the effective potential
+  (D/2)^(2n) r^(-2n) - alpha r^(-beta) as the zero of its slope in ln r,
+  bracketed around the stationarity estimate and found by Brent's zero
+  finder, in floats. The potential is flat to ~1 part in 1e16 over a window
+  of width ~1e-7 in ln r around its minimum, but its slope crosses zero
+  there at a rate of 2n beta |V_min|, so the root is resolved to
+  ~1e-16 / (2n - beta). Only the reported energy, one value at the root, is
+  evaluated in mpmath.
 
 * ``radial_ground_state`` solves the n = 1 reduced radial equation by
   Numerov sweeps in x = ln r, with the grid, each sweep's cutoff and the
@@ -51,7 +50,7 @@ from .spectrum import EnergyQuery, e0_general
 
 @dataclass(frozen=True)
 class VeffMinimum:
-    """The searched minimum; ``evaluations`` counts objective calls."""
+    """The searched minimum; ``evaluations`` counts slope calls."""
 
     r_star: float
     e_min: SignedLogReal
@@ -59,19 +58,11 @@ class VeffMinimum:
     evaluations: int
 
 
-# Precision of the reported energy. Around the minimum V_eff is flat as
-# delta^2: relative to |V_min| it rises by n beta delta^2 at a distance delta
-# in ln r (V'' / |V_min| = 2n beta there). Resolving delta = 1e-12 max(1,
-# |ln r*|) as a difference of the two terms of V would take relative
-# differences of 1e-24, so the search takes none: it minimizes the change from
-# the seed, whose float noise, ~1e-16 |t| 2n beta / (2n - beta), sits below
-# n beta t^2 for every |t| above ~1e-15. Only the energy at the minimizer found
-# is the difference itself; its two terms are at most 2n / (2n - beta) times
-# |V_min| and cancel, so 40 digits leave over 35 for it.
+# Digits of the reported energy, the one value evaluated at the root found:
+# its two terms are at most 2n / (2n - beta) times |V_min| and cancel, so 40
+# digits leave over 35 for it.
 _VEFF_DPS = 40
-_VEFF_TOL = 1e-12  # search tolerance in ln r, relative to max(1, |ln r*|)
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 0.381966...
-_MAX_SEARCH = 200
+_VEFF_TOL = 1e-14  # search tolerance in ln r, relative to max(1, |ln r*|)
 
 
 def _exact_sum(*terms: tuple[int, float]) -> float:
@@ -83,26 +74,24 @@ def _exact_sum(*terms: tuple[int, float]) -> float:
     return sum(k * num * (den // d) for k, num, d in ratios) / den
 
 
-def _change_from_seed(t: float, p: float, q: float, two_n: int, beta: int) -> float:
-    """V_eff / |V(r*)| at ln r = x_seed + t less its value at the seed, for
-    V_eff / |V(r*)| = p e^(-2n t) - q e^(-beta t); +inf once e^(-2n t)
-    overflows, far inside the seed."""
+def _slope(t: float, p: float, q: float, two_n: int, beta: int) -> float:
+    """d/dt of V_eff / |V(r*)| = p e^(-2n t) - q e^(-beta t) at ln r =
+    x_seed + t; -inf once e^(-2n t) overflows, far inside the seed."""
     try:
-        return p * math.expm1(-two_n * t) - q * math.expm1(-beta * t)
+        return beta * q * math.exp(-beta * t) - two_n * p * math.exp(-two_n * t)
     except OverflowError:
-        return math.inf
+        return -math.inf
 
 
 def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     """Locate the interior minimum of the effective potential by search.
 
-    The bracket is centered on the stationarity estimate
-    r*^(2n-beta) = 2n (D/2)^(2n) / (alpha beta), where the objective is 0 and
-    positive everywhere else, so the minimum is interior by construction; its
-    edges are tested once all the same. Brent's parabolic-interpolation search
-    (Brent 1973, ch. 5) then starts from the bracket's golden point, off the
-    estimate, and the minimizer it finds is cross-checked against the
-    estimate to 1e-10 relative in ln r. Raises NoMinimumError when no
+    The minimum is the zero of the slope dV_eff / d ln r, bracketed around
+    the stationarity estimate r*^(2n-beta) = 2n (D/2)^(2n) / (alpha beta):
+    the slope must be negative at the bracket's inner edge and positive at
+    its outer one. Brent's zero finder then locates the root, which floats
+    resolve to ~1e-16 / (2n - beta) in ln r, and it is cross-checked against
+    the estimate to 1e-10 relative in ln r. Raises NoMinimumError when no
     interior minimum exists, that is unless ``classify_coupling`` calls the
     query bound.
     """
@@ -115,8 +104,8 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     two_n, beta = 2 * q.n, q.beta
     ln_amp = two_n * (math.log(q.D) - LN_2)  # ln A, A = (D/2)^(2n)
     x_seed = (math.log(two_n) + ln_amp - q.alpha.lnmag - math.log(beta)) / (two_n - beta)
-    # ln |V_eff(r*)|: the objective is divided by it, so that its values near
-    # the minimum are of order 1
+    # ln |V_eff(r*)|: the potential is divided by it, so that its slope near
+    # the minimum is of order 1
     ln_scale = q.alpha.lnmag - beta * x_seed + math.log1p(-beta / two_n)
     # both terms at the seed, from their exponents as the float inputs give
     # them; the stationarity identity p = beta / (2n - beta) is not used
@@ -124,72 +113,21 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     q_seed = math.exp(_exact_sum((1, q.alpha.lnmag), (-1, ln_scale), (-beta, x_seed)))
     evaluations = 0
 
-    def f(x: float) -> float:
+    def slope(x: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return _change_from_seed(x - x_seed, p_seed, q_seed, two_n, beta)
+        return _slope(x - x_seed, p_seed, q_seed, two_n, beta)
 
-    f_seed = f(x_seed)
-    # 1 in ln r, narrowed above beta = 32 so that e^(-beta t) stays above the
-    # objective's float resolution across the bracket: on a plateau where it
-    # does not, every value reads q - p and ties would lead the search off.
-    # The objective is smallest at the edges for n = 1, beta = 1, t = +1,
-    # where it reads 0.40.
+    # 1 in ln r, narrowed above beta = 32 so that e^(-beta t) stays at or
+    # above e^-32 across the bracket, far from underflowing to a slope of 0
     half = min(1.0, 32.0 / beta)
     a, b = x_seed - half, x_seed + half
-    if not f(a) > f_seed < f(b):
+    slope_a, slope_b = slope(a), slope(b)
+    if not slope_a < 0.0 < slope_b:
         raise NoMinimumError("failed to bracket an interior minimum")
+    x = _brent_zero(slope, a, b, slope_a, slope_b, _VEFF_TOL, 1.0)
 
-    # Brent's search state: x is the best point so far, w the second best
-    # and v the one before it
-    tol = _VEFF_TOL * max(1.0, abs(x_seed))
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    for _ in range(_MAX_SEARCH):
-        mid = 0.5 * (a + b)
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            s = (x - v) * (fx - fw)
-            p = (x - v) * s - (x - w) * r
-            s = 2.0 * (s - r)
-            if s > 0.0:
-                p = -p
-            s = abs(s)
-            e_prev, e = e, d
-            # written so that a nan step falls through to the golden one
-            if abs(p) < abs(0.5 * s * e_prev) and s * (a - x) < p < s * (b - x):
-                golden = False
-                d = p / s
-                if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
-                    d = math.copysign(tol, mid - x)
-        if golden:
-            e = (a if x >= mid else b) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    else:
-        raise NoConvergenceError(f"V_eff search unresolved after {_MAX_SEARCH} steps")
-
-    # the energy is the objective itself at the minimizer, in full
+    # the energy is the potential itself at the root, in full
     with mpmath.workdps(_VEFF_DPS):
         x_mp = mpmath.mpf(x)  # before the products, which floats would round
         kin = mpmath.exp(mpmath.mpf(ln_amp) - ln_scale - two_n * x_mp)
@@ -539,7 +477,11 @@ class _RadialProblem:
         # match at the bottom of the well in x, r = alpha / (2 |E|), which lies
         # inside the allowed region of any level in this narrow bracket
         m = int(np.argmax(self.base + self.slope * hi * math.sqrt(lo / hi)))
-        energy = _brent_zero(lambda e: self._match(e, m), lo, hi)
+
+        def match(energy: float) -> float:
+            return self._match(energy, m)
+
+        energy = _brent_zero(match, lo, hi, match(lo), match(hi), _REL_TOL, 0.0)
         return (energy, *self._assemble(energy, m))
 
     def _assemble(self, energy: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -573,14 +515,17 @@ class _RadialProblem:
         return rr, u
 
 
-def _brent_zero(f, a: float, b: float) -> float:
-    """A zero of f in [a, b], where f changes sign, to _REL_TOL relative by
-    Brent's zero finder (Brent 1973, ch. 4: inverse quadratic interpolation
-    or secant steps, bisection whenever they would not shrink the bracket
-    fast enough)."""
-    fa, fb = f(a), f(b)
+def _brent_zero(
+    f, a: float, b: float, fa: float, fb: float, rel_tol: float, floor: float
+) -> float:
+    """A zero of f in [a, b], where f changes sign from fa = f(a) to
+    fb = f(b), to rel_tol relative to max(|x|, floor) by Brent's zero finder
+    (Brent 1973, ch. 4: inverse quadratic interpolation or secant steps,
+    bisection whenever they would not shrink the bracket fast enough). A
+    floor of 0 makes the tolerance purely relative; a positive floor lets a
+    root at or near 0 converge too."""
     if (fa > 0.0) == (fb > 0.0):
-        raise NoConvergenceError(f"matching condition keeps its sign over [{a}, {b}]")
+        raise NoConvergenceError(f"f has no sign change over [{a}, {b}]")
     c, fc = a, fa
     d = e = b - a
     for _ in range(_MAX_POLISH):
@@ -590,7 +535,7 @@ def _brent_zero(f, a: float, b: float) -> float:
         if abs(fc) < abs(fb):  # b is the best estimate so far
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 0.5 * _REL_TOL * abs(b)
+        tol = 0.5 * rel_tol * max(abs(b), floor)
         half = 0.5 * (c - b)
         if abs(half) <= tol or fb == 0.0:
             return b
@@ -614,4 +559,4 @@ def _brent_zero(f, a: float, b: float) -> float:
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, half)
         fb = f(b)
-    raise NoConvergenceError(f"matching condition unresolved after {_MAX_POLISH} steps")
+    raise NoConvergenceError(f"zero unresolved after {_MAX_POLISH} steps")

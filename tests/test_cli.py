@@ -351,12 +351,22 @@ class TestRadial:
         obj = json.loads(out)
         assert obj["nodes"] == 0 and obj["sweeps"] > 0
 
+    def test_json_reports_the_solver_counters(self, capsys):
+        code, out, _ = run(capsys, "radial", "--D", "3", "--alpha", "1", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert list(obj) == [
+            "D", "alpha", "beta", "convention", "excitation", "E", "nodes",
+            "r_max", "h", "sweeps", "matches", "steps",
+        ]
+        assert obj["sweeps"] > 2 * obj["matches"] > 0 and obj["steps"] > 0
+
     def test_text_keeps_tiny_levels_and_reports_sweeps(self, capsys):
         code, out, _ = run(capsys, "radial", "--D", "3", "--alpha", "1e-6")
         assert code == 0
         energy = float(out.split()[2])
         assert energy == pytest.approx(-2.5e-13, rel=1e-6)
-        assert "sweeps=" in out
+        assert "sweeps=" in out and "matches=" in out and "steps=" in out
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_non_finite_alpha_exit_code(self, capsys, alpha):

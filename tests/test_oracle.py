@@ -12,6 +12,7 @@ from dimspec import (
     EnergyQuery,
     InvalidParameterError,
     KineticConvention,
+    NoConvergenceError,
     NoMinimumError,
     Scheme,
     SignedLogReal,
@@ -25,12 +26,14 @@ from dimspec import (
 from dimspec.oracle import (
     RADIAL_D_LIMIT,
     RADIAL_EXCITATION_LIMIT,
-    _change_from_seed,
+    _MAX_POLISH,
+    _brent_zero,
     _hardy_floor,
     _log_path,
     _ratio_list,
     _ratio_sweep,
     _series,
+    _slope,
 )
 from dimspec.spectrum import N_LIMIT
 
@@ -64,7 +67,7 @@ class TestMinimizeVeff:
 
     def test_analytic_case_effort(self):
         found = minimize_v_eff(EnergyQuery(SignedLogReal(1, 0.0), 1, 1, 3))
-        assert found.evaluations < 40
+        assert found.evaluations <= 11
 
     @given(
         D=st.integers(min_value=2, max_value=64),
@@ -355,6 +358,30 @@ def test_radial_excitation_limit(D, convention):
     assert err.value.code == "out-of-range"
 
 
+class TestBrentZero:
+    def test_root_at_zero_converges_with_a_floor(self):
+        # f changes sign at 0 but is never 0, so every step bisects: with a
+        # floor of 1 the tolerance stays at 0.5e-12, which ~42 halvings of
+        # [-1, 2] reach, while a purely relative one shrinks with |x| and
+        # the search never stops
+        calls = 0
+
+        def f(x):
+            nonlocal calls
+            calls += 1
+            return math.copysign(1.0, x)
+
+        x = _brent_zero(f, -1.0, 2.0, -1.0, 1.0, 1e-12, 1.0)
+        assert abs(x) <= 1e-12
+        assert calls < _MAX_POLISH
+        with pytest.raises(NoConvergenceError, match="unresolved"):
+            _brent_zero(f, -1.0, 2.0, -1.0, 1.0, 1e-12, 0.0)
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(NoConvergenceError, match="no sign change"):
+            _brent_zero(math.exp, 1.0, 2.0, math.e, math.exp(2.0), 1e-12, 1.0)
+
+
 def _v_eff_reference(q: EnergyQuery, x: float) -> tuple:
     """V_eff and its first two derivatives in x = ln r, at 40 digits, with
     A = (D/2)^(2n) exact: (A e^(-2n x) - alpha e^(-beta x), V', V'')."""
@@ -396,12 +423,15 @@ class TestVeffObjective:
             most_evaluations = max(most_evaluations, found.evaluations)
         assert worst_x <= 1e-12
         assert worst_e <= 1e-14
-        assert most_evaluations <= 23
+        assert most_evaluations <= 11
 
-    def test_far_inside_the_seed_reads_inf(self):
-        # e^(2000) overflows a float: the objective reads +inf, it does not raise
-        assert _change_from_seed(-1000.0, 0.5, 1.5, 2, 1) == math.inf
-        assert _change_from_seed(-1000.0, 31.0, 32.0, 32, 31) == math.inf
+    @pytest.mark.parametrize("beta", [1, 2 * N_LIMIT - 1])
+    def test_slope_inside_the_seed_reads_minus_inf(self, beta):
+        # e^(2 N_LIMIT) overflows a float: the slope reads -inf, it does not
+        # raise; p and q are the stationary values, where the slope is 0 at t = 0
+        two_n = 2 * N_LIMIT
+        p, q = beta / (two_n - beta), two_n / (two_n - beta)
+        assert _slope(-1.0, p, q, two_n, beta) == -math.inf
 
     @pytest.mark.parametrize("n", [100, N_LIMIT])
     def test_large_n(self, n):
