@@ -29,9 +29,10 @@ sol = radial_ground_state(3, 1.0, 1, KineticConvention.HALF_LAPLACIAN, 1)
 print(f"-Laplacian/2 - 1/r     first excited: E = {sol.energy:+.9f}  (exact -0.1250)")
 print()
 
-# The returned wavefunction is normalized and clean at both grid ends; for
-# the full-Laplacian ground state it is r e^(-r/2) up to normalization,
-# peaking at r = 2 bohr.
+# The wavefunction is built on first read of sol.u or sol.grid, by one more
+# sweep at the converged energy that sol.steps does not count. It is
+# normalized and clean at both grid ends; for the full-Laplacian ground
+# state it is r e^(-r/2) up to normalization, peaking at r = 2 bohr.
 sol = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
 peak_index = int(np.argmax(np.abs(sol.u)))
 print(f"ground-state peak at r = {sol.grid[peak_index]:.3f} bohr, "

@@ -118,6 +118,12 @@ def _energy_record(args) -> ScanRecord:
         params = SystemParams(args.D, args.n, args.m if args.m is not None else 1)
         alpha = SignedLogReal.from_float(args.alpha)
         return build_record(params, args.beta, alpha if alpha.sign != 0 else None, reference=False)
+    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+        if value is not None:
+            raise InvalidParameterError(
+                "scheme-mismatch",
+                f"{flag} needs scheme explicit; scheme {args.scheme} derives the coupling",
+            )
     if args.m is not None:
         expected = args.n if scheme is Scheme.M_EQUALS_N else 1
         if args.m != expected:

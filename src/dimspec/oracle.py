@@ -20,9 +20,10 @@ Two routes that share no algebra with the spectrum module:
   sweeps carry the ratio of successive values, which never overflows.
   Node counting from the Hardy floor, a proven lower bound, isolates the
   level, and Brent's zero finder on the matching condition polishes it.
-  Both the full-Laplacian and half-Laplacian kinetic conventions are
-  supported, so the -1/4 and -1/2 hartree ground levels of the 3-D Coulomb
-  problem can each be pinned.
+  The node count comes from the last matching sweeps; the wavefunction is
+  built only when it is read. Both the full-Laplacian and half-Laplacian
+  kinetic conventions are supported, so the -1/4 and -1/2 hartree ground
+  levels of the 3-D Coulomb problem can each be pinned.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, partial
 
 import mpmath
 import numpy as np
@@ -156,13 +159,13 @@ class KineticConvention(Enum):
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """``u`` normalized on ``grid``, which steps by ``h`` in ln r up to the
-    cutoff ``r_max``; ``sweeps`` counts node-count and matching sweeps,
-    ``matches`` the matching evaluations, two sweeps each, and ``steps`` the
-    Numerov steps summed over every sweep."""
+    """The level ``energy`` with ``nodes`` sign changes; ``sweeps`` counts
+    node-count and matching sweeps, ``matches`` the matching evaluations, two
+    sweeps each, and ``steps`` the Numerov steps summed over every sweep. The
+    wavefunction ``u``, normalized on ``grid``, which steps by ``h`` in ln r up
+    to the cutoff ``r_max``, is built on first read of either, by one more
+    sweep that ``steps`` does not count."""
 
-    grid: np.ndarray
-    u: np.ndarray
     energy: float
     nodes: int
     kinetic_convention: KineticConvention
@@ -171,6 +174,19 @@ class RadialSolution:
     sweeps: int
     matches: int
     steps: int
+    _build: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
+
+    @cached_property
+    def _built(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._build()
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self._built[0]
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._built[1]
 
 
 _STEP = 0.005  # Numerov step in ln r: every level varies slowly in ln r
@@ -267,17 +283,17 @@ def radial_ground_state(
     hi = -scale / (excitation + 1) ** 2
     r_min = _INNER * (alpha / scale)
     problem = _RadialProblem(D, alpha, c0, r_min, hi)
-    energy, grid, u = problem.solve(excitation, lo, hi)
+    energy, m = problem.solve(excitation, lo, hi)
 
-    signs = np.sign(u[np.abs(u) > 0.0])
-    nodes = int(np.count_nonzero(np.diff(signs)))
+    # the sign data of the match at the returned energy, which Brent evaluated
+    nodes, vanished = problem.signs[energy]
+    if vanished:
+        raise NoConvergenceError("a sweep vanished at the matching point")
     if nodes != excitation:
         raise NoConvergenceError(
             f"converged state has {nodes} nodes, expected {excitation}"
         )
     return RadialSolution(
-        grid=grid,
-        u=u,
         energy=energy,
         nodes=nodes,
         kinetic_convention=convention,
@@ -286,6 +302,7 @@ def radial_ground_state(
         sweeps=problem.sweeps,
         matches=problem.matches,
         steps=problem.steps,
+        _build=partial(problem._assemble, energy, m),
     )
 
 
@@ -297,17 +314,21 @@ def _hardy_floor(D: int, alpha: float, c0: float) -> float:
     return -(alpha / (D - 2)) * (alpha / (D - 2)) / c0
 
 
-def _series(z, eps: float, D: int):
-    """y / r^((D-2)/2) of the regular solution at z = alpha r / c0, a float
-    or an array, for eps = E c0 / alpha^2: the sum of a_j z^j over
-    j < _SERIES_TERMS, with a_0 = 1 and a_j = -(a_(j-1) + eps a_(j-2)) /
-    (j (D-2+j)), by Horner's rule."""
+def _series_terms(eps: float, D: int) -> list:
+    """The coefficients a_j, j < _SERIES_TERMS, of y / r^((D-2)/2) of the
+    regular solution in powers of z = alpha r / c0, for eps = E c0 / alpha^2:
+    a_0 = 1 and a_j = -(a_(j-1) + eps a_(j-2)) / (j (D-2+j))."""
     a = [1.0, -1.0 / (D - 1)]
     for j in range(2, _SERIES_TERMS):
         a.append(-(a[-1] + eps * a[-2]) / (j * (D - 2 + j)))
-    total = a.pop()
-    while a:
-        total = total * z + a.pop()
+    return a
+
+
+def _series(z, a: list):
+    """The sum of a_j z^j at z, a float or an array, by Horner's rule."""
+    total = a[-1]
+    for aj in a[-2::-1]:
+        total = total * z + aj
     return total
 
 
@@ -382,6 +403,9 @@ class _RadialProblem:
         self.sweeps = 0
         self.matches = 0
         self.steps = 0
+        # per matched energy: sign changes of the glued solution, and whether
+        # a sweep vanished at the matching point
+        self.signs: dict[float, tuple[int, bool]] = {}
         self.ln_r_min = math.log(r_min)
         n_pts = self._points(e_top)
         self.rr = r_min * np.exp(_STEP * np.arange(n_pts))
@@ -415,9 +439,9 @@ class _RadialProblem:
     def _start(self, energy: float, t: np.ndarray) -> tuple[float, float]:
         """w = t y at the first two swept points, from the series."""
         s = self.start
-        eps = self._eps(energy)
-        y0 = _series(float(self.z[s]), eps, self.D)
-        y1 = self.lift * _series(float(self.z[s + 1]), eps, self.D)
+        a = _series_terms(self._eps(energy), self.D)
+        y0 = _series(float(self.z[s]), a)
+        y1 = self.lift * _series(float(self.z[s + 1]), a)
         return float(t[0]) * y0, float(t[1]) * y1
 
     def nodes_at(self, energy: float, limit: int) -> int:
@@ -435,7 +459,8 @@ class _RadialProblem:
         outward sweep to point m + 1 and the inward sweep from r_stop(energy)
         to point m: continuous in the energy and zero exactly where the two
         solutions are proportional. The inward sweep starts at zero one point
-        past the last mesh point, where the decaying tail is stable.
+        past the last mesh point, where the decaying tail is stable. Records
+        the sign data of the solution glued at point m in ``signs``.
 
         With R = w[m+1] / w[m] outward and S = w[m] / w[m+1] inward the sine
         is (1 - R S) / (hypot(1, R) hypot(1, S)) = cos(atan R + atan S), the
@@ -451,12 +476,16 @@ class _RadialProblem:
         w0, w1 = self._start(energy, t)
         out, n_out, _ = _ratio_sweep(c[1 : i + 1], w1 / w0)
         inn, n_in, _ = _ratio_sweep(c[-1:i:-1], math.inf)
+        n_out -= out < 0.0  # sign changes up to w[m]
+        # out = w[m+1] / w[m] is -inf where w[m] is 0 to the float range
+        self.signs[energy] = (n_out + n_in, out == -math.inf or inn == 0.0)
         sine = math.cos(math.atan(out) + math.atan(inn))
-        return -sine if (n_out - (out < 0.0) + n_in - (inn < 0.0)) % 2 else sine
+        return -sine if (n_out + n_in - (inn < 0.0)) % 2 else sine
 
-    def solve(self, k: int, lo: float, hi: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """The k-th level: node-count bisection isolates it, then Brent's
-        zero finder on the matching condition polishes it."""
+    def solve(self, k: int, lo: float, hi: float) -> tuple[float, int]:
+        """The k-th level and the matching point: node-count bisection
+        isolates the level, then Brent's zero finder on the matching condition
+        polishes it."""
         n_lo = self.nodes_at(lo, k + 1)
         n_hi = self.nodes_at(hi, k + 1)
         if n_lo > k:
@@ -481,8 +510,7 @@ class _RadialProblem:
         def match(energy: float) -> float:
             return self._match(energy, m)
 
-        energy = _brent_zero(match, lo, hi, match(lo), match(hi), _REL_TOL, 0.0)
-        return (energy, *self._assemble(energy, m))
+        return _brent_zero(match, lo, hi, match(lo), match(hi), _REL_TOL, 0.0), m
 
     def _assemble(self, energy: float, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The outward and inward solutions at ``energy``, glued at point m
@@ -492,20 +520,17 @@ class _RadialProblem:
         outward sweep starts from."""
         s = self.start
         t, c = self._coeffs(energy, s)
-        self.steps += len(c) - 2
         i = m - s  # the matching point in the swept arrays
         w0, w1 = self._start(energy, t)
         out = [w1 / w0] + _ratio_list(c[1:i], w1 / w0)  # w[j+1] / w[j] up to w[m]
         inn = _ratio_list(c[-1:i:-1], math.inf)[::-1]  # w[j] / w[j+1] from w[m]
-        if out[-1] == 0.0 or inn[0] == 0.0:
-            raise NoConvergenceError("a sweep vanished at the matching point")
         with np.errstate(divide="ignore"):
             ratios = np.concatenate((out, 1.0 / np.array(inn)))
         ln_w, flips = _log_path(ratios)
         ln_w += math.log(w0)
         z = self.z[:s]
         ln_y = (self.D - 2) / 2.0 * _STEP * np.arange(-s, 0) + np.log(
-            _series(z, self._eps(energy), self.D)
+            _series(z, _series_terms(self._eps(energy), self.D))
         )
         rr = self.rr[: s + len(t)]
         ln_u = 0.5 * np.log(rr) + np.concatenate((ln_y, ln_w - np.log(np.abs(t))))

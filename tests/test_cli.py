@@ -65,6 +65,23 @@ class TestEnergy:
         assert code == 1
         assert "invalid parameters" in err
 
+    @pytest.mark.parametrize("scheme", ["mn", "m1"])
+    def test_alpha_needs_the_explicit_scheme(self, capsys, scheme):
+        # mn and m1 derive the coupling; a given one was once ignored
+        code, out, err = run(
+            capsys, "energy", "--D", "3", "--n", "1", "--scheme", scheme, "--alpha", "5"
+        )
+        assert code == 1 and out == ""
+        assert "dimspec: invalid parameters: --alpha needs scheme explicit" in err
+
+    @pytest.mark.parametrize("scheme", ["mn", "m1"])
+    def test_beta_needs_the_explicit_scheme(self, capsys, scheme):
+        code, out, err = run(
+            capsys, "energy", "--D", "3", "--n", "1", "--scheme", scheme, "--beta", "1"
+        )
+        assert code == 1 and out == ""
+        assert "dimspec: invalid parameters: --beta needs scheme explicit" in err
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_non_finite_alpha_exit_code(self, capsys, alpha):
         code, _, err = run(

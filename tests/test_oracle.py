@@ -33,6 +33,7 @@ from dimspec.oracle import (
     _ratio_list,
     _ratio_sweep,
     _series,
+    _series_terms,
     _slope,
 )
 from dimspec.spectrum import N_LIMIT
@@ -202,6 +203,53 @@ class TestRadialGroundState:
         assert inner[:1000].all()
         assert float(np.abs(sol.u[inner] / exact[inner] - 1.0).max()) <= 1e-10
 
+    def test_wavefunction_is_built_on_first_read(self):
+        sol = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 1)
+        assert "_built" not in vars(sol)
+        effort = (sol.sweeps, sol.matches, sol.steps)
+        unread = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 1)
+        u = sol.u
+        assert "_built" in vars(sol) and "_built" not in vars(unread)
+        assert sol.u is u and sol.grid is sol.grid
+        assert (sol.sweeps, sol.matches, sol.steps) == effort
+        # the built arrays are no part of the value
+        assert sol == unread and repr(sol) == repr(unread)
+        assert "u=" not in repr(sol) and "grid=" not in repr(sol)
+
+
+def test_nodes_are_the_sign_changes_of_the_built_wavefunction():
+    # nodes come from the sign data of the last match, not from u; the two
+    # must agree across the whole D window, both conventions, excitations up
+    # to the limit and alpha over 200 decades
+    for D, convention, alpha, k in itertools.product(
+        (3, 4, 5, 7, 25, 64, 100, 690, RADIAL_D_LIMIT),
+        KineticConvention,
+        (1e-100, 1.0, 1e100),
+        (0, 1, 2, 4, 8, RADIAL_EXCITATION_LIMIT),
+    ):
+        sol = radial_ground_state(D, alpha, 1, convention, k)
+        signs = np.sign(sol.u[sol.u != 0.0])
+        assert int(np.count_nonzero(np.diff(signs))) == sol.nodes == k, (D, convention, alpha, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    D=st.integers(3, RADIAL_D_LIMIT),
+    k=st.integers(0, RADIAL_EXCITATION_LIMIT),
+    convention=st.sampled_from(KineticConvention),
+    log_alpha=st.floats(-100.0, 100.0),
+    log_scaled=st.floats(-100.0, 100.0),
+)
+def test_levels_scale_as_alpha_squared(D, k, convention, log_alpha, log_scaled):
+    # every length and energy of the solve is scaled by the closed-form
+    # estimate, so E(lambda alpha) = lambda^2 E(alpha) up to rounding
+    alpha, scaled = 10.0**log_alpha, 10.0**log_scaled
+    lam = scaled / alpha
+    energy = radial_ground_state(D, alpha, 1, convention, k).energy
+    expected = lam * (lam * energy)  # lam^2 alone may overflow
+    got = radial_ground_state(D, scaled, 1, convention, k).energy
+    assert abs(got - expected) <= 1e-12 * abs(expected)
+
 
 def exact_level(D, alpha, convention, k):
     """E_k = -alpha^2 / (4 c0 (k + (D-1)/2)^2), the exact n = 1, beta = 1 level."""
@@ -257,7 +305,7 @@ class TestRadialParts:
         eta = alpha / (2.0 * c0 * kappa)
         for z in (1e-3, 0.01 * (D - 1), 0.1 * (D - 1)):
             r = c0 * z / alpha
-            series = _series(z, energy * c0 / alpha**2, D)
+            series = _series(z, _series_terms(energy * c0 / alpha**2, D))
             exact = mpmath.exp(-kappa * r) * mpmath.hyp1f1(
                 (D - 1) / 2 - eta, D - 1, 2 * kappa * r
             )
