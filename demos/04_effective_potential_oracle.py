@@ -7,8 +7,9 @@
 # span sixteen decades across the grid), in floats: it finds the zero of
 # the potential's slope, which floats resolve to ~1e-16 in ln r, where the
 # potential itself, a difference of two nearly equal terms, is flat to
-# double precision over ~1e-7. Only the reported depth is evaluated in
-# 40-digit arithmetic.
+# double precision over ~1e-7. The reported depth is that difference
+# factored, -alpha r^-beta (1 - e^d) with d = ln of the ratio of the two
+# terms, whose logarithm floats give to about one rounding.
 
 from dimspec import (
     EnergyQuery,

@@ -8,8 +8,9 @@ Two routes that share no algebra with the spectrum module:
   finder, in floats. The potential is flat to ~1 part in 1e16 over a window
   of width ~1e-7 in ln r around its minimum, but its slope crosses zero
   there at a rate of 2n beta |V_min|, so the root is resolved to
-  ~1e-16 / (2n - beta). Only the reported energy, one value at the root, is
-  evaluated in mpmath.
+  ~1e-16 / (2n - beta). The reported energy, one value at the root, is
+  factored as -alpha r^-beta (1 - e^d), whose logarithm is a sum that floats
+  round once, with no cancellation.
 
 * ``radial_ground_state`` solves the n = 1 reduced radial equation by
   Numerov sweeps in x = ln r, with the grid, each sweep's cutoff and the
@@ -36,7 +37,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
 
-import mpmath
+# Unused by the library. benchmarks/probes.py's -X importtime probe requires
+# `import dimspec` to load mpmath; a benchmark-only change removes both together.
+import mpmath  # noqa: F401
 import numpy as np
 
 from .errors import (
@@ -61,10 +64,6 @@ class VeffMinimum:
     evaluations: int
 
 
-# Digits of the reported energy, the one value evaluated at the root found:
-# its two terms are at most 2n / (2n - beta) times |V_min| and cancel, so 40
-# digits leave over 35 for it.
-_VEFF_DPS = 40
 _VEFF_TOL = 1e-14  # search tolerance in ln r, relative to max(1, |ln r*|)
 
 
@@ -94,9 +93,12 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     the slope must be negative at the bracket's inner edge and positive at
     its outer one. Brent's zero finder then locates the root, which floats
     resolve to ~1e-16 / (2n - beta) in ln r, and it is cross-checked against
-    the estimate to 1e-10 relative in ln r. Raises NoMinimumError when no
-    interior minimum exists, that is unless ``classify_coupling`` calls the
-    query bound.
+    the estimate to 1e-10 relative in ln r. The depth at the root x is
+    ln |E| = ln alpha - beta x + ln(1 - e^d) with A = (D/2)^(2n) and
+    d = ln A - ln alpha - (2n - beta) x < 0, each sum exact and rounded once;
+    d ~ ln(beta / 2n) there, so nothing cancels and floats suffice. Raises
+    NoMinimumError when no interior minimum exists, that is unless
+    ``classify_coupling`` calls the query bound.
     """
     sign = q.alpha.sign if q.alpha is not None else 0
     tag = classify_coupling(q.beta, sign, q.n)
@@ -130,14 +132,11 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
         raise NoMinimumError("failed to bracket an interior minimum")
     x = _brent_zero(slope, a, b, slope_a, slope_b, _VEFF_TOL, 1.0)
 
-    # the energy is the potential itself at the root, in full
-    with mpmath.workdps(_VEFF_DPS):
-        x_mp = mpmath.mpf(x)  # before the products, which floats would round
-        kin = mpmath.exp(mpmath.mpf(ln_amp) - ln_scale - two_n * x_mp)
-        f_min = kin - mpmath.exp(mpmath.mpf(q.alpha.lnmag) - ln_scale - beta * x_mp)
-        if f_min >= 0:
-            raise NoMinimumError("search ended on a non-negative minimum")
-        ln_e = float(mpmath.log(-f_min) + ln_scale)
+    # d = ln(kinetic / coupling term) ~ ln(beta / 2n): 1 - e^d is in [1/2n, 1]
+    d = _exact_sum((1, ln_amp), (-1, q.alpha.lnmag), (beta - two_n, x))
+    if d >= 0.0:
+        raise NoMinimumError("search ended on a non-negative minimum")
+    ln_e = _exact_sum((1, q.alpha.lnmag), (-beta, x), (1, math.log(-math.expm1(d))))
 
     if abs(x - x_seed) > 1e-10 * max(1.0, abs(x_seed)):
         raise NoConvergenceError(

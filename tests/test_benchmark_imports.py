@@ -35,7 +35,8 @@ def test_import_loads_what_the_importtime_probe_requires():
     mpmath, and then drops its three ``cli.import_*`` metrics from the result
     line. Two earlier changes made those imports lazy and both ended with a
     malformed benchmark result this way; this keeps that from recurring
-    unnoticed until the probe itself changes."""
+    unnoticed until the probe itself changes. The library makes no mpmath
+    call: ``oracle.py`` keeps its ``import mpmath`` only for this probe."""
     src = str(BENCHMARKS.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run(

@@ -470,8 +470,28 @@ class TestVeffObjective:
             worst_e = max(worst_e, abs(found.e_min.lnmag - ln_e) / max(1.0, abs(ln_e)))
             most_evaluations = max(most_evaluations, found.evaluations)
         assert worst_x <= 1e-12
-        assert worst_e <= 1e-14
+        assert worst_e <= 1e-15
         assert most_evaluations <= 11
+
+    @given(
+        D=st.integers(min_value=2, max_value=10_000),
+        n=st.integers(min_value=1, max_value=N_LIMIT),
+        ln_alpha=st.floats(min_value=-230.0, max_value=230.0),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_depth_is_one_rounding_from_the_potential(self, D, n, ln_alpha, data):
+        # the float depth against the potential itself at 80 digits, at the
+        # root found and from the same float inputs: ln A as the search
+        # forms it, so only the evaluation of the depth is compared
+        beta = data.draw(st.integers(min_value=1, max_value=2 * n - 1))
+        found = minimize_v_eff(EnergyQuery(SignedLogReal(1, ln_alpha), beta, n, D))
+        ln_amp = 2 * n * (math.log(D) - math.log(2))
+        with mpmath.workdps(80):
+            x = mpmath.mpf(found.ln_r_star)
+            v = mpmath.exp(ln_amp - 2 * n * x) - mpmath.exp(ln_alpha - beta * x)
+            ln_e = float(mpmath.log(-v))
+        assert abs(found.e_min.lnmag - ln_e) <= 4.5e-16 * max(1.0, abs(ln_e))
 
     @pytest.mark.parametrize("beta", [1, 2 * N_LIMIT - 1])
     def test_slope_inside_the_seed_reads_minus_inf(self, beta):
