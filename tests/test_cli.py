@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -34,6 +35,30 @@ def strict_json(text):
         raise ValueError(f"non-standard JSON token {token}")
 
     return json.loads(text, parse_constant=reject)
+
+
+# one quick, successful argv per verb, without --format
+_VERB_ARGVS = {
+    "energy": ["--D", "3", "--n", "1"],
+    "potential": ["--D", "7", "--m", "3"],
+    "feasible": ["--n", "3", "--scheme", "m1"],
+    "scan": ["--D", "2:12", "--n", "1:3"],
+    "table1": [],
+    "verify": ["--max-n", "2", "--max-D", "6"],
+    "radial": ["--D", "3", "--alpha", "1"],
+}
+
+
+def _format_choices(verb):
+    """The --format choices the verb's parser accepts; None for a verb
+    without the flag, which always writes text."""
+    sub = build_parser()._subparsers._group_actions[0].choices[verb]
+    flag = next((a for a in sub._actions if a.dest == "format"), None)
+    return tuple(flag.choices) if flag is not None else (None,)
+
+
+def _verb_argv(verb, fmt):
+    return [verb, *_VERB_ARGVS[verb], *(["--format", fmt] if fmt else [])]
 
 
 class TestEnergy:
@@ -248,6 +273,45 @@ class TestOutputFile:
         assert code == 1 and out == ""
         assert f"dimspec: invalid parameters: cannot write {tmp_path}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "verb,fmt", [(verb, fmt) for verb in _VERB_ARGVS for fmt in _format_choices(verb)]
+    )
+    def test_out_gets_the_stdout_bytes(self, capsys, tmp_path, verb, fmt):
+        argv = _verb_argv(verb, fmt)
+        code, out, _ = run(capsys, *argv)
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(target))[:2] == (code, "")
+        assert code == 0 and target.read_bytes() == out.encode("utf-8")
+
+
+# sha256 of stdout for argvs that benchmarks/golden.json does not cover
+_BYTE_PINS = {
+    "scan --D 2:64 --n 1:16 --format text":
+        "502dac4bfa022307449dd305617a97d7dc071b70c8919a56f370e56a2ca9a81c",
+    "scan --D 2:30 --n 1:9 --scheme m1 --format text":
+        "0b5ed14ea1420d29e6e4d4ca96c58a295769d3a7fe56d1ee5e01fb7f387298de",
+    "table1 --format csv":
+        "d38db9da0dafafde5b5169b67435102f247c030ff712281128255eb799c3b773",
+    "table1 --format json":
+        "789883f03b8c8e899e610c0f61c0ace18a8b5e5c1cc5085c308ff0bdc6036c44",
+    "radial --D 5 --alpha 2 --convention half --excitation 2 --format text":
+        "65868e0cd9266f27a430c20aea45ab35cd65a53ff49c836ba37b2b2aaa01388f",
+    "radial --D 5 --alpha 2 --convention half --excitation 2 --format json":
+        "8c91f08dd210e7cd960d6607961f3c9be2fac5ea2c28812128274b2ffccaba9a",
+    "feasible --n 3 --scheme m1 --format text":
+        "34fb88ec7fa2959cf322eae2a477e6fa6795717d114a9ad7080e5529bef0eddc",
+    "feasible --n 3 --scheme m1 --format json":
+        "3ae40799c808b1777555881ba98ef074a8f296b320e81259d658173279b60b6c",
+}
+
+
+class TestBytePins:
+    @pytest.mark.parametrize("key", sorted(_BYTE_PINS))
+    def test_stdout_digest(self, capsys, key):
+        code, out, _ = run(capsys, *key.split(" "))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _BYTE_PINS[key]
 
 
 class TestStrictJson:
