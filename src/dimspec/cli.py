@@ -3,8 +3,10 @@
 One verb per capability: ``energy`` and ``potential`` for single points,
 ``feasible`` for bound-state windows, ``scan`` for grids, ``table1`` for the
 comparison against the embedded reference energies, ``verify`` for the
-oracle sweep, ``radial`` for the shooting eigensolver. Data goes to stdout
-(or --out), diagnostics to stderr. Exit codes: 0 success, 1 invalid
+oracle sweep, ``radial`` for the shooting eigensolver. Data goes to stdout,
+diagnostics to stderr. Every verb builds its cells once and returns through
+one writer, ``_write``, which picks the format and the destination: --out
+gets exactly the bytes stdout would. Exit codes: 0 success, 1 invalid
 arguments or parameters, 2 numerical failure.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional
@@ -28,13 +31,12 @@ from .oracle import KineticConvention, radial_ground_state
 from .potential import alpha_coefficient
 from .refdata import PAPER_OMITTED_FLAG
 from .report import (
+    CSV_COLUMNS,
     OraclePoint,
     oracle_equivalence_report,
     record_fields,
     render_csv,
     render_json,
-    render_records_csv,
-    render_records_json,
     sort_records,
     table1_compare,
 )
@@ -71,18 +73,28 @@ def _parse_int_values(text: str) -> Iterator[int]:
     return chain.from_iterable(spans)
 
 
-def _emit(payload: str, out_path: Optional[str]) -> None:
-    if not payload.endswith("\n"):
-        payload += "\n"
-    if out_path:
+def _write(args, text, payload=None, csv_rows=None, csv_columns=()) -> None:
+    """The one writer behind every verb, and the only reader of ``args.format``
+    and ``args.out``. It renders ``payload`` by ``render_json``, ``csv_rows``
+    by ``render_csv`` or calls ``text()``, so only a text run formats the text
+    table, and writes the result, newline-terminated, to --out or stdout."""
+    if args.format == "json":
+        body = render_json(payload)
+    elif args.format == "csv":
+        body = render_csv(csv_rows, csv_columns)
+    else:
+        body = text()
+    if not body.endswith("\n"):
+        body += "\n"
+    if args.out:
         try:
-            Path(out_path).write_text(payload, encoding="utf-8")
+            Path(args.out).write_text(body, encoding="utf-8")
         except OSError as exc:
             raise InvalidParameterError(
-                "unwritable-output", f"cannot write {out_path}: {exc.strerror or exc}"
+                "unwritable-output", f"cannot write {args.out}: {exc.strerror or exc}"
             ) from None
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(body)
 
 
 def _json_float(value: Optional[SignedLogReal]) -> Optional[float]:
@@ -103,6 +115,8 @@ def _add_io_flags(sub: argparse.ArgumentParser, formats=("csv", "json", "text"))
     """--out, and --format with the formats the verb writes, if it has a choice."""
     if formats:
         sub.add_argument("--format", choices=formats, default="text")
+    else:
+        sub.set_defaults(format="text")
     sub.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
 
 
@@ -144,13 +158,9 @@ _ENERGY_JSON_KEYS = (
 def cmd_energy(args) -> int:
     rec = _energy_record(args)
     fields = record_fields(rec)
-    if args.format == "csv":
-        _emit(render_records_csv([rec]), args.out)
-    elif args.format == "json":
-        fields["alpha"] = _json_float(rec.alpha)
-        fields["E0"] = _json_float(rec.outcome.energy)
-        _emit(render_json({key: fields[key] for key in _ENERGY_JSON_KEYS}), args.out)
-    else:
+    cells = {**fields, "alpha": _json_float(rec.alpha), "E0": _json_float(rec.outcome.energy)}
+
+    def text() -> str:
         # the requested scheme: an n = 1 point is one record under mn and m1
         lines = [
             f"D={fields['D']} n={fields['n']} m={fields['m']} beta={fields['beta']}"
@@ -166,7 +176,9 @@ def cmd_energy(args) -> int:
             )
         elif rec.outcome.reason:
             lines.append(f"reason: {rec.outcome.reason}")
-        _emit("\n".join(lines), args.out)
+        return "\n".join(lines)
+
+    _write(args, text, {key: cells[key] for key in _ENERGY_JSON_KEYS}, [fields], CSV_COLUMNS)
     return 0
 
 
@@ -182,71 +194,50 @@ def cmd_potential(args) -> int:
         "alpha_lnmag": spec.alpha.lnmag if spec.alpha is not None else None,
         "alpha_decimal": spec.alpha.to_decimal(6) if spec.alpha is not None else None,
     }
-    if args.format == "json":
-        _emit(render_json(row), args.out)
-    elif args.format == "csv":
-        _emit(render_csv([row], [key for key in row if key != "alpha"]), args.out)
-    else:
+
+    def text() -> str:
         if spec.alpha is None:
-            _emit(
-                f"D={args.D} m={args.m}: logarithmic potential (beta = 0), "
-                "no power-law coupling",
-                args.out,
-            )
-        else:
-            _emit(
-                f"D={args.D} m={args.m}: alpha = {spec.alpha.to_decimal(6)} "
-                f"({spec.nature.value}), beta = {spec.beta}",
-                args.out,
-            )
+            return f"D={args.D} m={args.m}: logarithmic potential (beta = 0), no power-law coupling"
+        return (
+            f"D={args.D} m={args.m}: alpha = {row['alpha_decimal']} "
+            f"({row['nature']}), beta = {spec.beta}"
+        )
+
+    _write(args, text, row, [row], [key for key in row if key != "alpha"])
     return 0
 
 
 def cmd_feasible(args) -> int:
-    scheme = _SCHEMES[args.scheme]
-    window = bound_dims(args.n, scheme)
+    window = bound_dims(args.n, _SCHEMES[args.scheme])
     for D in window.paper_omitted:
         print(
             f"note: D={D} is {PAPER_OMITTED_FLAG}: the published discussion "
             "skips it although the window inequality admits it",
             file=sys.stderr,
         )
-    if args.format == "json":
-        obj = {
-            "n": window.n,
-            "scheme": window.scheme.value,
-            "d_min": window.d_min,
-            "d_max": window.d_max,
-            "members": list(window.members),
-            "paper_omitted": list(window.paper_omitted),
-        }
-        _emit(render_json(obj), args.out)
-    else:
-        _emit(" ".join(str(D) for D in window.members), args.out)
+    payload = {**asdict(window), "scheme": window.scheme.value}
+    _write(args, lambda: " ".join(map(str, window.members)), payload)
     return 0
 
 
 def cmd_scan(args) -> int:
-    records = scan(args.D, args.n, _SCHEMES[args.scheme])
-    records = sort_records(records)
-    if args.format == "csv":
-        _emit(render_records_csv(records), args.out)
-    elif args.format == "json":
-        _emit(render_records_json(records), args.out)
-    else:
+    records = sort_records(scan(args.D, args.n, _SCHEMES[args.scheme]))
+    rows = [record_fields(rec) for rec in records]
+
+    def text() -> str:
         lines = [f"{'D':>4} {'n':>3} {'m':>3} {'beta':>5}  {'classification':<12} {'E0':>12}"]
-        for rec in records:
-            e0 = rec.outcome.energy.to_decimal() if rec.outcome.is_bound else "-"
-            lines.append(
-                f"{rec.params.D:>4} {rec.params.n:>3} {rec.params.m:>3} "
-                f"{rec.beta:>5}  {rec.outcome.classification.value:<12} {e0:>12}"
-            )
-        _emit("\n".join(lines), args.out)
+        lines.extend(
+            f"{row['D']:>4} {row['n']:>3} {row['m']:>3} {row['beta']:>5}  "
+            f"{row['classification']:<12} {row['E0_decimal'] or '-':>12}"
+            for row in rows
+        )
+        return "\n".join(lines)
+
+    _write(args, text, rows, rows, CSV_COLUMNS)
     return 0
 
 
 def cmd_table1(args) -> int:
-    rows = table1_compare()
     table = [
         {
             "D": r.D,
@@ -257,20 +248,19 @@ def cmd_table1(args) -> int:
             "ratio": _json_float(r.ratio),
             "ratio_log10": r.ratio_log10,
         }
-        for r in rows
+        for r in table1_compare()
     ]
-    if args.format == "json":
-        _emit(render_json(table), args.out)
-    elif args.format == "csv":
-        _emit(render_csv(table, [key for key in table[0] if key != "ratio"]), args.out)
-    else:
+
+    def text() -> str:
         lines = [f"{'D':>4} {'n':>3} {'computed':>12} {'published':>12} {'log10 ratio':>12}"]
-        for r in rows:
-            lines.append(
-                f"{r.D:>4} {r.n:>3} {r.computed_E0.energy.to_decimal():>12} "
-                f"{r.paper_E0:>12.2e} {r.ratio_log10:>12.3f}"
-            )
-        _emit("\n".join(lines), args.out)
+        lines.extend(
+            f"{row['D']:>4} {row['n']:>3} {row['computed_E0_decimal']:>12} "
+            f"{row['paper_E0']:>12.2e} {row['ratio_log10']:>12.3f}"
+            for row in table
+        )
+        return "\n".join(lines)
+
+    _write(args, text, table, table, [key for key in table[0] if key != "ratio"])
     return 0
 
 
@@ -291,11 +281,9 @@ def cmd_verify(args) -> int:
         file=sys.stderr,
     )
     ok = report.max_lnmag_deviation <= 1e-8 and report.max_r_star_deviation <= 1e-9
-    if ok:
-        _emit("oracle–closed-form max relative deviation ≤ 1e-8", args.out)
-        return 0
-    _emit("oracle–closed-form max relative deviation exceeds 1e-8", args.out)
-    return 2
+    verdict = "≤" if ok else "exceeds"
+    _write(args, lambda: f"oracle–closed-form max relative deviation {verdict} 1e-8")
+    return 0 if ok else 2
 
 
 def cmd_radial(args) -> int:
@@ -306,29 +294,29 @@ def cmd_radial(args) -> int:
         _CONVENTIONS[args.convention],
         args.excitation,
     )
-    if args.format == "json":
-        obj = {
-            "D": args.D,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "convention": args.convention,
-            "excitation": args.excitation,
-            "E": solution.energy,
-            "nodes": solution.nodes,
-            "r_max": solution.r_max,
-            "h": solution.h,
-            "sweeps": solution.sweeps,
-            "matches": solution.matches,
-            "steps": solution.steps,
-        }
-        _emit(render_json(obj), args.out)
-    else:
-        _emit(
+    payload = {
+        "D": args.D,
+        "alpha": args.alpha,
+        "beta": args.beta,
+        "convention": args.convention,
+        "excitation": args.excitation,
+        "E": solution.energy,
+        "nodes": solution.nodes,
+        "r_max": solution.r_max,
+        "h": solution.h,
+        "sweeps": solution.sweeps,
+        "matches": solution.matches,
+        "steps": solution.steps,
+    }
+
+    def text() -> str:
+        return (
             f"E = {solution.energy:.9g} hartree (nodes={solution.nodes}, "
             f"convention={args.convention}, r_max={solution.r_max}, h={solution.h}, "
-            f"sweeps={solution.sweeps}, matches={solution.matches}, steps={solution.steps})",
-            args.out,
+            f"sweeps={solution.sweeps}, matches={solution.matches}, steps={solution.steps})"
         )
+
+    _write(args, text, payload)
     return 0
 
 

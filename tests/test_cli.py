@@ -49,12 +49,18 @@ _VERB_ARGVS = {
 }
 
 
+def _verb_parsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
 def _format_choices(verb):
     """The --format choices the verb's parser accepts; None for a verb
     without the flag, which always writes text."""
-    sub = build_parser()._subparsers._group_actions[0].choices[verb]
-    flag = next((a for a in sub._actions if a.dest == "format"), None)
+    flag = next((a for a in _verb_parsers()[verb]._actions if a.dest == "format"), None)
     return tuple(flag.choices) if flag is not None else (None,)
+
+
+_VERB_FORMATS = [(verb, fmt) for verb in _VERB_ARGVS for fmt in _format_choices(verb)]
 
 
 def _verb_argv(verb, fmt):
@@ -274,9 +280,7 @@ class TestOutputFile:
         assert f"dimspec: invalid parameters: cannot write {tmp_path}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "verb,fmt", [(verb, fmt) for verb in _VERB_ARGVS for fmt in _format_choices(verb)]
-    )
+    @pytest.mark.parametrize("verb,fmt", _VERB_FORMATS)
     def test_out_gets_the_stdout_bytes(self, capsys, tmp_path, verb, fmt):
         argv = _verb_argv(verb, fmt)
         code, out, _ = run(capsys, *argv)
@@ -304,6 +308,27 @@ _BYTE_PINS = {
     "feasible --n 3 --scheme m1 --format json":
         "3ae40799c808b1777555881ba98ef074a8f296b320e81259d658173279b60b6c",
 }
+
+
+class TestFormatChoices:
+    """Each --format a verb's parser accepts is one its writer is handed."""
+
+    def test_every_verb_is_covered(self):
+        assert set(_verb_parsers()) == set(_VERB_ARGVS)
+
+    @pytest.mark.parametrize("verb,fmt", _VERB_FORMATS)
+    def test_output_parses_as_the_chosen_format(self, capsys, verb, fmt):
+        code, out, _ = run(capsys, *_verb_argv(verb, fmt))
+        assert code == 0
+        if fmt == "json":
+            payload = strict_json(out)
+            assert isinstance(payload, (dict, list)) and payload
+        elif fmt == "csv":
+            header, *rows = csv.reader(io.StringIO(out))
+            assert all(re.fullmatch(r"[A-Za-z_]\w*", name) for name in header)
+            assert rows and all(len(row) == len(header) for row in rows)
+        else:
+            assert out.strip()
 
 
 class TestBytePins:

@@ -4,10 +4,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimspec import (
     CSV_HEADER,
     Classification,
+    DimspecError,
     InvalidParameterError,
     Scheme,
     SignedLogReal,
@@ -241,6 +244,66 @@ class TestSerialization:
         ordered = sort_records(records)
         keys = [(r.params.n, r.params.D) for r in ordered]
         assert keys == sorted(keys)
+
+
+# a rendered scan table of both schemes, with bound, divergent, logarithmic,
+# invalid and reference rows, for the parsers to meet with hostile cells
+_TABLE = sort_records(
+    scan(range(2, 13), range(1, 4), Scheme.M_EQUALS_N)
+    + scan(range(2, 13), range(1, 4), Scheme.M_EQUALS_ONE)
+)
+_TABLE_CSV = list(csv.reader(io.StringIO(render_records_csv(_TABLE))))
+_TABLE_JSON = json.loads(render_records_json(_TABLE))
+
+# tokens written in place of a cell, as they appear in the text: non-finite
+# and out-of-range floats, booleans, containers, huge ints (past the 4300-digit
+# int conversion limit too), signed zero, subnormals, strings where numbers go
+_HOSTILE = (
+    "nan", "NaN", "inf", "-inf", "Infinity", "-Infinity", "1e309", "-1e309",
+    "True", "true", "false", "null", "None", "[]", "{}", "[1]", '{"a": 1}',
+    "9" * 5000, "-" + "9" * 40, "-0.0", "-0", "0", "5e-324", "1e-400", "1.0",
+    "2.5", "-1", "3", '"1"', '"nan"', '""', "", "x", "Eq2", "bound",
+)
+_CELL_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, len(_TABLE) - 1),
+        st.sampled_from(CSV_COLUMNS),
+        st.sampled_from(_HOSTILE),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _parse_or_classified_error(parse, text):
+    # any error other than a DimspecError escapes and fails the test
+    try:
+        parse(text)
+    except DimspecError:
+        pass
+
+
+class TestHostileCells:
+    @given(edits=_CELL_EDITS)
+    @settings(max_examples=150, deadline=None)
+    def test_csv_cells(self, edits):
+        rows = [list(row) for row in _TABLE_CSV]
+        for row, col, token in edits:
+            rows[1 + row][CSV_COLUMNS.index(col)] = token
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        _parse_or_classified_error(parse_records_csv, buf.getvalue())
+
+    @given(edits=_CELL_EDITS)
+    @settings(max_examples=150, deadline=None)
+    def test_json_cells(self, edits):
+        entries = [dict(entry) for entry in _TABLE_JSON]
+        for i, (row, col, _) in enumerate(edits):
+            entries[row][col] = f"@hostile-{i}@"
+        text = json.dumps(entries)
+        for i, (_, _, token) in enumerate(edits):
+            text = text.replace(f'"@hostile-{i}@"', token)
+        _parse_or_classified_error(parse_records_json, text)
 
 
 def _grid_rows():

@@ -207,3 +207,33 @@ class TestMonotonicity:
             e0_general(query(D, n, n)).energy.lnmag for D in window.members
         ]
         assert all(a > b for a, b in zip(lnmags, lnmags[1:]))
+
+
+# a power n across the query's whole domain, and a decay exponent below 2n
+_bound_powers = st.integers(1, N_LIMIT).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, 2 * n - 1))
+)
+
+
+class TestCouplingScaling:
+    @given(
+        n_beta=_bound_powers,
+        D=st.integers(2, 10**6),
+        ln_alpha=st.floats(-230, 230),
+        ln_lam=st.floats(-50, 50),
+    )
+    @settings(max_examples=300)
+    def test_energy_scales_as_a_power_of_the_coupling(self, n_beta, D, ln_alpha, ln_lam):
+        # ln|E(lam alpha)| - ln|E(alpha)| = (2n / (2n - beta)) ln lam, no reference needed
+        n, beta = n_beta
+
+        def ln_e(ln_a):
+            return e0_general(EnergyQuery(SignedLogReal(1, ln_a), beta, n, D)).energy.lnmag
+
+        before, after = ln_e(ln_alpha), ln_e(ln_alpha + ln_lam)
+        two_n = 2 * n
+        # the closed form subtracts terms as large as x_dim ln D, with
+        # x_dim = 2n beta / (2n - beta), which cancel far below that at small D,
+        # so its floats are good to a few ulps of that term, not of ln|E|
+        scale = max(1.0, abs(before), abs(after), two_n * beta / (two_n - beta) * math.log(D))
+        assert abs((after - before) - two_n / (two_n - beta) * ln_lam) <= 1e-13 * scale
