@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and ``require_int``, the
+one check of an integer argument."""
 
 from __future__ import annotations
 
@@ -33,3 +34,23 @@ class SingularPotentialError(DimspecError):
 
 class NoConvergenceError(DimspecError):
     """A numerical search failed to converge or to bracket its target."""
+
+
+def require_int(
+    name: str, value, lo=None, hi=None, code="out-of-range", message="need {bound}, got {value}"
+) -> int:
+    """``value``, if it is an int (not a bool) in [lo, hi], a None bound being
+    open. Otherwise raises InvalidParameterError: coded ``non-integer`` for
+    any other type, and ``code`` out of range, with ``message`` formatted from
+    name, value, lo, hi and bound, the side it falls outside ("n <= 10000")."""
+    if type(value) is not int:
+        raise InvalidParameterError("non-integer", f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        bound = f"{name} >= {lo}"
+    elif hi is not None and value > hi:
+        bound = f"{name} <= {hi}"
+    else:
+        return value
+    raise InvalidParameterError(
+        code, message.format(name=name, value=value, lo=lo, hi=hi, bound=bound)
+    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_int
 from .model import (
     EnergyOutcome,
     ScanRecord,
@@ -47,10 +47,7 @@ class FeasibilityWindow:
 def bound_dims(n: int, scheme: Scheme) -> FeasibilityWindow:
     """Enumerate the integer dimensions inside the bound-state window, for
     1 <= n <= N_LIMIT: the window holds ~2n dimensions."""
-    if n < 1:
-        raise InvalidParameterError("bad-power", f"n must be >= 1, got {n}")
-    if n > N_LIMIT:
-        raise InvalidParameterError("out-of-range", f"need n <= {N_LIMIT}, got n={n}")
+    require_int("n", n, 1, N_LIMIT)
     if scheme is Scheme.M_EQUALS_N:
         d_min, d_max = 2 * n, 4 * n
         m = n
@@ -140,15 +137,14 @@ def _grid_axis(name: str, values: Iterable[int], lo: int, hi: int) -> list[int]:
     """The distinct values, ascending. A non-integer or a value outside
     [lo, hi] is rejected as soon as it is met, so an oversized range costs
     no more than its in-bound part."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise InvalidParameterError("non-integer", f"{name} values must be iterable") from None
     seen = set()
+    message = "{name} values must lie in [{lo}, {hi}]"
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InvalidParameterError("non-integer", f"{name} values must be integers")
-        if not lo <= v <= hi:
-            raise InvalidParameterError(
-                "range-bounds", f"{name} values must lie in [{lo}, {hi}]"
-            )
-        seen.add(v)
+        seen.add(require_int(name, v, lo, hi, "range-bounds", message))
     if not seen:
         raise InvalidParameterError("empty-range", f"{name} range is empty")
     return sorted(seen)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_int
 from .signedlog import SignedLogReal
 
 
@@ -39,12 +39,6 @@ class PotentialNature(Enum):
     LOGARITHMIC = "logarithmic"
 
 
-def _require_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError("non-integer", f"{name} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """The integer triple (D, n, m).
@@ -58,15 +52,9 @@ class SystemParams:
     m: int
 
     def __post_init__(self) -> None:
-        _require_int("D", self.D)
-        _require_int("n", self.n)
-        _require_int("m", self.m)
-        if self.D < 2:
-            raise InvalidParameterError("bad-dimension", f"D must be >= 2, got {self.D}")
-        if self.n < 1:
-            raise InvalidParameterError("bad-power", f"n must be >= 1, got {self.n}")
-        if self.m < 1:
-            raise InvalidParameterError("bad-power", f"m must be >= 1, got {self.m}")
+        require_int("D", self.D, 2, code="bad-dimension")
+        require_int("n", self.n, 1, code="bad-power")
+        require_int("m", self.m, 1, code="bad-power")
 
     @property
     def scheme(self) -> Scheme:
@@ -157,8 +145,13 @@ def classify_coupling(beta: int, sign: int, n: int) -> Classification:
     potential (beta < 0) is invalid, beta == 0 is the logarithmic
     degeneration, a non-positive coupling is repulsive whatever the
     exponent, and only then do the window boundaries (beta == 2n divergent,
-    beta > 2n singular) come into play.
+    beta > 2n singular) come into play. All three must be ints.
     """
+    # one expression, no call: this runs once per evaluated record
+    if not type(beta) is type(sign) is type(n) is int:
+        raise InvalidParameterError(
+            "non-integer", f"beta, sign and n must be integers, got {beta!r}, {sign!r}, {n!r}"
+        )
     if beta < 0:
         return Classification.INVALID
     if beta == 0:
@@ -175,13 +168,9 @@ def classify_coupling(beta: int, sign: int, n: int) -> Classification:
 def classify_regime(D: int, n: int, m: int) -> Classification:
     """Regime of the point-charge potential at (D, n, m): beta = D - 2m and
     the coupling sign (-1)^(m+1), so an even m is repulsive."""
-    _require_int("D", D)
-    _require_int("n", n)
-    _require_int("m", m)
-    if D < 2 or n < 1 or m < 1:
-        raise InvalidParameterError(
-            "out-of-domain", f"need D >= 2, n >= 1, m >= 1; got D={D}, n={n}, m={m}"
-        )
+    require_int("D", D, 2, code="out-of-domain")
+    require_int("n", n, 1, code="out-of-domain")
+    require_int("m", m, 1, code="out-of-domain")
     return classify_coupling(D - 2 * m, 1 if m % 2 == 1 else -1, n)
 
 

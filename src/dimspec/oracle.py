@@ -47,6 +47,7 @@ from .errors import (
     NoConvergenceError,
     NoMinimumError,
     SingularPotentialError,
+    require_int,
 )
 from .model import Classification, classify_coupling
 from .potential import LN_2
@@ -85,6 +86,15 @@ def _slope(t: float, p: float, q: float, two_n: int, beta: int) -> float:
         return -math.inf
 
 
+def _stationarity(q: EnergyQuery) -> tuple[float, float]:
+    """ln A with A = (D/2)^(2n), and the stationarity estimate of ln r*,
+    from r*^(2n-beta) = 2n A / (alpha beta)."""
+    two_n = 2 * q.n
+    ln_amp = two_n * (math.log(q.D) - LN_2)
+    x_seed = (math.log(two_n) + ln_amp - q.alpha.lnmag - math.log(q.beta)) / (two_n - q.beta)
+    return ln_amp, x_seed
+
+
 def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     """Locate the interior minimum of the effective potential by search.
 
@@ -107,8 +117,7 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
             f"no interior minimum for alpha sign {sign}, beta={q.beta}, n={q.n}: {tag.value}"
         )
     two_n, beta = 2 * q.n, q.beta
-    ln_amp = two_n * (math.log(q.D) - LN_2)  # ln A, A = (D/2)^(2n)
-    x_seed = (math.log(two_n) + ln_amp - q.alpha.lnmag - math.log(beta)) / (two_n - beta)
+    ln_amp, x_seed = _stationarity(q)
     # ln |V_eff(r*)|: the potential is divided by it, so that its slope near
     # the minimum is of order 1
     ln_scale = q.alpha.lnmag - beta * x_seed + math.log1p(-beta / two_n)
@@ -232,20 +241,10 @@ def radial_ground_state(
     and energy scale comes from the closed-form estimate E_est, so the solve
     costs the same at any alpha.
     """
-    if not isinstance(D, int) or isinstance(D, bool) or D < 3:
-        raise InvalidParameterError(
-            "centrifugal-irregular", f"radial solver needs integer D >= 3, got {D!r}"
-        )
-    if D > RADIAL_D_LIMIT:
-        raise InvalidParameterError(
-            "out-of-range", f"radial solver needs D <= {RADIAL_D_LIMIT}, got {D}"
-        )
-    if not isinstance(beta, int) or isinstance(beta, bool):
-        raise InvalidParameterError("non-integer", f"beta must be an integer, got {beta!r}")
-    if not isinstance(excitation, int) or isinstance(excitation, bool):
-        raise InvalidParameterError(
-            "non-integer", f"excitation must be an integer, got {excitation!r}"
-        )
+    needs = "radial solver needs {bound}, got {value}"
+    require_int("D", D, 3, RADIAL_D_LIMIT, message=needs)
+    require_int("beta", beta)
+    require_int("excitation", excitation, 0, RADIAL_EXCITATION_LIMIT, message=needs)
     if not isinstance(convention, KineticConvention):
         raise InvalidParameterError(
             "bad-convention", f"convention must be a KineticConvention, got {convention!r}"
@@ -265,13 +264,6 @@ def radial_ground_state(
     if tag is not Classification.BOUND:
         raise InvalidParameterError(
             tag.value, f"radial solver needs alpha > 0 and beta = 1: {tag.value} coupling"
-        )
-    if excitation < 0:
-        raise InvalidParameterError("bad-excitation", "excitation must be >= 0")
-    if excitation > RADIAL_EXCITATION_LIMIT:
-        raise InvalidParameterError(
-            "out-of-range",
-            f"radial solver needs excitation <= {RADIAL_EXCITATION_LIMIT}, got {excitation}",
         )
 
     c0 = 1.0 if convention is KineticConvention.FULL_LAPLACIAN else 0.5

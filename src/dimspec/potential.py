@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import GammaPoleError, InvalidParameterError
+from .errors import GammaPoleError, InvalidParameterError, require_int
 from .model import PotentialSpec
 from .signedlog import SignedLogReal
 
@@ -21,9 +21,10 @@ LN_SQRT_PI = 0.5 * LN_PI
 LN_2 = math.log(2.0)
 LN_4 = math.log(4.0)
 
-# Largest dimension alpha_coefficient and alpha_m1_closed_form accept. Their
-# gamma factors are summed term by term, so the cost grows linearly in D:
-# about 1 ms at this bound, about a day at D = 1e12.
+# Largest dimension alpha_coefficient and alpha_m1_closed_form accept, and
+# largest twice log_gamma_half does. Their gamma factors are summed term by
+# term, so the cost grows linearly in D: about 1 ms at this bound, about a
+# day at D = 1e12.
 D_LIMIT = 10_000
 
 
@@ -38,8 +39,8 @@ def _log_gamma_twice(twice: int) -> float:
 
 
 def log_gamma_half(twice: int) -> float:
-    """ln Gamma(twice / 2) for a positive ``twice``: the half-integer lattice."""
-    if twice <= 0:
+    """ln Gamma(twice / 2) for 0 < twice <= D_LIMIT: the half-integer lattice."""
+    if require_int("twice", twice, hi=D_LIMIT) <= 0:
         raise GammaPoleError(f"Gamma pole or reflection region at x = {twice}/2")
     return _log_gamma_twice(twice)
 
@@ -54,10 +55,8 @@ def alpha_coefficient(D: int, m: int) -> PotentialSpec:
     as a classified spec rather than an error; D < 2m is short range and is
     rejected, and so is D > D_LIMIT.
     """
-    if not 2 <= D <= D_LIMIT or m < 1:
-        raise InvalidParameterError(
-            "out-of-domain", f"need 2 <= D <= {D_LIMIT}, m >= 1; got D={D}, m={m}"
-        )
+    require_int("D", D, 2, D_LIMIT, "out-of-domain")
+    require_int("m", m, 1, code="out-of-domain")
     beta = D - 2 * m
     if beta < 0:
         raise InvalidParameterError(
@@ -82,8 +81,7 @@ def alpha_m1_closed_form(D: int) -> SignedLogReal:
     Kept as an independently coded expression so the general coefficient can
     be cross-checked against it; both must agree for every 3 <= D <= D_LIMIT.
     """
-    if not 3 <= D <= D_LIMIT:
-        raise InvalidParameterError("out-of-domain", f"need 3 <= D <= {D_LIMIT}, got D={D}")
+    require_int("D", D, 3, D_LIMIT, "out-of-domain")
     lnmag = (
         LN_2
         + log_gamma_half(D)

@@ -27,13 +27,13 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimspecError, InvalidParameterError
+from .errors import DimspecError, InvalidParameterError, require_int
 from .feasibility import D_MAX, D_MIN, N_MAX, N_MIN, bound_dims, build_record
 from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams
 from .refdata import TABLE1_E0
 from .signedlog import SignedLogReal
 from .spectrum import EnergyQuery, e0_general, e0_scheme_mn
-from .oracle import minimize_v_eff
+from .oracle import _stationarity, minimize_v_eff
 from .potential import alpha_coefficient
 
 _LN10 = math.log(10.0)
@@ -145,11 +145,16 @@ def _record_from_fields(f: dict) -> ScanRecord:
     of its domain, or any cell the inputs do not give makes it unparseable."""
     try:
         beta = f["beta"]
-        if isinstance(beta, bool) or not isinstance(beta, int):
+        if type(beta) is not int:
             raise InvalidParameterError("unparseable", f"beta must be an integer, got {beta!r}")
         alpha = None
         if f["alpha_sign"] is not None:
-            alpha = SignedLogReal(f["alpha_sign"], f["alpha_lnmag"])
+            try:
+                alpha = SignedLogReal(f["alpha_sign"], f["alpha_lnmag"])
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(
+                    "unparseable", f"'alpha_sign' and 'alpha_lnmag' give no coupling: {exc}"
+                ) from None
         params = SystemParams(f["D"], f["n"], f["m"])
         rec = build_record(params, beta, alpha, reference=f["paper_E0"] is not None)
     except KeyError as exc:
@@ -232,6 +237,8 @@ _CSV_KEYS = frozenset(("D", "n", "m", "beta"))
 
 
 def parse_records_csv(text: str) -> list[ScanRecord]:
+    if not isinstance(text, str):
+        raise InvalidParameterError("bad-header", f"expected CSV text, got {text!r}")
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_COLUMNS:
@@ -264,7 +271,7 @@ def render_records_json(records: list[ScanRecord]) -> str:
 def parse_records_json(text: str) -> list[ScanRecord]:
     try:
         payload = json.loads(text)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidParameterError("bad-json", f"not JSON: {exc}") from None
     if not isinstance(payload, list):
         raise InvalidParameterError("bad-json", "expected a top-level JSON array")
@@ -341,12 +348,8 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
     ``max_n``, dimensions capped at ``max_D``. Both caps must lie on the scan
     grid, [N_MIN, N_MAX] and [D_MIN, D_MAX]; they are checked before any work.
     """
-    if not (N_MIN <= max_n <= N_MAX and D_MIN <= max_D <= D_MAX):
-        raise InvalidParameterError(
-            "range-bounds",
-            f"need max_n in [{N_MIN}, {N_MAX}] and max_D in [{D_MIN}, {D_MAX}]; "
-            f"got max_n={max_n}, max_D={max_D}",
-        )
+    require_int("max_n", max_n, N_MIN, N_MAX, "range-bounds")
+    require_int("max_D", max_D, D_MIN, D_MAX, "range-bounds")
     points: list[OraclePoint] = []
     combos = [(n, Scheme.M_EQUALS_N) for n in range(1, max_n + 1, 2)]
     combos += [(n, Scheme.M_EQUALS_ONE) for n in range(1, max_n + 1)]
@@ -360,13 +363,7 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
             query = EnergyQuery(spec.alpha, D - 2 * m, n, D)
             closed = e0_general(query)
             found = minimize_v_eff(query)
-            # stationarity closed form: r*^(2n-beta) = 2n (D/2)^(2n) / (alpha beta)
-            ln_r_stat = (
-                math.log(2 * n)
-                + 2 * n * (math.log(D) - math.log(2.0))
-                - spec.alpha.lnmag
-                - math.log(query.beta)
-            ) / (2 * n - query.beta)
+            _, ln_r_stat = _stationarity(query)
             points.append(
                 OraclePoint(
                     D=D,

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InvalidParameterError
+
 _LN10 = math.log(10.0)
 
 # math.exp overflows (raises) just above this argument
@@ -24,7 +26,8 @@ class SignedLogReal:
     """A real number stored as a sign in {-1, 0, +1} and ln of its magnitude.
 
     ``lnmag`` is meaningless when ``sign == 0`` and is pinned to 0.0 there so
-    that equality and hashing stay well defined.
+    that equality and hashing stay well defined. Any other sign, or a
+    non-finite lnmag, raises InvalidParameterError.
     """
 
     sign: int
@@ -34,20 +37,24 @@ class SignedLogReal:
         # an exact int: a bool or a float sign compares equal to 1 but would
         # be written back as true or 1.0
         if type(self.sign) is not int or self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be the int -1, 0 or +1, got {self.sign!r}")
-        if self.sign == 0:
-            if self.lnmag != 0.0:
-                raise ValueError("zero must carry lnmag == 0.0")
-        elif not math.isfinite(self.lnmag):
-            raise ValueError(f"lnmag must be finite, got {self.lnmag!r}")
+            raise InvalidParameterError("bad-sign", f"sign must be -1, 0 or +1, got {self.sign!r}")
+        try:  # a non-number, or an int past the float range, is not finite
+            finite = math.isfinite(self.lnmag)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite or (self.sign == 0 and self.lnmag != 0.0):
+            raise InvalidParameterError(
+                "bad-lnmag", f"lnmag must be finite, and 0.0 at sign 0; got {self.lnmag!r}"
+            )
 
     @classmethod
     def from_float(cls, x: float) -> "SignedLogReal":
         if x == 0.0:
             return _ZERO
-        if not math.isfinite(x):
-            raise ValueError(f"cannot represent {x!r}")
-        return cls(1 if x > 0.0 else -1, math.log(abs(x)))
+        try:  # cls rejects the lnmag of an infinite or nan x
+            return cls(1 if x > 0.0 else -1, math.log(abs(x)))
+        except (TypeError, OverflowError, InvalidParameterError):
+            raise InvalidParameterError("unrepresentable", f"cannot represent {x!r}") from None
 
     def to_float(self) -> float:
         """Nearest ordinary float; overflows saturate to +/-inf, underflows to 0.0."""

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_int
 from .model import (
     Classification,
     EnergyOutcome,
@@ -28,7 +28,7 @@ from .model import (
     classify_outcome,
     classify_regime,
 )
-from .potential import LN_2, alpha_coefficient
+from .potential import D_LIMIT, LN_2, alpha_coefficient
 from .signedlog import SignedLogReal
 
 
@@ -44,17 +44,24 @@ N_LIMIT = 10_000
 class EnergyQuery:
     """Inputs to the general evaluator: coupling, decay exponent, powers.
 
-    Rejects n > N_LIMIT, for ``e0_general`` and ``minimize_v_eff`` alike.
+    The one gate of ``e0_general`` and ``minimize_v_eff`` alike: alpha is a
+    SignedLogReal or None (no coupling), and beta >= 0, 1 <= n <= N_LIMIT
+    and D >= 2 are ints. Anything else raises InvalidParameterError.
     """
 
-    alpha: SignedLogReal
+    alpha: Optional[SignedLogReal]
     beta: int
     n: int
     D: int
 
     def __post_init__(self) -> None:
-        if self.n > N_LIMIT:
-            raise InvalidParameterError("out-of-range", f"need n <= {N_LIMIT}, got n={self.n}")
+        if self.alpha is not None and not isinstance(self.alpha, SignedLogReal):
+            raise InvalidParameterError(
+                "malformed-query", f"alpha must be a SignedLogReal or None, got {self.alpha!r}"
+            )
+        require_int("beta", self.beta, 0, code="malformed-query")
+        require_int("n", self.n, 1, N_LIMIT)
+        require_int("D", self.D, 2, code="malformed-query")
 
 
 def e0_general(q: EnergyQuery) -> EnergyOutcome:
@@ -63,11 +70,6 @@ def e0_general(q: EnergyQuery) -> EnergyOutcome:
     Outside that window the outcome is the ``classify_coupling`` tag of
     (beta, sign of alpha, n); a missing alpha counts as zero.
     """
-    if q.beta < 0 or q.n < 1 or q.D < 2:
-        return EnergyOutcome.invalid(
-            "malformed-query",
-            f"need beta >= 0, n >= 1, D >= 2; got beta={q.beta}, n={q.n}, D={q.D}",
-        )
     sign = q.alpha.sign if q.alpha is not None else 0
     tag = classify_coupling(q.beta, sign, q.n)
     if tag is not Classification.BOUND:
@@ -148,10 +150,6 @@ def e0_scheme_m1_rederived(D: int, n: int) -> EnergyOutcome:
     Well defined on the whole window 2 < D < 2(n+1), including the D <= 2n
     points where the printed form breaks down.
     """
-    if D < 2 or n < 1:
-        return EnergyOutcome.invalid(
-            "malformed-query", f"need D >= 2, n >= 1; got D={D}, n={n}"
-        )
     return e0_general(EnergyQuery(alpha_coefficient(D, 1).alpha, D - 2, n, D))
 
 
@@ -166,9 +164,10 @@ def effective_quantum_number(energy: SignedLogReal) -> QuantumNumber:
     Inverts E = -1/(2 k^2) to k* = sqrt(1/(2|E|)); the nearest integer is
     rounded half away from zero.
     """
-    if energy.sign != -1:
+    if not isinstance(energy, SignedLogReal) or energy.sign != -1:
         raise InvalidParameterError(
-            "nonnegative-energy", "effective quantum number needs a negative energy"
+            "nonnegative-energy",
+            f"effective quantum number needs a negative SignedLogReal energy, got {energy!r}",
         )
     ln_k = -0.5 * (LN_2 + energy.lnmag)
     k_star = SignedLogReal(1, ln_k).to_float()
@@ -193,10 +192,10 @@ def scheme_m1_discrepancies(n: int) -> list[M1Discrepancy]:
     Empty for n = 1 (the forms coincide there); non-empty for every n > 1,
     which is the point: the printed form is not a rewriting of the general
     result once n exceeds 1. Two bound energies agree when their ln|E| differ
-    by at most 1e-12 relative.
+    by at most 1e-12 relative. n runs up to (D_LIMIT - 1) // 2, where the
+    window's last D reaches D_LIMIT; the gamma sums cost ~n^2, seconds there.
     """
-    if n < 1:
-        raise InvalidParameterError("bad-power", f"n must be >= 1, got {n}")
+    require_int("n", n, 1, (D_LIMIT - 1) // 2)
     out: list[M1Discrepancy] = []
     for D in range(3, 2 * (n + 1)):
         if classify_regime(D, n, 1) is not Classification.BOUND:

@@ -112,7 +112,9 @@ class TestSerialization:
         with pytest.raises(InvalidParameterError):
             parse_records_csv("a,b,c\n1,2,3\n")
 
-    @pytest.mark.parametrize("column,cell", [("D", "x"), ("beta", ""), ("E0_lnmag", "x")])
+    @pytest.mark.parametrize(
+        "column,cell", [("D", "x"), ("beta", ""), ("E0_lnmag", "x"), ("alpha_sign", "2")]
+    )
     def test_csv_unreadable_cell_is_unparseable(self, column, cell):
         header, row = render_records_csv(scan([3], [1], Scheme.M_EQUALS_N)).splitlines()
         cells = row.split(",")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimspec import SignedLogReal
+from dimspec import InvalidParameterError, SignedLogReal
 
 
 # magnitudes across the full representable float range, built as m * 10^e
@@ -45,9 +45,9 @@ class TestRoundTrip:
         assert z.sign == 0 and z.to_float() == 0.0
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             SignedLogReal.from_float(math.inf)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             SignedLogReal.from_float(math.nan)
 
 

@@ -64,8 +64,10 @@ class TestE0General:
         assert out.classification is Classification.LOGARITHMIC
 
     def test_malformed(self):
-        out = e0_general(EnergyQuery(SignedLogReal(1, 0.0), -1, 1, 3))
-        assert out.classification is Classification.INVALID
+        # the query itself is rejected: no malformed query reaches e0_general
+        with pytest.raises(InvalidParameterError) as err:
+            EnergyQuery(SignedLogReal(1, 0.0), -1, 1, 3)
+        assert err.value.code == "malformed-query"
 
     def test_n_above_limit_is_rejected(self):
         assert e0_general(EnergyQuery(SignedLogReal(1, 0.0), 1, N_LIMIT, 3)).is_bound
