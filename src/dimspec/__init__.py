@@ -50,6 +50,7 @@ from .potential import (
 from .refdata import TABLE1_E0
 from .report import (
     CSV_HEADER,
+    M1Discrepancy,
     OraclePoint,
     OracleReport,
     Table1Row,
@@ -58,20 +59,19 @@ from .report import (
     parse_records_json,
     render_records_csv,
     render_records_json,
+    scheme_m1_discrepancies,
     sort_records,
     table1_compare,
 )
 from .signedlog import SignedLogReal
 from .spectrum import (
     EnergyQuery,
-    M1Discrepancy,
     QuantumNumber,
     e0_general,
     e0_scheme_m1,
     e0_scheme_m1_rederived,
     e0_scheme_mn,
     effective_quantum_number,
-    scheme_m1_discrepancies,
 )
 
 __version__ = "0.1.0"

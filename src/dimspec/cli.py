@@ -26,7 +26,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .feasibility import bound_dims, build_record, evaluate_point, scan
-from .model import ScanRecord, Scheme, SystemParams
+from .model import ScanRecord, Scheme, SystemParams, scheme_m
 from .oracle import KineticConvention, radial_ground_state
 from .potential import alpha_coefficient
 from .refdata import PAPER_OMITTED_FLAG
@@ -37,11 +37,11 @@ from .report import (
     record_fields,
     render_csv,
     render_json,
+    scheme_m1_discrepancies,
     sort_records,
     table1_compare,
 )
 from .signedlog import SignedLogReal
-from .spectrum import scheme_m1_discrepancies
 
 _SCHEMES = {s.value: s for s in Scheme}
 _CONVENTIONS = {c.value: c for c in KineticConvention}
@@ -138,12 +138,10 @@ def _energy_record(args) -> ScanRecord:
                 "scheme-mismatch",
                 f"{flag} needs scheme explicit; scheme {args.scheme} derives the coupling",
             )
-    if args.m is not None:
-        expected = args.n if scheme is Scheme.M_EQUALS_N else 1
-        if args.m != expected:
-            raise InvalidParameterError(
-                "scheme-mismatch", f"--m {args.m} conflicts with scheme {args.scheme}"
-            )
+    if args.m is not None and args.m != scheme_m(args.n, scheme):
+        raise InvalidParameterError(
+            "scheme-mismatch", f"--m {args.m} conflicts with scheme {args.scheme}"
+        )
     return evaluate_point(args.D, args.n, scheme)
 
 

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and ``require_int``, the
-one check of an integer argument."""
+"""Exception hierarchy shared across the package, ``require_int``, the one
+check of an integer argument, and ``_shown``, the one way a message prints a
+caller's value."""
 
 from __future__ import annotations
 
@@ -36,6 +37,18 @@ class NoConvergenceError(DimspecError):
     """A numerical search failed to converge or to bracket its target."""
 
 
+def _shown(value) -> str:
+    """``repr(value)``, except that an int too long for ``repr`` (past
+    ``sys.get_int_max_str_digits()`` digits) shows as its bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            sign = "a negative" if value < 0 else "an"
+            return f"{sign} int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
+
+
 def require_int(
     name: str, value, lo=None, hi=None, code="out-of-range", message="need {bound}, got {value}"
 ) -> int:
@@ -44,7 +57,9 @@ def require_int(
     any other type, and ``code`` out of range, with ``message`` formatted from
     name, value, lo, hi and bound, the side it falls outside ("n <= 10000")."""
     if type(value) is not int:
-        raise InvalidParameterError("non-integer", f"{name} must be an integer, got {value!r}")
+        raise InvalidParameterError(
+            "non-integer", f"{name} must be an integer, got {_shown(value)}"
+        )
     if lo is not None and value < lo:
         bound = f"{name} >= {lo}"
     elif hi is not None and value > hi:
@@ -52,5 +67,5 @@ def require_int(
     else:
         return value
     raise InvalidParameterError(
-        code, message.format(name=name, value=value, lo=lo, hi=hi, bound=bound)
+        code, message.format(name=name, value=_shown(value), lo=lo, hi=hi, bound=bound)
     )

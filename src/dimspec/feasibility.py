@@ -1,10 +1,12 @@
 """Bound-state windows over (D, n) and grid scans across parameter space.
 
-For m = n the window is the open interval (2n, 4n), empty for even n since
-the coupling turns repulsive; for m = 1 it is (2, 2(n+1)). The scan walks a
-rectangular (D, n) grid, classifies every point and evaluates the general
-closed form wherever a bound state exists. ``build_record`` makes every
-record: the scan's, the ``energy`` verb's and each one the parsers read.
+A scheme fixes m (``model.scheme_m``) and the window follows from the
+classifier: 0 < beta = D - 2m < 2n is the open interval (2m, 2(m+n)), so
+(2n, 4n) for m = n, empty for even n since the coupling turns repulsive, and
+(2, 2(n+1)) for m = 1. The scan walks a rectangular (D, n) grid, classifies
+every point and evaluates the general closed form wherever a bound state
+exists. ``build_record`` makes every record: the scan's, the ``energy``
+verb's and each one the parsers read.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InvalidParameterError, require_int
+from .errors import InvalidParameterError, _shown, require_int
 from .model import (
     EnergyOutcome,
     ScanRecord,
@@ -20,9 +22,10 @@ from .model import (
     SystemParams,
     classify_regime,
     Classification,
+    scheme_m,
 )
 from .potential import alpha_coefficient
-from .refdata import PUBLISHED_MEMBERS_M1, PUBLISHED_MEMBERS_MN, TABLE1_E0
+from .refdata import PUBLISHED_MEMBERS, TABLE1_E0
 from .signedlog import SignedLogReal
 from .spectrum import N_LIMIT, EnergyQuery, e0_general
 
@@ -48,24 +51,15 @@ def bound_dims(n: int, scheme: Scheme) -> FeasibilityWindow:
     """Enumerate the integer dimensions inside the bound-state window, for
     1 <= n <= N_LIMIT: the window holds ~2n dimensions."""
     require_int("n", n, 1, N_LIMIT)
-    if scheme is Scheme.M_EQUALS_N:
-        d_min, d_max = 2 * n, 4 * n
-        m = n
-        published = PUBLISHED_MEMBERS_MN.get(n)
-    elif scheme is Scheme.M_EQUALS_ONE:
-        d_min, d_max = 2, 2 * (n + 1)
-        m = 1
-        published = PUBLISHED_MEMBERS_M1.get(n)
-    else:
-        raise InvalidParameterError("bad-scheme", "windows exist only for the mn and m1 schemes")
+    m = scheme_m(n, scheme)
+    d_min, d_max = 2 * m, 2 * (m + n)
     members = tuple(
         D
         for D in range(d_min + 1, d_max)
         if classify_regime(D, n, m) is Classification.BOUND
     )
-    omitted = ()
-    if published is not None:
-        omitted = tuple(sorted(set(members) - set(published)))
+    published = PUBLISHED_MEMBERS.get((scheme, n))
+    omitted = tuple(sorted(set(members) - set(published))) if published else ()
     return FeasibilityWindow(n, scheme, d_min, d_max, members, omitted)
 
 
@@ -100,7 +94,7 @@ def build_record(
     if beta < 0:
         source = "D - 2m = " if beta == params.beta else ""
         outcome = EnergyOutcome.invalid(
-            "short-range", f"beta = {source}{beta} < 0: the potential is short-range"
+            "short-range", f"beta = {source}{_shown(beta)} < 0: the potential is short-range"
         )
     else:
         outcome = e0_general(EnergyQuery(alpha, beta, params.n, params.D))
@@ -114,9 +108,7 @@ def evaluate_point(D: int, n: int, scheme: Scheme) -> ScanRecord:
     The coupling is the point charge's alpha(D, m), which exists only for
     beta > 0; the m = n scheme carries the published reference energy.
     """
-    if scheme not in (Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE):
-        raise InvalidParameterError("bad-scheme", "grid points exist only in the mn and m1 schemes")
-    params = SystemParams(D, n, n if scheme is Scheme.M_EQUALS_N else 1)
+    params = SystemParams(D, n, scheme_m(n, scheme))
     alpha = alpha_coefficient(D, params.m).alpha if params.beta > 0 else None
     return build_record(params, params.beta, alpha, reference=scheme is Scheme.M_EQUALS_N)
 

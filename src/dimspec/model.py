@@ -4,6 +4,7 @@ Every other module builds on the types here: the integer parameter triple
 (D, n, m), the outcome sum type for energy evaluations, and
 ``classify_coupling``, the one place that decides which regime a point
 falls in. The closed forms, the grid scan and both oracles ask it.
+``scheme_m`` is the one place a coupling scheme fixes m.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import InvalidParameterError, require_int
+from .errors import InvalidParameterError, _shown, require_int
 from .signedlog import SignedLogReal
 
 
@@ -138,6 +139,16 @@ class ScanRecord:
     paper_value: Optional[float] = None  # the published energy, as printed
 
 
+def scheme_m(n: int, scheme: Scheme) -> int:
+    """The m that ``scheme`` ties to n, n under mn and 1 under m1: the one
+    place a scheme fixes m. Any other scheme fixes none and is rejected."""
+    if scheme is Scheme.M_EQUALS_N:
+        return n
+    if scheme is Scheme.M_EQUALS_ONE:
+        return 1
+    raise InvalidParameterError("bad-scheme", "only the mn and m1 schemes fix m")
+
+
 def classify_coupling(beta: int, sign: int, n: int) -> Classification:
     """The regime of an r^-beta coupling of sign ``sign`` under (-1)^n Laplacian^n.
 
@@ -150,7 +161,8 @@ def classify_coupling(beta: int, sign: int, n: int) -> Classification:
     # one expression, no call: this runs once per evaluated record
     if not type(beta) is type(sign) is type(n) is int:
         raise InvalidParameterError(
-            "non-integer", f"beta, sign and n must be integers, got {beta!r}, {sign!r}, {n!r}"
+            "non-integer",
+            f"beta, sign and n must be integers, got {_shown(beta)}, {_shown(sign)}, {_shown(n)}",
         )
     if beta < 0:
         return Classification.INVALID
@@ -188,6 +200,6 @@ def classify_outcome(D: int, n: int, m: int) -> Optional[EnergyOutcome]:
         beta = D - 2 * m
         return EnergyOutcome.invalid(
             "short-range",
-            f"beta = D - 2m = {beta} < 0: the potential is short-range",
+            f"beta = D - 2m = {_shown(beta)} < 0: the potential is short-range",
         )
     return EnergyOutcome(tag)

@@ -47,6 +47,7 @@ from .errors import (
     NoConvergenceError,
     NoMinimumError,
     SingularPotentialError,
+    _shown,
     require_int,
 )
 from .model import Classification, classify_coupling
@@ -122,9 +123,16 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     # the minimum is of order 1
     ln_scale = q.alpha.lnmag - beta * x_seed + math.log1p(-beta / two_n)
     # both terms at the seed, from their exponents as the float inputs give
-    # them; the stationarity identity p = beta / (2n - beta) is not used
-    p_seed = math.exp(_exact_sum((1, ln_amp), (-1, ln_scale), (-two_n, x_seed)))
-    q_seed = math.exp(_exact_sum((1, q.alpha.lnmag), (-1, ln_scale), (-beta, x_seed)))
+    # them; the stationarity identity p = beta / (2n - beta) is not used.
+    # An extreme alpha carries ln r* or ln_scale past the float range, where
+    # _exact_sum meets an inf or a nan and math.exp overflows.
+    try:
+        p_seed = math.exp(_exact_sum((1, ln_amp), (-1, ln_scale), (-two_n, x_seed)))
+        q_seed = math.exp(_exact_sum((1, q.alpha.lnmag), (-1, ln_scale), (-beta, x_seed)))
+    except (OverflowError, ValueError):
+        raise NoConvergenceError(
+            f"coupling ln alpha = {q.alpha.lnmag!r} is outside the search's float range"
+        ) from None
     evaluations = 0
 
     def slope(x: float) -> float:
@@ -247,19 +255,19 @@ def radial_ground_state(
     require_int("excitation", excitation, 0, RADIAL_EXCITATION_LIMIT, message=needs)
     if not isinstance(convention, KineticConvention):
         raise InvalidParameterError(
-            "bad-convention", f"convention must be a KineticConvention, got {convention!r}"
+            "bad-convention", f"convention must be a KineticConvention, got {_shown(convention)}"
         )
     if not isinstance(alpha, numbers.Real) or isinstance(alpha, bool):
-        raise InvalidParameterError("non-real", f"alpha must be a real number, got {alpha!r}")
+        raise InvalidParameterError("non-real", f"alpha must be a real number, got {_shown(alpha)}")
     if not 1e-100 <= abs(alpha) <= 1e100:  # also catches 0, nan and inf
         raise InvalidParameterError(
-            "out-of-range", f"radial solver needs 1e-100 <= |alpha| <= 1e100, got {alpha!r}"
+            "out-of-range", f"radial solver needs 1e-100 <= |alpha| <= 1e100, got {_shown(alpha)}"
         )
     alpha = float(alpha)
     tag = classify_coupling(beta, 1 if alpha > 0 else -1, 1)
     if tag in (Classification.DIVERGENT, Classification.SINGULAR):
         raise SingularPotentialError(
-            f"beta = {beta} >= 2: fall-to-center, no radial ground state"
+            f"beta = {_shown(beta)} >= 2: fall-to-center, no radial ground state"
         )
     if tag is not Classification.BOUND:
         raise InvalidParameterError(

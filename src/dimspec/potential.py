@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import GammaPoleError, InvalidParameterError, require_int
+from .errors import GammaPoleError, InvalidParameterError, _shown, require_int
 from .model import PotentialSpec
 from .signedlog import SignedLogReal
 
@@ -41,7 +41,7 @@ def _log_gamma_twice(twice: int) -> float:
 def log_gamma_half(twice: int) -> float:
     """ln Gamma(twice / 2) for 0 < twice <= D_LIMIT: the half-integer lattice."""
     if require_int("twice", twice, hi=D_LIMIT) <= 0:
-        raise GammaPoleError(f"Gamma pole or reflection region at x = {twice}/2")
+        raise GammaPoleError(f"Gamma pole or reflection region at x = {_shown(twice)}/2")
     return _log_gamma_twice(twice)
 
 
@@ -60,7 +60,7 @@ def alpha_coefficient(D: int, m: int) -> PotentialSpec:
     beta = D - 2 * m
     if beta < 0:
         raise InvalidParameterError(
-            "short-range", f"beta = D - 2m = {beta} < 0: the potential is short-range"
+            "short-range", f"beta = D - 2m = {_shown(beta)} < 0: the potential is short-range"
         )
     if beta == 0:
         return PotentialSpec(alpha=None, beta=0)

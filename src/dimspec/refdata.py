@@ -9,6 +9,8 @@ log-ratio instead.
 
 from __future__ import annotations
 
+from .model import Scheme
+
 # (D, n) -> published ground-state energy in hartree, m = n scheme
 TABLE1_E0: dict[tuple[int, int], float] = {
     (3, 1): -0.11,
@@ -25,13 +27,11 @@ TABLE1_E0: dict[tuple[int, int], float] = {
 
 # Dimension lists quoted in the published discussion, used to flag members
 # our enumeration finds that the discussion omits (and vice versa).
-PUBLISHED_MEMBERS_MN: dict[int, tuple[int, ...]] = {
-    1: (3,),
-    3: (7, 8, 9, 10, 11),
-}
-
-PUBLISHED_MEMBERS_M1: dict[int, tuple[int, ...]] = {
-    3: (3, 5, 6, 7),  # omits D = 4 although the governing inequality admits it
+PUBLISHED_MEMBERS: dict[tuple[Scheme, int], tuple[int, ...]] = {
+    (Scheme.M_EQUALS_N, 1): (3,),
+    (Scheme.M_EQUALS_N, 3): (7, 8, 9, 10, 11),
+    # omits D = 4 although the governing inequality admits it
+    (Scheme.M_EQUALS_ONE, 3): (3, 5, 6, 7),
 }
 
 PAPER_OMITTED_FLAG = "paper-omitted"

@@ -1,5 +1,9 @@
 """Comparison reports and CSV/JSON serialization of scan records.
 
+``table1_compare`` and ``scheme_m1_discrepancies`` set the printed m = n and
+m = 1 forms against the general one, ``oracle_equivalence_report`` sets the
+general one against the V_eff search over both schemes' windows.
+
 The CSV header is part of the wire contract and is emitted bit-exactly:
 
     D,n,m,beta,alpha_sign,alpha_lnmag,E0_sign,E0_lnmag,E0_decimal,classification,formula,paper_E0,ratio_log10
@@ -24,17 +28,18 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import product
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimspecError, InvalidParameterError, require_int
+from .errors import DimspecError, InvalidParameterError, _shown, require_int
 from .feasibility import D_MAX, D_MIN, N_MAX, N_MIN, bound_dims, build_record
-from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams
+from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams, scheme_m
 from .refdata import TABLE1_E0
 from .signedlog import SignedLogReal
-from .spectrum import EnergyQuery, e0_general, e0_scheme_mn
+from .spectrum import EnergyQuery, e0_general, e0_scheme_m1, e0_scheme_m1_rederived, e0_scheme_mn
 from .oracle import _stationarity, minimize_v_eff
-from .potential import alpha_coefficient
+from .potential import D_LIMIT, alpha_coefficient
 
 _LN10 = math.log(10.0)
 
@@ -111,6 +116,41 @@ def table1_compare() -> list[Table1Row]:
     return rows
 
 
+@dataclass(frozen=True)
+class M1Discrepancy:
+    """One window point where the printed m = 1 form and the general route differ."""
+
+    D: int
+    n: int
+    printed: EnergyOutcome
+    rederived: EnergyOutcome
+    lnmag_gap: Optional[float]  # ln|E_printed| - ln|E_rederived| when both bound
+
+
+def scheme_m1_discrepancies(n: int) -> list[M1Discrepancy]:
+    """Compare the printed m = 1 form against the rederived route over its window.
+
+    Empty for n = 1 (the forms coincide there); non-empty for every n > 1,
+    which is the point: the printed form is not a rewriting of the general
+    result once n exceeds 1. Two bound energies agree when their ln|E| differ
+    by at most 1e-12 relative. n runs up to (D_LIMIT - 1) // 2, where the
+    window's last D reaches D_LIMIT; the gamma sums cost ~n^2, seconds there.
+    """
+    require_int("n", n, 1, (D_LIMIT - 1) // 2)
+    out: list[M1Discrepancy] = []
+    for D in bound_dims(n, Scheme.M_EQUALS_ONE).members:
+        printed = e0_scheme_m1(D, n)
+        rederived = e0_scheme_m1_rederived(D, n)
+        if printed.is_bound and rederived.is_bound:
+            gap = printed.energy.lnmag - rederived.energy.lnmag
+            if abs(gap) <= 1e-12 * max(1.0, abs(rederived.energy.lnmag)):
+                continue
+            out.append(M1Discrepancy(D, n, printed, rederived, gap))
+        elif printed.classification is not rederived.classification:
+            out.append(M1Discrepancy(D, n, printed, rederived, None))
+    return out
+
+
 # -- record serialization ----------------------------------------------------
 
 
@@ -146,7 +186,9 @@ def _record_from_fields(f: dict) -> ScanRecord:
     try:
         beta = f["beta"]
         if type(beta) is not int:
-            raise InvalidParameterError("unparseable", f"beta must be an integer, got {beta!r}")
+            raise InvalidParameterError(
+                "unparseable", f"beta must be an integer, got {_shown(beta)}"
+            )
         alpha = None
         if f["alpha_sign"] is not None:
             try:
@@ -238,7 +280,7 @@ _CSV_KEYS = frozenset(("D", "n", "m", "beta"))
 
 def parse_records_csv(text: str) -> list[ScanRecord]:
     if not isinstance(text, str):
-        raise InvalidParameterError("bad-header", f"expected CSV text, got {text!r}")
+        raise InvalidParameterError("bad-header", f"expected CSV text, got {_shown(text)}")
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_COLUMNS:
@@ -344,23 +386,21 @@ class OracleReport:
 def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
     """Minimize the effective potential at every bound grid point and compare.
 
-    Covers the m = n scheme for odd n and the m = 1 scheme for every n up to
-    ``max_n``, dimensions capped at ``max_D``. Both caps must lie on the scan
-    grid, [N_MIN, N_MAX] and [D_MIN, D_MAX]; they are checked before any work.
+    Walks the window of every n up to ``max_n`` in the m = n scheme, then in
+    the m = 1 scheme, dimensions capped at ``max_D``. Both caps must lie on
+    the scan grid, [N_MIN, N_MAX] and [D_MIN, D_MAX]; they are checked
+    before any work.
     """
     require_int("max_n", max_n, N_MIN, N_MAX, "range-bounds")
     require_int("max_D", max_D, D_MIN, D_MAX, "range-bounds")
     points: list[OraclePoint] = []
-    combos = [(n, Scheme.M_EQUALS_N) for n in range(1, max_n + 1, 2)]
-    combos += [(n, Scheme.M_EQUALS_ONE) for n in range(1, max_n + 1)]
-    for n, scheme in combos:
-        window = bound_dims(n, scheme)
-        for D in window.members:
+    for scheme, n in product((Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE), range(1, max_n + 1)):
+        m = scheme_m(n, scheme)
+        for D in bound_dims(n, scheme).members:
             if D > max_D:
                 continue
-            m = n if scheme is Scheme.M_EQUALS_N else 1
             spec = alpha_coefficient(D, m)
-            query = EnergyQuery(spec.alpha, D - 2 * m, n, D)
+            query = EnergyQuery(spec.alpha, spec.beta, n, D)
             closed = e0_general(query)
             found = minimize_v_eff(query)
             _, ln_r_stat = _stationarity(query)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _shown
 
 _LN10 = math.log(10.0)
 
@@ -37,14 +37,16 @@ class SignedLogReal:
         # an exact int: a bool or a float sign compares equal to 1 but would
         # be written back as true or 1.0
         if type(self.sign) is not int or self.sign not in (-1, 0, 1):
-            raise InvalidParameterError("bad-sign", f"sign must be -1, 0 or +1, got {self.sign!r}")
+            raise InvalidParameterError(
+                "bad-sign", f"sign must be -1, 0 or +1, got {_shown(self.sign)}"
+            )
         try:  # a non-number, or an int past the float range, is not finite
             finite = math.isfinite(self.lnmag)
         except (TypeError, OverflowError):
             finite = False
         if not finite or (self.sign == 0 and self.lnmag != 0.0):
             raise InvalidParameterError(
-                "bad-lnmag", f"lnmag must be finite, and 0.0 at sign 0; got {self.lnmag!r}"
+                "bad-lnmag", f"lnmag must be finite, and 0.0 at sign 0; got {_shown(self.lnmag)}"
             )
 
     @classmethod
@@ -54,7 +56,9 @@ class SignedLogReal:
         try:  # cls rejects the lnmag of an infinite or nan x
             return cls(1 if x > 0.0 else -1, math.log(abs(x)))
         except (TypeError, OverflowError, InvalidParameterError):
-            raise InvalidParameterError("unrepresentable", f"cannot represent {x!r}") from None
+            raise InvalidParameterError(
+                "unrepresentable", f"cannot represent {_shown(x)}"
+            ) from None
 
     def to_float(self) -> float:
         """Nearest ordinary float; overflows saturate to +/-inf, underflows to 0.0."""
@@ -68,8 +72,14 @@ class SignedLogReal:
         """Scientific-notation string like ``-4.41e-97``.
 
         The mantissa is rounded half-to-even at ``sig_digits`` significant
-        digits, matching the precision of the embedded reference energies.
+        digits, matching the precision of the embedded reference energies; a
+        float holds 17 at most, and any other ``sig_digits`` is rejected.
         """
+        # one expression, no call: this runs once per rendered record
+        if not (type(sig_digits) is int and 1 <= sig_digits <= 17):
+            raise InvalidParameterError(
+                "bad-digits", f"sig_digits must be an int in [1, 17], got {_shown(sig_digits)}"
+            )
         if self.sign == 0:
             return "0"
         l10 = self.lnmag / _LN10

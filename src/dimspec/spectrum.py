@@ -5,8 +5,8 @@ attractive power-law potential: the exact minimum of the effective potential
 (D/2)^(2n) r^(-2n) - alpha r^(-beta). The two scheme-specific variants
 reproduce the published algebraic forms verbatim so they can be
 cross-checked against it; for m = 1 with n > 1 the published form is not an
-algebraic rewriting of the general result, and ``scheme_m1_discrepancies``
-makes that visible instead of hiding it.
+algebraic rewriting of the general result, and
+``report.scheme_m1_discrepancies`` makes that visible instead of hiding it.
 
 All exponentiation happens in log space, and each rational exponent is the
 correctly rounded quotient of its two integers (int true division), so
@@ -20,15 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import InvalidParameterError, require_int
-from .model import (
-    Classification,
-    EnergyOutcome,
-    classify_coupling,
-    classify_outcome,
-    classify_regime,
-)
-from .potential import D_LIMIT, LN_2, alpha_coefficient
+from .errors import InvalidParameterError, _shown, require_int
+from .model import Classification, EnergyOutcome, classify_coupling, classify_outcome
+from .potential import LN_2, alpha_coefficient
 from .signedlog import SignedLogReal
 
 
@@ -57,7 +51,8 @@ class EnergyQuery:
     def __post_init__(self) -> None:
         if self.alpha is not None and not isinstance(self.alpha, SignedLogReal):
             raise InvalidParameterError(
-                "malformed-query", f"alpha must be a SignedLogReal or None, got {self.alpha!r}"
+                "malformed-query",
+                f"alpha must be a SignedLogReal or None, got {_shown(self.alpha)}",
             )
         require_int("beta", self.beta, 0, code="malformed-query")
         require_int("n", self.n, 1, N_LIMIT)
@@ -107,7 +102,7 @@ def _e0_printed(D: int, n: int, m: int) -> EnergyOutcome:
         return EnergyOutcome.invalid(
             "printed-form-undefined",
             f"printed-form undefined: bracket base n(D/2)^(2n)/(D/2-n) is not positive "
-            f"for D={D} <= 2n={2 * n}",
+            f"for D={_shown(D)} <= 2n={_shown(2 * n)}",
         )
     spec = alpha_coefficient(D, m)
     e_bracket = (D - 2 * n) / (D - 2 * n - 2 * m)
@@ -145,12 +140,13 @@ def e0_scheme_m1(D: int, n: int) -> EnergyOutcome:
 
 
 def e0_scheme_m1_rederived(D: int, n: int) -> EnergyOutcome:
-    """m = 1 scheme routed through the general evaluator with beta = D - 2.
+    """m = 1 scheme routed through the general evaluator, coupling alpha(D, 1).
 
     Well defined on the whole window 2 < D < 2(n+1), including the D <= 2n
     points where the printed form breaks down.
     """
-    return e0_general(EnergyQuery(alpha_coefficient(D, 1).alpha, D - 2, n, D))
+    spec = alpha_coefficient(D, 1)
+    return e0_general(EnergyQuery(spec.alpha, spec.beta, n, D))
 
 
 class QuantumNumber(NamedTuple):
@@ -167,46 +163,9 @@ def effective_quantum_number(energy: SignedLogReal) -> QuantumNumber:
     if not isinstance(energy, SignedLogReal) or energy.sign != -1:
         raise InvalidParameterError(
             "nonnegative-energy",
-            f"effective quantum number needs a negative SignedLogReal energy, got {energy!r}",
+            f"effective quantum number needs a negative SignedLogReal energy, got {_shown(energy)}",
         )
     ln_k = -0.5 * (LN_2 + energy.lnmag)
     k_star = SignedLogReal(1, ln_k).to_float()
     nearest = int(math.floor(k_star + 0.5)) if math.isfinite(k_star) else 0
     return QuantumNumber(k_star, nearest)
-
-
-@dataclass(frozen=True)
-class M1Discrepancy:
-    """One window point where the printed m = 1 form and the general route differ."""
-
-    D: int
-    n: int
-    printed: EnergyOutcome
-    rederived: EnergyOutcome
-    lnmag_gap: Optional[float]  # ln|E_printed| - ln|E_rederived| when both bound
-
-
-def scheme_m1_discrepancies(n: int) -> list[M1Discrepancy]:
-    """Compare the printed m = 1 form against the rederived route over its window.
-
-    Empty for n = 1 (the forms coincide there); non-empty for every n > 1,
-    which is the point: the printed form is not a rewriting of the general
-    result once n exceeds 1. Two bound energies agree when their ln|E| differ
-    by at most 1e-12 relative. n runs up to (D_LIMIT - 1) // 2, where the
-    window's last D reaches D_LIMIT; the gamma sums cost ~n^2, seconds there.
-    """
-    require_int("n", n, 1, (D_LIMIT - 1) // 2)
-    out: list[M1Discrepancy] = []
-    for D in range(3, 2 * (n + 1)):
-        if classify_regime(D, n, 1) is not Classification.BOUND:
-            continue
-        printed = e0_scheme_m1(D, n)
-        rederived = e0_scheme_m1_rederived(D, n)
-        if printed.is_bound and rederived.is_bound:
-            gap = printed.energy.lnmag - rederived.energy.lnmag
-            if abs(gap) <= 1e-12 * max(1.0, abs(rederived.energy.lnmag)):
-                continue
-            out.append(M1Discrepancy(D, n, printed, rederived, gap))
-        elif printed.classification is not rederived.classification:
-            out.append(M1Discrepancy(D, n, printed, rederived, None))
-    return out

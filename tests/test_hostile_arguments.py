@@ -1,10 +1,11 @@
 """Every public call returns or raises a DimspecError, whatever its arguments.
 
 The library-level counterpart of the CLI's ``TestRobustness``: each argument
-is drawn from ints (on the lattice, at its limits, negative and huge), floats
-(nan and infinities too), bools, strs, None, and a few library values that let
-a call get past its argument checks. A bare TypeError, ValueError,
-AttributeError or OverflowError fails the property.
+is drawn from ints (on the lattice, at its limits, negative and huge, past
+the 4 300 digits ``repr`` prints), floats (nan and infinities too), bools,
+strs, None, and a few library values that let a call get past its argument
+checks, couplings at the edge of the float range among them. A bare
+TypeError, ValueError, AttributeError or OverflowError fails the property.
 """
 
 import pytest
@@ -46,7 +47,8 @@ _VALUES = st.one_of(
     # the lattice near its lower edges, where most domains start
     st.integers(min_value=-3, max_value=70),
     st.sampled_from(
-        [-(10**400), -(2**63), 2**63, 10**400, N_LIMIT, N_LIMIT + 1, D_LIMIT, D_LIMIT + 1]
+        [-(10**5000), -(10**400), -(2**63), 2**63, 10**400, 10**5000]
+        + [N_LIMIT, N_LIMIT + 1, D_LIMIT, D_LIMIT + 1]
     ),
     st.floats(),
     st.booleans(),
@@ -54,6 +56,7 @@ _VALUES = st.one_of(
     st.none(),
     st.sampled_from(
         [SignedLogReal(1, 0.0), SignedLogReal(-1, -1.0), SignedLogReal(0), *Scheme]
+        + [SignedLogReal(1, 1e308), SignedLogReal(1, -1e308), SignedLogReal(1, -1e200)]
         + list(KineticConvention)
     ),
 )
@@ -66,6 +69,7 @@ _CALLS = {
     "minimize_v_eff": (lambda *a: minimize_v_eff(EnergyQuery(*a)), 4),
     "SignedLogReal": (SignedLogReal, 2),
     "SignedLogReal.from_float": (SignedLogReal.from_float, 1),
+    "SignedLogReal.to_decimal": (lambda s, l, d: SignedLogReal(s, l).to_decimal(d), 3),
     "classify_coupling": (classify_coupling, 3),
     "classify_regime": (classify_regime, 3),
     "classify_outcome": (classify_outcome, 3),
@@ -100,6 +104,25 @@ class TestRobustness:
         except DimspecError:
             pass
 
+    @given(
+        lnmag=st.floats(allow_nan=False, allow_infinity=False),
+        n=st.sampled_from([1, 2, 3, 100, N_LIMIT]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bound_couplings_end_in_a_value_or_a_dimspec_error(self, lnmag, n, data):
+        """An attractive coupling inside the window 0 < beta < 2n, with
+        ln alpha anywhere in the float range: the closed form and the V_eff
+        search each return or raise a DimspecError."""
+        beta = data.draw(st.integers(1, 2 * n - 1), label="beta")
+        D = data.draw(st.sampled_from([2, 3, 64, D_LIMIT]), label="D")
+        query = EnergyQuery(SignedLogReal(1, lnmag), beta, n, D)
+        for solve in (e0_general, minimize_v_eff):
+            try:
+                solve(query)
+            except DimspecError:
+                pass
+
     @pytest.mark.parametrize(
         "call,args",
         [
@@ -118,6 +141,23 @@ class TestRobustness:
             (classify_coupling, ("1", 1, 1)),
             (SignedLogReal, (2,)),
             (SignedLogReal.from_float, (float("nan"),)),
+            (lambda: minimize_v_eff(EnergyQuery(SignedLogReal(1, 1e308), 1, 1, 3)), ()),
+            (lambda: minimize_v_eff(EnergyQuery(SignedLogReal(1, -1e308), 1, 1, 3)), ()),
+            (lambda: minimize_v_eff(EnergyQuery(SignedLogReal(1, -1e200), 1, N_LIMIT, 3)), ()),
+            (EnergyQuery, (None, 1, 10**5000, 3)),
+            (alpha_coefficient, (10**5000, 1)),
+            (alpha_coefficient, (3, 10**5000)),
+            (bound_dims, (10**5000, Scheme.M_EQUALS_N)),
+            (bound_dims, (-(10**5000), Scheme.M_EQUALS_ONE)),
+            (log_gamma_half, (-(10**5000),)),
+            (SignedLogReal, (1, 10**5000)),
+            (radial_ground_state, (3, 10**5000)),
+            (parse_records_csv, (10**5000,)),
+            (parse_records_csv, ([10**5000],)),
+            (SignedLogReal(1, 0.0).to_decimal, (0,)),
+            (SignedLogReal(1, 0.0).to_decimal, (-1,)),
+            (SignedLogReal(1, 0.0).to_decimal, ("x",)),
+            (SignedLogReal(1, 0.0).to_decimal, (True,)),
         ],
         ids=[
             "minimize_v_eff-D0", "e0_general-n-str", "e0_general-alpha-float",
@@ -125,8 +165,27 @@ class TestRobustness:
             "log_gamma_half", "bound_dims-float", "bound_dims-str", "scheme_m1_discrepancies",
             "oracle_equivalence_report", "effective_quantum_number", "classify_coupling",
             "SignedLogReal-sign-2", "SignedLogReal.from_float-nan",
+            "minimize_v_eff-lnmag-1e308", "minimize_v_eff-lnmag--1e308",
+            "minimize_v_eff-lnmag--1e200-n-limit", "EnergyQuery-n-5001-digits",
+            "alpha_coefficient-D-5001-digits", "alpha_coefficient-m-5001-digits",
+            "bound_dims-n-5001-digits", "bound_dims-n--5001-digits",
+            "log_gamma_half--5001-digits", "SignedLogReal-lnmag-5001-digits",
+            "radial_ground_state-alpha-5001-digits", "parse_records_csv-5001-digits",
+            "parse_records_csv-list-of-5001-digits",
+            "to_decimal-0", "to_decimal--1", "to_decimal-str", "to_decimal-bool",
         ],
     )
     def test_known_escapes_raise_a_dimspec_error(self, call, args):
         with pytest.raises(DimspecError):
             call(*args)
+
+    @pytest.mark.parametrize(
+        "call,args",
+        [(classify_outcome, (10**5000, 1, 10**5000)), (e0_scheme_m1, (10**5000, 10**5000))],
+        ids=["classify_outcome-5001-digits", "e0_scheme_m1-5001-digits"],
+    )
+    def test_known_escapes_return_an_invalid_outcome(self, call, args):
+        """Their reason names an int too long to print by its bit length."""
+        outcome = call(*args)
+        assert outcome.reason_code in ("short-range", "printed-form-undefined")
+        assert "int of 1661" in outcome.reason

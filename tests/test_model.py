@@ -12,6 +12,20 @@ from dimspec import (
     classify_outcome,
     classify_regime,
 )
+from dimspec.model import scheme_m
+
+
+class TestSchemeM:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_the_two_schemes(self, n):
+        assert scheme_m(n, Scheme.M_EQUALS_N) == n
+        assert scheme_m(n, Scheme.M_EQUALS_ONE) == 1
+
+    @pytest.mark.parametrize("scheme", [Scheme.EXPLICIT, "mn", None])
+    def test_no_other_scheme_fixes_m(self, scheme):
+        with pytest.raises(InvalidParameterError) as err:
+            scheme_m(3, scheme)
+        assert err.value.code == "bad-scheme"
 
 
 class TestSystemParams:

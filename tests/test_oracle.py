@@ -89,6 +89,11 @@ class TestMinimizeVeff:
         assert abs(found.e_min.lnmag - ln_e) <= 1e-8 * max(1.0, abs(ln_e))
         assert abs(found.ln_r_star - x) <= 1e-9
 
+    @pytest.mark.parametrize("lnmag,n", [(1e308, 1), (-1e308, 1), (-1e200, N_LIMIT)])
+    def test_coupling_past_the_float_range(self, lnmag, n):
+        with pytest.raises(NoConvergenceError, match="outside the search's float range"):
+            minimize_v_eff(EnergyQuery(SignedLogReal(1, lnmag), 1, n, 3))
+
     def test_no_minimum_at_divergent_boundary(self):
         with pytest.raises(NoMinimumError):
             minimize_v_eff(EnergyQuery(SignedLogReal(1, 0.0), 2, 1, 4))

@@ -89,5 +89,17 @@ class TestDecimalRendering:
         # 9.999 rounds up at 3 significant digits and must carry the exponent
         assert SignedLogReal.from_float(9.9999e5).to_decimal() == "1.00e+06"
 
+    def test_digit_bounds(self):
+        x = SignedLogReal.from_float(0.15915494309189535)
+        assert x.to_decimal(1) == "2e-01"
+        # the log round trip leaves the last digit or two uncertain
+        assert x.to_decimal(17).startswith("1.591549430918953")
+
+    @pytest.mark.parametrize("digits", [0, -1, 18, True, 3.0, "x", None])
+    def test_bad_digits_rejected(self, digits):
+        with pytest.raises(InvalidParameterError) as err:
+            SignedLogReal.from_float(0.5).to_decimal(digits)
+        assert err.value.code == "bad-digits"
+
     def test_six_digits(self):
         assert SignedLogReal.from_float(0.15915494309).to_decimal(6) == "1.59155e-01"

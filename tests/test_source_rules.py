@@ -1,0 +1,150 @@
+"""Rules about where a decision may be written in the library's source.
+
+Each rule names the one place that owns a decision and fails on a second
+copy of it elsewhere:
+
+* a log magnitude becomes an ordinary float only in
+  ``SignedLogReal.to_float``: no other module spells ``math.exp``'s overflow
+  threshold (709.78) as a literal;
+* an integer argument is checked in ``errors.require_int``: no other
+  function tests ``isinstance(x, bool)``, except ``radial_ground_state``'s
+  real-number check on ``alpha``, where a bool is not a real either (hot
+  paths that must not pay for a call spell the check ``type(x) is int``);
+* the library computes in floats and makes no mpmath call: ``oracle.py``
+  keeps a bare ``import mpmath`` only because the benchmark's
+  ``-X importtime`` probe requires ``import dimspec`` to load it, and one
+  40-digit mpmath evaluation costs about twice a whole float
+  ``minimize_v_eff`` call. ROADMAP item 1 relaxes the probe, and the change
+  that does so deletes the import too;
+* ``model.scheme_m`` is the one statement of which m a coupling scheme
+  uses: no other function compares against ``Scheme.M_EQUALS_N`` or
+  ``Scheme.M_EQUALS_ONE``, except ``evaluate_point``, which attaches the
+  published energies that belong to the m = n scheme.
+
+Every rule reads the library sources and changes nothing.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "dimspec"
+
+
+def _modules() -> list[tuple[str, ast.Module]]:
+    """(file name, syntax tree) of every library module, in name order."""
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SOURCES.glob("*.py"))
+    ]
+
+
+def _lines_of(tree: ast.Module, module: str, allowed: set) -> list[range]:
+    """The line ranges of the functions whose (module, name) is allowed."""
+    return [
+        range(func.lineno, func.end_lineno + 1)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and (module, func.name) in allowed
+    ]
+
+
+def test_no_module_but_signedlog_spells_the_overflow_threshold():
+    checked, found = 0, []
+    for name, tree in _modules():
+        if name == "signedlog.py":
+            continue
+        checked += 1
+        for node in ast.walk(tree):
+            value = node.value if isinstance(node, ast.Constant) else None
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                if math.isfinite(value) and math.floor(abs(value)) == 709:
+                    found.append(f"{name}:{node.lineno}: {value!r}")
+    assert checked > 0
+    assert found == []
+
+
+# (module, function) pairs allowed to test for bool
+BOOL_ALLOWED = {("errors.py", "require_int"), ("oracle.py", "radial_ground_state")}
+
+
+def _tests_for_bool(node: ast.AST) -> bool:
+    """Whether ``node`` is a call isinstance(x, bool) or isinstance(x, (..., bool))."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+        return False
+    kinds = node.args[1] if len(node.args) == 2 else None
+    names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any(getattr(name, "id", None) == "bool" for name in names)
+
+
+def test_no_function_but_the_helper_tests_for_bool():
+    checked, found = 0, []
+    for name, tree in _modules():
+        checked += 1
+        allowed = _lines_of(tree, name, BOOL_ALLOWED)
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _tests_for_bool(node) and not any(node.lineno in lines for lines in allowed)
+        ]
+    assert checked > 0
+    assert found == []
+
+
+def test_no_module_calls_into_mpmath():
+    checked, found = 0, []
+    for name, tree in _modules():
+        checked += 1
+        # every name the module binds to mpmath itself, aliases included
+        names = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "mpmath"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+                found.append(f"{name}:{node.lineno}: from {node.module} import")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in names
+            ):
+                found.append(f"{name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert checked > 0
+    assert found == []
+
+
+# (module, function) pairs allowed to compare against a scheme that fixes m
+SCHEME_ALLOWED = {("model.py", "scheme_m"), ("feasibility.py", "evaluate_point")}
+_SCHEMES_WITH_M = {"M_EQUALS_N", "M_EQUALS_ONE"}
+_COMPARISONS = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def _compares_a_scheme(node: ast.AST) -> bool:
+    """Whether ``node`` is an is/==/in comparison (or its negation) with
+    Scheme.M_EQUALS_N or Scheme.M_EQUALS_ONE among its operands, a tuple or
+    list of schemes included."""
+    if not (isinstance(node, ast.Compare) and any(isinstance(op, _COMPARISONS) for op in node.ops)):
+        return False
+    return any(
+        isinstance(part, ast.Attribute)
+        and part.attr in _SCHEMES_WITH_M
+        and getattr(part.value, "id", None) == "Scheme"
+        for operand in (node.left, *node.comparators)
+        for part in ast.walk(operand)
+    )
+
+
+def test_no_function_but_scheme_m_tells_the_schemes_apart():
+    checked, found = 0, []
+    for name, tree in _modules():
+        checked += 1
+        allowed = _lines_of(tree, name, SCHEME_ALLOWED)
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _compares_a_scheme(node) and not any(node.lineno in lines for lines in allowed)
+        ]
+    assert checked > 0
+    assert found == []
