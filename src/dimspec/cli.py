@@ -299,6 +299,7 @@ def cmd_radial(args) -> int:
         "convention": args.convention,
         "excitation": args.excitation,
         "E": solution.energy,
+        "shift": solution.shift,
         "nodes": solution.nodes,
         "r_max": solution.r_max,
         "h": solution.h,
@@ -309,8 +310,9 @@ def cmd_radial(args) -> int:
 
     def text() -> str:
         return (
-            f"E = {solution.energy:.9g} hartree (nodes={solution.nodes}, "
-            f"convention={args.convention}, r_max={solution.r_max}, h={solution.h}, "
+            f"E = {solution.energy:.9g} hartree (shift={solution.shift:.2g}, "
+            f"nodes={solution.nodes}, convention={args.convention}, "
+            f"r_max={solution.r_max}, h={solution.h}, "
             f"sweeps={solution.sweeps}, matches={solution.matches}, steps={solution.steps})"
         )
 

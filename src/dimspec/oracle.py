@@ -20,9 +20,12 @@ Two routes that share no algebra with the spectrum module:
   energy, and the grid points inside that come from the series too. The
   sweeps carry the ratio of successive values, which never overflows.
   Node counting from the Hardy floor, a proven lower bound, isolates the
-  level, and Brent's zero finder on the matching condition polishes it.
-  The node count comes from the last matching sweeps; the wavefunction is
-  built only when it is read. Both the full-Laplacian and half-Laplacian
+  level, and Brent's zero finder on the matching condition polishes it. That
+  runs on a coarse mesh at step 2h; a fine mesh at h then needs only Brent's
+  zero finder, from a tight bracket about the coarse level, and the two
+  levels give Richardson's (16 E_h - E_2h) / 15, free of Numerov's h^4 error
+  term. The node count comes from the last matching sweeps; the wavefunction
+  is built only when it is read. Both the full-Laplacian and half-Laplacian
   kinetic conventions are supported, so the -1/4 and -1/2 hartree ground
   levels of the 3-D Coulomb problem can each be pinned.
 """
@@ -109,7 +112,8 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     d = ln A - ln alpha - (2n - beta) x < 0, each sum exact and rounded once;
     d ~ ln(beta / 2n) there, so nothing cancels and floats suffice. Raises
     NoMinimumError when no interior minimum exists, that is unless
-    ``classify_coupling`` calls the query bound.
+    ``classify_coupling`` calls the query bound, and NoConvergenceError for a
+    bound query whose coupling carries the search past what floats resolve.
     """
     sign = q.alpha.sign if q.alpha is not None else 0
     tag = classify_coupling(q.beta, sign, q.n)
@@ -146,7 +150,17 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     a, b = x_seed - half, x_seed + half
     slope_a, slope_b = slope(a), slope(b)
     if not slope_a < 0.0 < slope_b:
-        raise NoMinimumError("failed to bracket an interior minimum")
+        # the query is bound, so the exact slope changes sign within a few ulp
+        # of x_seed: only floats miss it, when x_seed +- half rounds back to
+        # x_seed, or when the seed terms' exponents, sums of terms near
+        # |ln alpha|, round away the bits that set their ratio
+        if a == x_seed or b == x_seed:
+            cause = f"the bracket ln r* +- {half} collapses onto the seed {x_seed!r}"
+        else:
+            cause = f"the seed terms at ln r* = {x_seed!r} lost the bits that place the root"
+        raise NoConvergenceError(
+            f"coupling ln alpha = {q.alpha.lnmag!r} is outside the search's float range: {cause}"
+        )
     x = _brent_zero(slope, a, b, slope_a, slope_b, _VEFF_TOL, 1.0)
 
     # d = ln(kinetic / coupling term) ~ ln(beta / 2n): 1 - e^d is in [1/2n, 1]
@@ -175,14 +189,19 @@ class KineticConvention(Enum):
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """The level ``energy`` with ``nodes`` sign changes; ``sweeps`` counts
-    node-count and matching sweeps, ``matches`` the matching evaluations, two
-    sweeps each, and ``steps`` the Numerov steps summed over every sweep. The
-    wavefunction ``u``, normalized on ``grid``, which steps by ``h`` in ln r up
-    to the cutoff ``r_max``, is built on first read of either, by one more
-    sweep that ``steps`` does not count."""
+    """The level ``energy`` with ``nodes`` sign changes, (16 E_h - E_2h) / 15
+    from the levels of a fine solve at step ``h`` in ln r and a coarse one at
+    2h, and ``shift`` = |energy - E_h|, the extrapolation's correction: an
+    estimate of E_h's error, and more than that of ``energy``. ``sweeps``
+    counts node-count and matching sweeps, ``matches`` the matching
+    evaluations, two sweeps each, and ``steps`` the Numerov steps over every
+    sweep, each summed over both solves. The wavefunction ``u`` of the fine
+    solve at E_h, normalized on ``grid``, the fine mesh up to its cutoff
+    ``r_max``, is built on first read of either, by one more sweep that
+    ``steps`` does not count."""
 
     energy: float
+    shift: float
     nodes: int
     kinetic_convention: KineticConvention
     r_max: float
@@ -205,7 +224,27 @@ class RadialSolution:
         return self._built[1]
 
 
-_STEP = 0.005  # Numerov step in ln r: every level varies slowly in ln r
+# Each level is solved on two meshes in ln r, a fine one at step
+# h = min(_STEP_MAX, _STEP_SCALE / (D - 2)) and a coarse one at 2h, and
+# extrapolated. Every level varies slowly in ln r, so h = 0.01 serves small D.
+# The centrifugal term's Numerov factor 1 - (2h)^2 (D-2)^2 / 48 on the coarse
+# mesh vanishes at 2h (D-2) = 6.93, and solves fail well before that: with
+# _STEP_SCALE = 3 (factor 0.25) they fail from D = 248 on. At 2
+# (factor 0.67) every D up to the limit solves at k = 0, 8 and 16, and at 1.5
+# (factor 0.81) at k = 0, 1, 8 and 16 too; 1.5 keeps the step at half of one
+# that fails.
+_STEP_MAX = 0.01
+_STEP_SCALE = 1.5
+# The fine solve starts Brent's zero finder from the bracket E_2h (1 -+ delta)
+# about the coarse level, with delta = _WARM, widened _WARM_GROWTH-fold up to
+# _WARM_TRIES times, and falls back to a full solve if no bracket holds a sign
+# change. The relative gap |E_h - E_2h| / |E| runs from 2e-10 (D = 1200,
+# k = 0) to 5e-5 (D = 100, k = 8); of the deltas tried, 1e-8 to 1e-5, 1e-6
+# takes the fewest matches over 130 cases with D up to 1200 and k up to 16,
+# and 1e-6 * 16^3 covers the widest gap over 80-fold.
+_WARM = 1e-6
+_WARM_GROWTH = 16.0
+_WARM_TRIES = 3
 _INNER = 1e-5  # inner grid edge, as a fraction of the length alpha / |E_est|
 _TAIL = 40.0  # decay lengths sqrt(c0 / |E|) kept beyond the outer turning point
 # The node-count bisection stops once lo / hi is at most this. A wider bracket
@@ -222,14 +261,15 @@ _SERIES_EDGE = 0.1
 # Hardy floor keeps |eps| <= 1 / (D-2)^2, so |a_j z^j| falls below 2^-60 of
 # the sum by j = 13 for every D up to the limit.
 _SERIES_TERMS = 14
-# Largest D solved. The step in ln r is fixed, so the Numerov factor
-# 1 - _STEP^2 (D-2)^2 / 48 falls with D, to 0 near D = 1388; the first D that
-# fails to solve is 1296 (full Laplacian). Every D up to the limit solves in
-# both conventions at alpha = 1e-100, 1 and 1e100.
+# Largest D solved. The step shrinks as 1 / (D-2) above D = 152, so the
+# Numerov factor no longer limits D, but the cost of a solve grows with it: at
+# the limit a solve takes 11x the Numerov steps of one at D = 152. Every D up
+# to the limit solves in both conventions at alpha = 1e-100, 1 and 1e100.
 RADIAL_D_LIMIT = 1200
-# Largest excitation k solved. The fixed step lets the level's relative error
-# grow as ~k^4: at D = 3 it is 1e-7 at the limit, 9e-3 at k = 300 and 16 % at
-# k = 600 (half Laplacian); at D = 1200 it is 2e-5 at the limit.
+# Largest excitation k solved. The step error grows steeply with k: after the
+# extrapolation the relative error is 4e-9 at the limit, 3e-6 at k = 50 and
+# 3e-4 at k = 100 at D = 3, where k = 300 no longer solves (half Laplacian);
+# at D = 1200 it is 2e-10 at the limit.
 RADIAL_EXCITATION_LIMIT = 16
 
 
@@ -247,7 +287,10 @@ def radial_ground_state(
     excitation <= RADIAL_EXCITATION_LIMIT is supported; an attractive
     beta >= 2 falls to the center and is rejected as singular. Every length
     and energy scale comes from the closed-form estimate E_est, so the solve
-    costs the same at any alpha.
+    costs the same at any alpha. The level is solved on the coarse mesh, then
+    on the fine mesh from a bracket about it (by a full solve should that
+    bracket fail), and each solve must end on a level with ``excitation``
+    nodes and no vanished sweep.
     """
     needs = "radial solver needs {bound}, got {value}"
     require_int("D", D, 3, RADIAL_D_LIMIT, message=needs)
@@ -281,28 +324,38 @@ def radial_ground_state(
     lo = _hardy_floor(D, alpha, c0)
     hi = -scale / (excitation + 1) ** 2
     r_min = _INNER * (alpha / scale)
-    problem = _RadialProblem(D, alpha, c0, r_min, hi)
-    energy, m = problem.solve(excitation, lo, hi)
+    h = min(_STEP_MAX, _STEP_SCALE / (D - 2))
+    coarse = _RadialProblem(D, alpha, c0, r_min, hi, 2.0 * h)
+    e_2h, _ = coarse.solve(excitation, lo, hi)
+    _check(coarse, e_2h, excitation)
+    fine = _RadialProblem(D, alpha, c0, r_min, hi, h)
+    warm = fine.polish(excitation, e_2h, lo, hi)
+    e_h, m = warm if warm is not None else fine.solve(excitation, lo, hi)
+    _check(fine, e_h, excitation)
+    # Numerov's level error is c h^4 + O(h^6): this removes the h^4 term
+    energy = (16.0 * e_h - e_2h) / 15.0
+    return RadialSolution(
+        energy=energy,
+        shift=abs(energy - e_h),
+        nodes=excitation,
+        kinetic_convention=convention,
+        r_max=fine.r_stop(e_h),
+        h=h,
+        sweeps=coarse.sweeps + fine.sweeps,
+        matches=coarse.matches + fine.matches,
+        steps=coarse.steps + fine.steps,
+        _build=partial(fine._assemble, e_h, m),
+    )
 
-    # the sign data of the match at the returned energy, which Brent evaluated
+
+def _check(problem: _RadialProblem, energy: float, k: int) -> None:
+    """Raises unless the match at ``energy``, which Brent evaluated, glued a
+    solution with k nodes and no sweep vanished at the matching point."""
     nodes, vanished = problem.signs[energy]
     if vanished:
         raise NoConvergenceError("a sweep vanished at the matching point")
-    if nodes != excitation:
-        raise NoConvergenceError(
-            f"converged state has {nodes} nodes, expected {excitation}"
-        )
-    return RadialSolution(
-        energy=energy,
-        nodes=nodes,
-        kinetic_convention=convention,
-        r_max=problem.r_stop(energy),
-        h=_STEP,
-        sweeps=problem.sweeps,
-        matches=problem.matches,
-        steps=problem.steps,
-        _build=partial(problem._assemble, energy, m),
-    )
+    if nodes != k:
+        raise NoConvergenceError(f"converged state has {nodes} nodes, expected {k}")
 
 
 def _hardy_floor(D: int, alpha: float, c0: float) -> float:
@@ -395,8 +448,9 @@ class _RadialProblem:
     solution, so nothing overflows at any D, and a node is a negative R.
     """
 
-    def __init__(self, D: int, alpha: float, c0: float, r_min: float, e_top: float):
+    def __init__(self, D: int, alpha: float, c0: float, r_min: float, e_top: float, h: float):
         self.D = D
+        self.h = h
         self.alpha = alpha
         self.c0 = c0
         self.sweeps = 0
@@ -407,21 +461,21 @@ class _RadialProblem:
         self.signs: dict[float, tuple[int, bool]] = {}
         self.ln_r_min = math.log(r_min)
         n_pts = self._points(e_top)
-        self.rr = r_min * np.exp(_STEP * np.arange(n_pts))
-        k = _STEP * _STEP / 12.0
+        self.rr = r_min * np.exp(h * np.arange(n_pts))
+        k = h * h / 12.0
         self.base = 1.0 - k * ((D - 2) ** 2 / 4.0 - (alpha / c0) * self.rr)
         self.slope = (k / c0) * self.rr**2
         self.z = (alpha / c0) * self.rr
         self.start = max(0, int(np.searchsorted(self.z / (D - 1), _SERIES_EDGE, "right")) - 1)
         # r^((D-2)/2) one step past the start, relative to the start
-        self.lift = math.exp((D - 2) / 2.0 * _STEP)
+        self.lift = math.exp((D - 2) / 2.0 * h)
 
     def r_stop(self, energy: float) -> float:
         """Outer turning point plus _TAIL decay lengths."""
         return self.alpha / -energy + _TAIL * math.sqrt(self.c0 / -energy)
 
     def _points(self, energy: float) -> int:
-        return int(math.ceil((math.log(self.r_stop(energy)) - self.ln_r_min) / _STEP)) + 1
+        return int(math.ceil((math.log(self.r_stop(energy)) - self.ln_r_min) / self.h)) + 1
 
     def _coeffs(self, energy: float, first: int) -> tuple[np.ndarray, list]:
         """t = 1 - h^2 g / 12 and the recurrence factors 12 / t - 10 on mesh
@@ -502,14 +556,32 @@ class _RadialProblem:
             else:
                 lo, n_lo = mid, n_mid
 
-        # match at the bottom of the well in x, r = alpha / (2 |E|), which lies
-        # inside the allowed region of any level in this narrow bracket
-        m = int(np.argmax(self.base + self.slope * hi * math.sqrt(lo / hi)))
-
-        def match(energy: float) -> float:
-            return self._match(energy, m)
-
+        m = self._match_point(hi * math.sqrt(lo / hi))
+        match = partial(self._match, m=m)
         return _brent_zero(match, lo, hi, match(lo), match(hi), _REL_TOL, 0.0), m
+
+    def polish(self, k: int, guess: float, lo: float, hi: float) -> tuple[float, int] | None:
+        """The k-th level from a close ``guess`` without node counting: Brent's
+        zero finder from the bracket guess (1 -+ delta), widened until the
+        matching condition changes sign across it. None when it never does
+        within [lo, hi] and _WARM_TRIES widenings, or when the level found
+        does not have k nodes."""
+        m = self._match_point(guess)
+        match = partial(self._match, m=m)
+        delta = _WARM
+        for _ in range(_WARM_TRIES + 1):
+            a, b = max(lo, guess * (1.0 + delta)), min(hi, guess * (1.0 - delta))
+            fa, fb = match(a), match(b)
+            if (fa > 0.0) != (fb > 0.0):
+                energy = _brent_zero(match, a, b, fa, fb, _REL_TOL, 0.0)
+                return (energy, m) if self.signs[energy][0] == k else None
+            delta *= _WARM_GROWTH
+        return None
+
+    def _match_point(self, energy: float) -> int:
+        """The bottom of the well in x at ``energy``, r = alpha / (2 |E|),
+        which lies inside the allowed region of any level near it."""
+        return int(np.argmax(self.base + self.slope * energy))
 
     def _assemble(self, energy: float, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The outward and inward solutions at ``energy``, glued at point m
@@ -528,7 +600,7 @@ class _RadialProblem:
         ln_w, flips = _log_path(ratios)
         ln_w += math.log(w0)
         z = self.z[:s]
-        ln_y = (self.D - 2) / 2.0 * _STEP * np.arange(-s, 0) + np.log(
+        ln_y = (self.D - 2) / 2.0 * self.h * np.arange(-s, 0) + np.log(
             _series(z, _series_terms(self._eps(energy), self.D))
         )
         rr = self.rr[: s + len(t)]

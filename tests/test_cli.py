@@ -300,9 +300,9 @@ _BYTE_PINS = {
     "table1 --format json":
         "789883f03b8c8e899e610c0f61c0ace18a8b5e5c1cc5085c308ff0bdc6036c44",
     "radial --D 5 --alpha 2 --convention half --excitation 2 --format text":
-        "65868e0cd9266f27a430c20aea45ab35cd65a53ff49c836ba37b2b2aaa01388f",
+        "51d7eeae831bcee7d18ae5b0ecf68d48a94649a72ed7054864bcb7ee8b0ceff3",
     "radial --D 5 --alpha 2 --convention half --excitation 2 --format json":
-        "8c91f08dd210e7cd960d6607961f3c9be2fac5ea2c28812128274b2ffccaba9a",
+        "030949b17987c5f2c06881abd99ca8d09df671051bbfbc0d4b5f9be30be73011",
     "feasible --n 3 --scheme m1 --format text":
         "34fb88ec7fa2959cf322eae2a477e6fa6795717d114a9ad7080e5529bef0eddc",
     "feasible --n 3 --scheme m1 --format json":
@@ -462,10 +462,11 @@ class TestRadial:
         assert code == 0
         obj = json.loads(out)
         assert list(obj) == [
-            "D", "alpha", "beta", "convention", "excitation", "E", "nodes",
+            "D", "alpha", "beta", "convention", "excitation", "E", "shift", "nodes",
             "r_max", "h", "sweeps", "matches", "steps",
         ]
         assert obj["sweeps"] > 2 * obj["matches"] > 0 and obj["steps"] > 0
+        assert 0.0 < obj["shift"] < 1e-8 * -obj["E"]
 
     def test_text_keeps_tiny_levels_and_reports_sweeps(self, capsys):
         code, out, _ = run(capsys, "radial", "--D", "3", "--alpha", "1e-6")
@@ -473,6 +474,7 @@ class TestRadial:
         energy = float(out.split()[2])
         assert energy == pytest.approx(-2.5e-13, rel=1e-6)
         assert "sweeps=" in out and "matches=" in out and "steps=" in out
+        assert "shift=" in out
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_non_finite_alpha_exit_code(self, capsys, alpha):

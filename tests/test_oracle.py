@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimspec import (
+    Classification,
     EnergyQuery,
     InvalidParameterError,
     KineticConvention,
@@ -23,6 +24,7 @@ from dimspec import (
     minimize_v_eff,
     radial_ground_state,
 )
+from dimspec import oracle
 from dimspec.oracle import (
     RADIAL_D_LIMIT,
     RADIAL_EXCITATION_LIMIT,
@@ -94,6 +96,26 @@ class TestMinimizeVeff:
         with pytest.raises(NoConvergenceError, match="outside the search's float range"):
             minimize_v_eff(EnergyQuery(SignedLogReal(1, lnmag), 1, n, 3))
 
+    @pytest.mark.parametrize(
+        "n,beta,D,lnmag,cause",
+        [
+            (10_000, 19_999, 2, 2e13, "collapses onto the seed"),
+            (10_000, 19_999, 2, -2e13, "collapses onto the seed"),
+            (1, 1, 3, 4e16, "collapses onto the seed"),
+            (1, 1, 3, -4e16, "collapses onto the seed"),
+            (10_000, 1, 3, 1e19, "lost the bits"),
+        ],
+    )
+    def test_bound_query_past_the_float_resolution(self, n, beta, D, lnmag, cause):
+        # bound, as e0_general answers, yet x_seed +- half rounds back onto
+        # x_seed, or the seed terms round away their ratio: the search cannot
+        # place the root in floats, which is no proof that there is none
+        q = EnergyQuery(SignedLogReal(1, lnmag), beta, n, D)
+        assert e0_general(q).classification is Classification.BOUND
+        match = f"outside the search's float range: .*{cause}"
+        with pytest.raises(NoConvergenceError, match=match):
+            minimize_v_eff(q)
+
     def test_no_minimum_at_divergent_boundary(self):
         with pytest.raises(NoMinimumError):
             minimize_v_eff(EnergyQuery(SignedLogReal(1, 0.0), 2, 1, 4))
@@ -133,12 +155,27 @@ class TestRadialGroundState:
         assert sol.nodes == 0
 
     def test_ground_state_sweep_budget(self):
-        # from the Hardy floor -1 and the upper edge -1/9, two node counts and
-        # three bisections reach lo / hi <= 1.6; Brent's zero finder then
-        # takes six matches of two sweeps each
+        # on the coarse mesh, from the Hardy floor -1 and the upper edge -1/9,
+        # two node counts and three bisections reach lo / hi <= 1.6, and
+        # Brent's zero finder takes six matches of two sweeps each; the fine
+        # solve, warm-started about the coarse level, counts no nodes and takes
+        # two bracket matches and three Brent steps. A cold fine solve would
+        # add node-count sweeps.
         sol = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
-        assert sol.sweeps <= 17
         assert sol.sweeps - 2 * sol.matches == 5
+        assert sol.matches <= 6 + 5
+
+    def test_fine_solve_falls_back_to_node_counting(self, monkeypatch):
+        # a warm bracket far narrower than the gap |E_h - E_2h| ~ 1e-9 |E|, never
+        # widened, holds no sign change: the fine solve counts nodes from the
+        # Hardy floor as the coarse one does, and ends on the same level
+        warm = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
+        monkeypatch.setattr(oracle, "_WARM", 1e-15)
+        monkeypatch.setattr(oracle, "_WARM_TRIES", 0)
+        cold = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
+        assert cold.sweeps - 2 * cold.matches == 2 * 5
+        assert cold.energy == pytest.approx(warm.energy, rel=1e-11)
+        assert cold.nodes == 0
 
     def test_wavefunction_shape(self):
         sol = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
@@ -205,7 +242,8 @@ class TestRadialGroundState:
         exact *= float(np.dot(sol.u, exact) / np.dot(exact, exact))
         assert float(np.abs(sol.u - exact).max()) <= 1e-8
         inner = sol.grid <= 0.2
-        assert inner[:1000].all()
+        below = math.floor(math.log(0.2 / sol.grid[0]) / sol.h) + 1  # r_min e^(j h) <= 0.2
+        assert below > 500 and inner[:below].all() and not inner[below:].any()
         assert float(np.abs(sol.u[inner] / exact[inner] - 1.0).max()) <= 1e-10
 
     def test_wavefunction_is_built_on_first_read(self):
@@ -285,9 +323,9 @@ def test_radial_matches_exact_level(D, alpha, convention, k):
 
 
 def test_low_levels_within_the_step_error():
-    # the fixed step's error grows as h^4 with D and k: within 1e-10 up to
-    # D = 5, 4.0e-10 at D = 25 and 1.1e-9 at D = 64 (k = 1), the same at any
-    # alpha and in both conventions; halving the step shrinks it 16-fold
+    # the extrapolation over (h, 2h) leaves the h^6 term and Brent's
+    # tolerance: within 3.6e-12 up to D = 5, 9.3e-12 at D = 25 and 5.6e-11 at
+    # D = 64 (k = 1), the same at any alpha and in both conventions
     worst = {}
     for D, k, convention, alpha in itertools.product(
         (3, 4, 5, 25, 64), (0, 1), KineticConvention, (1e-6, 1.0, 1e6)
@@ -296,8 +334,17 @@ def test_low_levels_within_the_step_error():
         sol = radial_ground_state(D, alpha, 1, convention, k)
         assert sol.nodes == k
         worst[D] = max(worst.get(D, 0.0), abs(sol.energy - exact) / abs(exact))
-    assert max(worst[D] for D in (3, 4, 5)) <= 1e-10
-    assert max(worst[D] for D in (25, 64)) <= 2e-9
+    assert max(worst[D] for D in (3, 4, 5)) <= 6e-12
+    assert max(worst[D] for D in (25, 64)) <= 1e-10
+
+
+def test_shift_bounds_the_error():
+    # the shift |E - E_h| estimates the fine solve's error, so it exceeds
+    # that of the extrapolated level, whose leading term it removed
+    for D, alpha, convention, k in EXACT_LEVEL_CASES:
+        sol = radial_ground_state(D, alpha, 1, convention, k)
+        exact = exact_level(D, alpha, convention, k)
+        assert abs(sol.energy - exact) <= sol.shift, (D, alpha, convention, k)
 
 
 class TestRadialParts:
@@ -399,8 +446,8 @@ def test_solved_levels_lie_above_the_hardy_floor(D, k, convention, alpha):
 @pytest.mark.parametrize("convention", list(KineticConvention))
 @pytest.mark.parametrize("D", [3, RADIAL_D_LIMIT])
 def test_radial_excitation_limit(D, convention):
-    # the fixed step in ln r lets the error grow as ~k^4: the limit keeps it
-    # within 1e-4 at both ends of the D range, and anything above is rejected
+    # the step error grows steeply with k: the limit keeps it within 1e-4 at
+    # both ends of the D range, and anything above is rejected
     k = RADIAL_EXCITATION_LIMIT
     sol = radial_ground_state(D, 1.0, 1, convention, k)
     exact = exact_level(D, 1.0, convention, k)
