@@ -40,7 +40,7 @@ class PotentialNature(Enum):
     LOGARITHMIC = "logarithmic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemParams:
     """The integer triple (D, n, m).
 
@@ -53,9 +53,13 @@ class SystemParams:
     m: int
 
     def __post_init__(self) -> None:
-        require_int("D", self.D, 2, code="bad-dimension")
-        require_int("n", self.n, 1, code="bad-power")
-        require_int("m", self.m, 1, code="bad-power")
+        D, n, m = self.D, self.n, self.m
+        # one expression, no call: this runs once per record built; the
+        # require_int calls only name the first field that fails it
+        if not (type(D) is type(n) is type(m) is int and D >= 2 and n >= 1 and m >= 1):
+            require_int("D", D, 2, code="bad-dimension")
+            require_int("n", n, 1, code="bad-power")
+            require_int("m", m, 1, code="bad-power")
 
     @property
     def scheme(self) -> Scheme:
@@ -72,7 +76,7 @@ class SystemParams:
         return self.D - 2 * self.m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PotentialSpec:
     """Coupling strength and decay exponent of the power-law potential.
 
@@ -91,7 +95,7 @@ class PotentialSpec:
         return PotentialNature.ATTRACTIVE if self.alpha.sign > 0 else PotentialNature.REPULSIVE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyOutcome:
     """Either a bound ground-state energy or a classified failure mode."""
 
@@ -128,7 +132,7 @@ class EnergyOutcome:
         return cls(Classification.INVALID, reason_code=code, reason=reason)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanRecord:
     """One evaluated grid point, with its optional reference value."""
 
@@ -137,6 +141,19 @@ class ScanRecord:
     alpha: Optional[SignedLogReal]
     outcome: EnergyOutcome
     paper_value: Optional[float] = None  # the published energy, as printed
+
+
+# The outcome of each regime that carries neither an energy nor a reason:
+# immutable values, stated once and shared by every record in that regime.
+NON_BOUND_OUTCOMES = {
+    tag: EnergyOutcome(tag)
+    for tag in (
+        Classification.DIVERGENT,
+        Classification.SINGULAR,
+        Classification.REPULSIVE,
+        Classification.LOGARITHMIC,
+    )
+}
 
 
 def scheme_m(n: int, scheme: Scheme) -> int:
@@ -202,4 +219,4 @@ def classify_outcome(D: int, n: int, m: int) -> Optional[EnergyOutcome]:
             "short-range",
             f"beta = D - 2m = {_shown(beta)} < 0: the potential is short-range",
         )
-    return EnergyOutcome(tag)
+    return NON_BOUND_OUTCOMES[tag]

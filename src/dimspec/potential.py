@@ -55,8 +55,11 @@ def alpha_coefficient(D: int, m: int) -> PotentialSpec:
     as a classified spec rather than an error; D < 2m is short range and is
     rejected, and so is D > D_LIMIT.
     """
-    require_int("D", D, 2, D_LIMIT, "out-of-domain")
-    require_int("m", m, 1, code="out-of-domain")
+    # one expression, no call: this runs once per scanned point; the
+    # require_int calls only name the first argument that fails it
+    if not (type(D) is type(m) is int and 2 <= D <= D_LIMIT and m >= 1):
+        require_int("D", D, 2, D_LIMIT, "out-of-domain")
+        require_int("m", m, 1, code="out-of-domain")
     beta = D - 2 * m
     if beta < 0:
         raise InvalidParameterError(

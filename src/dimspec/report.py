@@ -172,7 +172,8 @@ def record_fields(rec: ScanRecord) -> dict:
         "E0_sign": energy.sign if energy is not None else None,
         "E0_lnmag": energy.lnmag if energy is not None else None,
         "E0_decimal": energy.to_decimal() if energy is not None else None,
-        "classification": rec.outcome.classification.value,
+        # the member's value slot itself, not the Enum ``value`` descriptor
+        "classification": rec.outcome.classification._value_,
         "formula": FORMULA,
         "paper_E0": rec.paper_value,
         "ratio_log10": ratio_log10,

@@ -21,7 +21,7 @@ _LN10 = math.log(10.0)
 _EXP_OVERFLOW = 709.78
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedLogReal:
     """A real number stored as a sign in {-1, 0, +1} and ln of its magnitude.
 
@@ -89,7 +89,8 @@ class SignedLogReal:
         if mantissa >= 10.0:
             mantissa /= 10.0
             e10 += 1
-        body = f"{mantissa:.{sig_digits - 1}f}e{e10:+03d}"
+        # printf-style: the same bytes as the format spec "{:.Nf}e{:+03d}", in one call
+        body = "%.*fe%+03d" % (sig_digits - 1, mantissa, e10)
         return ("-" + body) if self.sign < 0 else body
 
     # only benchmarks/probes.py reaches these two (add_ns, mul_ns): they go with those probes

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import InvalidParameterError, _shown, require_int
-from .model import Classification, EnergyOutcome, classify_coupling, classify_outcome
+from .model import (
+    NON_BOUND_OUTCOMES,
+    Classification,
+    EnergyOutcome,
+    classify_coupling,
+    classify_outcome,
+)
 from .potential import LN_2, alpha_coefficient
 from .signedlog import SignedLogReal
 
@@ -34,7 +40,7 @@ from .signedlog import SignedLogReal
 N_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyQuery:
     """Inputs to the general evaluator: coupling, decay exponent, powers.
 
@@ -54,9 +60,15 @@ class EnergyQuery:
                 "malformed-query",
                 f"alpha must be a SignedLogReal or None, got {_shown(self.alpha)}",
             )
-        require_int("beta", self.beta, 0, code="malformed-query")
-        require_int("n", self.n, 1, N_LIMIT)
-        require_int("D", self.D, 2, code="malformed-query")
+        beta, n, D = self.beta, self.n, self.D
+        # one expression, no call: this runs once per evaluated record; the
+        # require_int calls only name the first field that fails it
+        if not (
+            type(beta) is type(n) is type(D) is int and beta >= 0 and 1 <= n <= N_LIMIT and D >= 2
+        ):
+            require_int("beta", beta, 0, code="malformed-query")
+            require_int("n", n, 1, N_LIMIT)
+            require_int("D", D, 2, code="malformed-query")
 
 
 def e0_general(q: EnergyQuery) -> EnergyOutcome:
@@ -68,7 +80,7 @@ def e0_general(q: EnergyQuery) -> EnergyOutcome:
     sign = q.alpha.sign if q.alpha is not None else 0
     tag = classify_coupling(q.beta, sign, q.n)
     if tag is not Classification.BOUND:
-        return EnergyOutcome(tag)
+        return NON_BOUND_OUTCOMES[tag]
 
     two_n = 2 * q.n
     # |E0| = alpha * (2n-beta)/(2n) * D^(-2n beta/(2n-beta))

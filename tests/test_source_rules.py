@@ -8,8 +8,18 @@ copy of it elsewhere:
   threshold (709.78) as a literal;
 * an integer argument is checked in ``errors.require_int``: no other
   function tests ``isinstance(x, bool)``, except ``radial_ground_state``'s
-  real-number check on ``alpha``, where a bool is not a real either (hot
-  paths that must not pay for a call spell the check ``type(x) is int``);
+  real-number check on ``alpha``, where a bool is not a real either. The
+  checks run once per record spell it ``type(x) is int`` inline, in one
+  expression with their bounds, so they pay no call: ``SystemParams``,
+  ``EnergyQuery`` and ``alpha_coefficient`` call ``require_int`` only when
+  that expression fails, to name the first bad field with its usual code
+  and message, and ``classify_coupling`` and ``SignedLogReal.to_decimal``
+  raise their own error;
+* the value types a record is built from (``SystemParams``,
+  ``PotentialSpec``, ``EnergyOutcome``, ``ScanRecord``, ``SignedLogReal``,
+  ``EnergyQuery``) are ``@dataclass(frozen=True, slots=True)``: a survey
+  pass builds every record three times, and an instance dict would cost
+  time and memory on each;
 * the library computes in floats and makes no mpmath call: ``oracle.py``
   keeps a bare ``import mpmath`` only because the benchmark's
   ``-X importtime`` probe requires ``import dimspec`` to load it, and one
@@ -113,6 +123,40 @@ def test_no_module_calls_into_mpmath():
                 found.append(f"{name}:{node.lineno}: {node.value.id}.{node.attr}")
     assert checked > 0
     assert found == []
+
+
+# (module, class) of the value types every record is built from
+SLOTTED = {
+    ("model.py", "SystemParams"),
+    ("model.py", "PotentialSpec"),
+    ("model.py", "EnergyOutcome"),
+    ("model.py", "ScanRecord"),
+    ("signedlog.py", "SignedLogReal"),
+    ("spectrum.py", "EnergyQuery"),
+}
+
+
+def _dataclass_options(cls: ast.ClassDef) -> dict:
+    """The constant keyword arguments of ``cls``'s ``@dataclass(...)``."""
+    for deco in cls.decorator_list:
+        if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "dataclass":
+            return {kw.arg: getattr(kw.value, "value", None) for kw in deco.keywords}
+    return {}
+
+
+def test_record_value_types_stay_frozen_and_slotted():
+    options = {
+        (name, node.name): _dataclass_options(node)
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and (name, node.name) in SLOTTED
+    }
+    assert set(options) == SLOTTED
+    assert [
+        f"{name}: {cls}"
+        for (name, cls), kw in sorted(options.items())
+        if not (kw.get("frozen") is True and kw.get("slots") is True)
+    ] == []
 
 
 # (module, function) pairs allowed to compare against a scheme that fixes m
