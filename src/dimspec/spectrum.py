@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import InvalidParameterError, _shown, require_int
-from .model import (
-    NON_BOUND_OUTCOMES,
-    Classification,
-    EnergyOutcome,
-    classify_coupling,
-    classify_outcome,
-)
+from .model import BOUND, NON_BOUND_OUTCOMES, EnergyOutcome, classify_coupling, classify_outcome
 from .potential import LN_2, alpha_coefficient
 from .signedlog import SignedLogReal
 
@@ -77,25 +71,29 @@ def e0_general(q: EnergyQuery) -> EnergyOutcome:
     Outside that window the outcome is the ``classify_coupling`` tag of
     (beta, sign of alpha, n); a missing alpha counts as zero.
     """
-    sign = q.alpha.sign if q.alpha is not None else 0
-    tag = classify_coupling(q.beta, sign, q.n)
-    if tag is not Classification.BOUND:
+    return _closed_form(q.alpha, q.beta, q.n, q.D)
+
+
+def _closed_form(alpha: Optional[SignedLogReal], beta: int, n: int, D: int) -> EnergyOutcome:
+    """``e0_general`` of values ``EnergyQuery`` would accept, unchecked."""
+    tag = classify_coupling(beta, alpha.sign if alpha is not None else 0, n)
+    if tag is not BOUND:
         return NON_BOUND_OUTCOMES[tag]
 
-    two_n = 2 * q.n
+    two_n = 2 * n
     # |E0| = alpha * (2n-beta)/(2n) * D^(-2n beta/(2n-beta))
     #              * (2n / (2^(2n) alpha beta))^(-beta/(2n-beta))
-    x_dim = two_n * q.beta / (two_n - q.beta)
-    x_cpl = q.beta / (two_n - q.beta)
-    ln_t = math.log(two_n) - two_n * LN_2 - q.alpha.lnmag - math.log(q.beta)
+    x_dim = two_n * beta / (two_n - beta)
+    x_cpl = beta / (two_n - beta)
+    ln_t = math.log(two_n) - two_n * LN_2 - alpha.lnmag - math.log(beta)
     lnmag = (
-        q.alpha.lnmag
-        + math.log(two_n - q.beta)
+        alpha.lnmag
+        + math.log(two_n - beta)
         - math.log(two_n)
-        - x_dim * math.log(q.D)
+        - x_dim * math.log(D)
         - x_cpl * ln_t
     )
-    return EnergyOutcome(Classification.BOUND, SignedLogReal(-1, lnmag))
+    return EnergyOutcome(BOUND, SignedLogReal(-1, lnmag))
 
 
 def _ln_bracket_base(D: int, n: int) -> float:
@@ -125,7 +123,7 @@ def _e0_printed(D: int, n: int, m: int) -> EnergyOutcome:
         + math.log(4 * n - D)
         - math.log(2 * n)
     )
-    return EnergyOutcome(Classification.BOUND, SignedLogReal(-1, lnmag))
+    return EnergyOutcome(BOUND, SignedLogReal(-1, lnmag))
 
 
 def e0_scheme_mn(D: int, n: int) -> EnergyOutcome:

@@ -4,9 +4,13 @@ A record is built three times per survey pass (scan, CSV parse, JSON parse),
 so its value types are slotted frozen dataclasses, the outcomes that carry no
 reason are shared constants, and the integer checks are one inline
 ``type(x) is int`` expression that calls ``require_int`` only to name the
-field that fails. These tests pin what that must not change: the exception,
+field that fails. ``build_record`` and ``evaluate_point`` build no
+``EnergyQuery`` or ``PotentialSpec``: they call the cores behind
+``e0_general`` and ``alpha_coefficient``, whose checks ``SystemParams`` has
+already made. These tests pin what that must not change: the exception,
 code and message of every rejected argument (these pins hold for the plain
-``require_int`` calls too), and the value semantics of each type.
+``require_int`` calls too), the value semantics of each type, and records
+bit-identical to what the public evaluators give.
 """
 
 import copy
@@ -15,6 +19,8 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimspec import (
     Classification,
@@ -35,7 +41,10 @@ from dimspec import (
     render_records_csv,
     render_records_json,
 )
-from dimspec.feasibility import build_record
+from dimspec.feasibility import D_MAX, D_MIN, N_MAX, N_MIN, build_record
+from dimspec.model import scheme_m
+from dimspec.potential import D_LIMIT
+from dimspec.spectrum import N_LIMIT
 
 # past the 4 300 digits repr prints, so a message shows its bit length
 BIG = 10**5000
@@ -164,6 +173,42 @@ PINS = {
         parse_records_csv, (_csv(E0_sign="-1.0", n="x"),), "unparseable",
         "CSV column 'n': cannot read 'x' as int",
     ),
+    "csv-empty-m": (
+        parse_records_csv, (_csv(m=""),), "unparseable",
+        "CSV column 'm': cannot read '' as int",
+    ),
+    "csv-alpha-sign": (
+        parse_records_csv, (_csv(alpha_sign="+"),), "unparseable",
+        "CSV column 'alpha_sign': cannot read '+' as int",
+    ),
+    "csv-E0-sign": (
+        parse_records_csv, (_csv(E0_sign="-1.0"),), "unparseable",
+        "CSV column 'E0_sign': cannot read '-1.0' as int",
+    ),
+    "csv-E0-lnmag": (
+        parse_records_csv, (_csv(E0_lnmag="1e"),), "unparseable",
+        "CSV column 'E0_lnmag': cannot read '1e' as float",
+    ),
+    "csv-paper": (
+        parse_records_csv, (_csv(paper_E0="-0.11.1"),), "unparseable",
+        "CSV column 'paper_E0': cannot read '-0.11.1' as float",
+    ),
+    "csv-ratio": (
+        parse_records_csv, (_csv(ratio_log10="x"),), "unparseable",
+        "CSV column 'ratio_log10': cannot read 'x' as float",
+    ),
+    "csv-two-bad-floats": (
+        parse_records_csv, (_csv(ratio_log10="y", E0_lnmag="x"),), "unparseable",
+        "CSV column 'E0_lnmag': cannot read 'x' as float",
+    ),
+    "csv-short-row": (
+        parse_records_csv, (_CSV_HEADER + "\n3,1\n",), "unparseable",
+        "CSV row has 2 cells, expected 13",
+    ),
+    "csv-long-row": (
+        parse_records_csv, (_CSV_HEADER + "\n" + _CSV_ROW + ",x\n",), "unparseable",
+        "CSV row has 14 cells, expected 13",
+    ),
     "csv-sign": (parse_records_csv, (_csv(alpha_sign="2"),), "unparseable", NO_COUPLING + "2"),
     "csv-cell": (
         parse_records_csv, (_csv(E0_decimal="-1.12e-01"),), "unparseable",
@@ -273,3 +318,93 @@ class TestSharedOutcomes:
             "beta = -1 < 0: the potential is short-range",
             "beta = -2 < 0: the potential is short-range",
         }
+
+
+def _bits(value):
+    """An outcome as comparable bits (each float by its hex, so -0.0 and
+    0.0 differ), or a raised error as its type, code and message."""
+    if isinstance(value, DimspecError):
+        return type(value), value.code, str(value)
+    energy = value.energy
+    return (
+        value.classification,
+        None if energy is None else (energy.sign, energy.lnmag.hex()),
+        value.reason_code,
+        value.reason,
+    )
+
+
+def _outcome(call):
+    """``_bits`` of ``call()``'s outcome or of the error it raises."""
+    try:
+        return _bits(call())
+    except DimspecError as exc:
+        return _bits(exc)
+
+
+def _coupling_bits(alpha):
+    return None if alpha is None else (alpha.sign, alpha.lnmag.hex())
+
+
+class TestRecordPathBitIdentity:
+    """``build_record`` and ``evaluate_point`` skip the public gates
+    (``EnergyQuery``, ``alpha_coefficient``) and call the cores behind them;
+    the records must match what the gates give, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE])
+    def test_every_grid_point_matches_the_public_evaluators(self, scheme):
+        checked = 0
+        for D in range(D_MIN, D_MAX + 1):
+            for n in range(N_MIN, N_MAX + 1):
+                m = scheme_m(n, scheme)
+                rec = evaluate_point(D, n, scheme)
+                if D - 2 * m < 0:
+                    assert rec.alpha is None
+                    assert _bits(rec.outcome) == _bits(classify_outcome(D, n, m))
+                    continue
+                spec = alpha_coefficient(D, m)
+                assert _coupling_bits(rec.alpha) == _coupling_bits(spec.alpha)
+                expected = e0_general(EnergyQuery(spec.alpha, spec.beta, n, D))
+                assert _bits(rec.outcome) == _bits(expected)
+                checked += 1
+        assert checked > 500
+
+    @given(
+        n=st.integers(1, 40)
+        | st.sampled_from([N_LIMIT, N_LIMIT + 1])
+        | st.integers(1, N_LIMIT + 1),
+        D=st.integers(2, D_LIMIT),
+        alpha=st.one_of(
+            st.none(),
+            st.builds(
+                SignedLogReal,
+                st.sampled_from([1, -1]),
+                st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+                | st.floats(allow_nan=False, allow_infinity=False),
+            ),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_explicit_couplings_match_e0_general(self, n, D, alpha, data):
+        beta = data.draw(st.integers(-2, 2 * n + 1), label="beta")
+        got = _outcome(lambda: build_record(SystemParams(D, n, 1), beta, alpha, False).outcome)
+        expected = _outcome(lambda: e0_general(EnergyQuery(alpha, beta, n, D)))
+        if beta >= 0:
+            assert got == expected
+        else:  # the query rejects a short range; the record classifies it
+            assert expected[1] == "malformed-query"
+            assert got[0] is Classification.INVALID and got[2] == "short-range"
+
+    def test_n_past_the_limit_raises_the_query_error(self):
+        params = SystemParams(3, N_LIMIT + 1, 1)
+        with pytest.raises(InvalidParameterError) as err:
+            build_record(params, 1, ALPHA, False)
+        assert (err.value.code, str(err.value)) == ("out-of-range", "need n <= 10000, got 10001")
+
+    def test_dimension_past_the_limit_raises_the_coupling_error(self):
+        with pytest.raises(InvalidParameterError) as err:
+            evaluate_point(D_LIMIT + 1, 1, Scheme.M_EQUALS_N)
+        assert (err.value.code, str(err.value)) == (
+            "out-of-domain", "need D <= 10000, got 10001"
+        )

@@ -10,11 +10,23 @@ copy of it elsewhere:
   function tests ``isinstance(x, bool)``, except ``radial_ground_state``'s
   real-number check on ``alpha``, where a bool is not a real either. The
   checks run once per record spell it ``type(x) is int`` inline, in one
-  expression with their bounds, so they pay no call: ``SystemParams``,
-  ``EnergyQuery`` and ``alpha_coefficient`` call ``require_int`` only when
-  that expression fails, to name the first bad field with its usual code
-  and message, and ``classify_coupling`` and ``SignedLogReal.to_decimal``
-  raise their own error;
+  expression with their bounds, so they pay no call: ``SystemParams`` calls
+  ``require_int`` only when that expression fails, to name the first bad
+  field with its usual code and message, and ``classify_coupling`` and
+  ``SignedLogReal.to_decimal`` raise their own error. ``EnergyQuery`` and
+  ``alpha_coefficient`` check the same way, but they are the public gates of
+  the evaluators and are not on the record path;
+* each value on the record path is checked once: ``build_record`` and
+  ``evaluate_point`` build no ``EnergyQuery`` or ``PotentialSpec`` and call
+  neither ``e0_general`` nor ``alpha_coefficient``, whose checks
+  ``SystemParams`` and their callers have already made. They call the
+  cores behind them, ``spectrum._closed_form`` and ``potential._coupling``,
+  and check only what ``SystemParams`` leaves open, n <= N_LIMIT and
+  D <= D_LIMIT;
+* inside the functions of ``model.py`` and ``spectrum.py`` a
+  ``Classification`` member is read by its module name (``BOUND``), never
+  as ``Classification.BOUND``: on CPython 3.11 the class attribute goes
+  through ``EnumType.__getattr__``, about five times the cost;
 * the value types a record is built from (``SystemParams``,
   ``PotentialSpec``, ``EnergyOutcome``, ``ScanRecord``, ``SignedLogReal``,
   ``EnergyQuery``) are ``@dataclass(frozen=True, slots=True)``: a survey
@@ -37,6 +49,8 @@ Every rule reads the library sources and changes nothing.
 import ast
 import math
 from pathlib import Path
+
+from dimspec import Classification
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "dimspec"
 
@@ -191,4 +205,55 @@ def test_no_function_but_scheme_m_tells_the_schemes_apart():
             if _compares_a_scheme(node) and not any(node.lineno in lines for lines in allowed)
         ]
     assert checked > 0
+    assert found == []
+
+
+# the record path's functions, and the gates whose checks they must not repeat
+RECORD_PATH = {("feasibility.py", "build_record"), ("feasibility.py", "evaluate_point")}
+_GATES = {"EnergyQuery", "PotentialSpec", "e0_general", "alpha_coefficient"}
+
+
+def test_record_path_calls_no_public_gate():
+    found = []
+    functions = [
+        (name, func)
+        for name, tree in _modules()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and (name, func.name) in RECORD_PATH
+    ]
+    assert {(name, func.name) for name, func in functions} == RECORD_PATH
+    for name, func in functions:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called in _GATES:
+                    found.append(f"{name}:{node.lineno}: {func.name} calls {called}")
+    assert found == []
+
+
+# modules whose functions read Classification members by module name
+ENUM_BY_NAME = {"model.py", "spectrum.py"}
+
+
+def test_no_function_reads_a_classification_member_off_its_class():
+    members = set(Classification.__members__)
+    checked, found = 0, []
+    for name, tree in _modules():
+        if name not in ENUM_BY_NAME:
+            continue
+        checked += 1
+        functions = [
+            range(func.lineno, func.end_lineno + 1)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+        ]
+        found += [
+            f"{name}:{node.lineno}: Classification.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in members
+            and getattr(node.value, "id", None) == "Classification"
+            and any(node.lineno in lines for lines in functions)
+        ]
+    assert checked == len(ENUM_BY_NAME)
     assert found == []
