@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InvalidParameterError, _shown, require_int
+from .errors import InvalidParameterError, require_int
 from .model import (
-    EnergyOutcome,
     ScanRecord,
     Scheme,
     SystemParams,
+    _short_range,
     classify_regime,
     Classification,
     scheme_m,
@@ -97,10 +97,7 @@ def build_record(
     is n <= N_LIMIT, made here with its usual code and message.
     """
     if beta < 0:
-        source = "D - 2m = " if beta == params.beta else ""
-        outcome = EnergyOutcome.invalid(
-            "short-range", f"beta = {source}{_shown(beta)} < 0: the potential is short-range"
-        )
+        outcome = _short_range(beta, beta == params.beta)
     else:
         n = params.n
         if n > N_LIMIT:

@@ -219,9 +219,15 @@ def classify_outcome(D: int, n: int, m: int) -> Optional[EnergyOutcome]:
     if tag is BOUND:
         return None
     if tag is INVALID:
-        beta = D - 2 * m
-        return EnergyOutcome.invalid(
-            "short-range",
-            f"beta = D - 2m = {_shown(beta)} < 0: the potential is short-range",
-        )
+        return _short_range(D - 2 * m, True)
     return NON_BOUND_OUTCOMES[tag]
+
+
+def _short_range(beta: int, derived: bool) -> EnergyOutcome:
+    """The invalid outcome of a short-range potential, beta < 0: the one
+    statement of its code and reason. ``derived`` says beta is D - 2m, and
+    the reason then says so too."""
+    source = "D - 2m = " if derived else ""
+    return EnergyOutcome.invalid(
+        "short-range", f"beta = {source}{_shown(beta)} < 0: the potential is short-range"
+    )

@@ -90,15 +90,6 @@ def _slope(t: float, p: float, q: float, two_n: int, beta: int) -> float:
         return -math.inf
 
 
-def _stationarity(q: EnergyQuery) -> tuple[float, float]:
-    """ln A with A = (D/2)^(2n), and the stationarity estimate of ln r*,
-    from r*^(2n-beta) = 2n A / (alpha beta)."""
-    two_n = 2 * q.n
-    ln_amp = two_n * (math.log(q.D) - LN_2)
-    x_seed = (math.log(two_n) + ln_amp - q.alpha.lnmag - math.log(q.beta)) / (two_n - q.beta)
-    return ln_amp, x_seed
-
-
 def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     """Locate the interior minimum of the effective potential by search.
 
@@ -122,7 +113,10 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
             f"no interior minimum for alpha sign {sign}, beta={q.beta}, n={q.n}: {tag.value}"
         )
     two_n, beta = 2 * q.n, q.beta
-    ln_amp, x_seed = _stationarity(q)
+    # ln A with A = (D/2)^(2n), and the stationarity estimate of ln r*, from
+    # r*^(2n-beta) = 2n A / (alpha beta)
+    ln_amp = two_n * (math.log(q.D) - LN_2)
+    x_seed = (math.log(two_n) + ln_amp - q.alpha.lnmag - math.log(beta)) / (two_n - beta)
     # ln |V_eff(r*)|: the potential is divided by it, so that its slope near
     # the minimum is of order 1
     ln_scale = q.alpha.lnmag - beta * x_seed + math.log1p(-beta / two_n)

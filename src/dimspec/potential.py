@@ -13,7 +13,7 @@ import math
 from functools import lru_cache
 
 from .errors import GammaPoleError, InvalidParameterError, _shown, require_int
-from .model import PotentialSpec
+from .model import PotentialSpec, _short_range
 from .signedlog import SignedLogReal
 
 LN_PI = math.log(math.pi)
@@ -55,16 +55,12 @@ def alpha_coefficient(D: int, m: int) -> PotentialSpec:
     as a classified spec rather than an error; D < 2m is short range and is
     rejected, and so is D > D_LIMIT.
     """
-    # one expression, no call: this runs once per scanned point; the
-    # require_int calls only name the first argument that fails it
-    if not (type(D) is type(m) is int and 2 <= D <= D_LIMIT and m >= 1):
-        require_int("D", D, 2, D_LIMIT, "out-of-domain")
-        require_int("m", m, 1, code="out-of-domain")
+    require_int("D", D, 2, D_LIMIT, "out-of-domain")
+    require_int("m", m, 1, code="out-of-domain")
     beta = D - 2 * m
     if beta < 0:
-        raise InvalidParameterError(
-            "short-range", f"beta = D - 2m = {_shown(beta)} < 0: the potential is short-range"
-        )
+        short = _short_range(beta, True)
+        raise InvalidParameterError(short.reason_code, short.reason)
     if beta == 0:
         return PotentialSpec(alpha=None, beta=0)
     return PotentialSpec(alpha=_coupling(D, m), beta=beta)

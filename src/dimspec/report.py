@@ -38,7 +38,7 @@ from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams, scheme_m
 from .refdata import TABLE1_E0
 from .signedlog import SignedLogReal
 from .spectrum import EnergyQuery, e0_general, e0_scheme_m1, e0_scheme_m1_rederived, e0_scheme_mn
-from .oracle import _stationarity, minimize_v_eff
+from .oracle import minimize_v_eff
 from .potential import D_LIMIT, alpha_coefficient
 
 _LN10 = math.log(10.0)
@@ -377,6 +377,9 @@ def sort_records(records: list[ScanRecord]) -> list[ScanRecord]:
 
 @dataclass(frozen=True)
 class OraclePoint:
+    """ln|E| and r* of one bound point, from the V_eff search and from the
+    closed form: its r* is the stationary point at the closed-form depth."""
+
     D: int
     n: int
     scheme: Scheme
@@ -434,7 +437,10 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
             query = EnergyQuery(spec.alpha, spec.beta, n, D)
             closed = e0_general(query)
             found = minimize_v_eff(query)
-            _, ln_r_stat = _stationarity(query)
+            # the closed form's r*: |E0| = alpha r*^-beta (1 - beta/2n)
+            ln_r_closed = (
+                spec.alpha.lnmag + math.log1p(-spec.beta / (2 * n)) - closed.energy.lnmag
+            ) / spec.beta
             points.append(
                 OraclePoint(
                     D=D,
@@ -443,7 +449,7 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
                     lnmag_closed=closed.energy.lnmag,
                     lnmag_oracle=found.e_min.lnmag,
                     r_star_search=found.r_star,
-                    r_star_stationarity=SignedLogReal(1, ln_r_stat).to_float(),
+                    r_star_stationarity=SignedLogReal(1, ln_r_closed).to_float(),
                 )
             )
     if not points:

@@ -54,15 +54,9 @@ class EnergyQuery:
                 "malformed-query",
                 f"alpha must be a SignedLogReal or None, got {_shown(self.alpha)}",
             )
-        beta, n, D = self.beta, self.n, self.D
-        # one expression, no call: this runs once per evaluated record; the
-        # require_int calls only name the first field that fails it
-        if not (
-            type(beta) is type(n) is type(D) is int and beta >= 0 and 1 <= n <= N_LIMIT and D >= 2
-        ):
-            require_int("beta", beta, 0, code="malformed-query")
-            require_int("n", n, 1, N_LIMIT)
-            require_int("D", D, 2, code="malformed-query")
+        require_int("beta", self.beta, 0, code="malformed-query")
+        require_int("n", self.n, 1, N_LIMIT)
+        require_int("D", self.D, 2, code="malformed-query")
 
 
 def e0_general(q: EnergyQuery) -> EnergyOutcome:

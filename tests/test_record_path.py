@@ -2,15 +2,16 @@
 
 A record is built three times per survey pass (scan, CSV parse, JSON parse),
 so its value types are slotted frozen dataclasses, the outcomes that carry no
-reason are shared constants, and the integer checks are one inline
-``type(x) is int`` expression that calls ``require_int`` only to name the
-field that fails. ``build_record`` and ``evaluate_point`` build no
+reason are shared constants, and the integer checks of ``SystemParams`` are
+one inline ``type(x) is int`` expression that calls ``require_int`` only to
+name the field that fails. ``build_record`` and ``evaluate_point`` build no
 ``EnergyQuery`` or ``PotentialSpec``: they call the cores behind
 ``e0_general`` and ``alpha_coefficient``, whose checks ``SystemParams`` has
-already made. These tests pin what that must not change: the exception,
-code and message of every rejected argument (these pins hold for the plain
-``require_int`` calls too), the value semantics of each type, and records
-bit-identical to what the public evaluators give.
+already made, and those two public gates are plain ``require_int`` calls.
+These tests pin what that must not change: the exception, code and message
+of every rejected argument (a type and a range error for each field, and the
+first field named when two are bad), the value semantics of each type, and
+records bit-identical to what the public evaluators give.
 """
 
 import copy
@@ -114,6 +115,13 @@ PINS = {
         f"need n <= 10000, got {BIG_SHOWN}",
     ),
     "query-two-bad": (EnergyQuery, (ALPHA, -1, 0, 1), "malformed-query", "need beta >= 0, got -1"),
+    "query-beta-float": (EnergyQuery, (ALPHA, 1.0, 1, 3), *_not_int("beta", "1.0")),
+    "query-n-bool": (EnergyQuery, (ALPHA, 1, True, 3), *_not_int("n", "True")),
+    "query-D-float": (EnergyQuery, (ALPHA, 1, 1, 3.0), *_not_int("D", "3.0")),
+    "query-type-then-range": (EnergyQuery, (None, 0.5, 0, 1), *_not_int("beta", "0.5")),
+    "query-range-then-type": (
+        EnergyQuery, (None, 1, 10_001, "3"), "out-of-range", "need n <= 10000, got 10001",
+    ),
     "query-alpha-first": (
         EnergyQuery, ("a", True, 1, 3), "malformed-query",
         "alpha must be a SignedLogReal or None, got 'a'",
@@ -131,6 +139,12 @@ PINS = {
         f"need D <= 10000, got {BIG_SHOWN}",
     ),
     "alpha-two-bad": (alpha_coefficient, (1, 0), "out-of-domain", "need D >= 2, got 1"),
+    "alpha-m-float": (alpha_coefficient, (3, 1.0), *_not_int("m", "1.0")),
+    "alpha-m-str": (alpha_coefficient, (3, "1"), *_not_int("m", "'1'")),
+    "alpha-type-then-range": (alpha_coefficient, (3.0, 0), *_not_int("D", "3.0")),
+    "alpha-range-then-type": (
+        alpha_coefficient, (10_001, True), "out-of-domain", "need D <= 10000, got 10001",
+    ),
     # SignedLogReal(sign, lnmag): sign in {-1, 0, 1}, lnmag finite and 0.0 at sign 0
     "slr-bool": (SignedLogReal, (True, 0.0), "bad-sign", SIGN + "True"),
     "slr-float": (SignedLogReal, (1.0, 0.0), "bad-sign", SIGN + "1.0"),

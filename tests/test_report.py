@@ -11,10 +11,12 @@ from dimspec import (
     CSV_HEADER,
     Classification,
     DimspecError,
+    EnergyOutcome,
     InvalidParameterError,
     Scheme,
     SignedLogReal,
     SystemParams,
+    e0_general,
     oracle_equivalence_report,
     parse_records_csv,
     parse_records_json,
@@ -424,3 +426,13 @@ class TestOracleEquivalenceReport:
     def test_empty_sweep_rejected(self):
         with pytest.raises(InvalidParameterError):
             oracle_equivalence_report(max_n=3, max_D=2)
+
+    def test_r_star_is_measured_against_the_closed_form(self, monkeypatch):
+        # a closed form 1e-6 off in ln|E| places r* off by 1e-6 / beta in ln r,
+        # which the search, untouched, does not follow
+        def shifted(query):
+            outcome = e0_general(query)
+            return EnergyOutcome.bound(SignedLogReal(-1, outcome.energy.lnmag + 1e-6))
+
+        monkeypatch.setattr("dimspec.report.e0_general", shifted)
+        assert oracle_equivalence_report(5, 20).max_r_star_deviation > 1e-9

@@ -8,14 +8,17 @@ copy of it elsewhere:
   threshold (709.78) as a literal;
 * an integer argument is checked in ``errors.require_int``: no other
   function tests ``isinstance(x, bool)``, except ``radial_ground_state``'s
-  real-number check on ``alpha``, where a bool is not a real either. The
-  checks run once per record spell it ``type(x) is int`` inline, in one
+  real-number check on ``alpha``, where a bool is not a real either. Only
+  the checks on the record path spell it ``type(x) is int`` inline, in one
   expression with their bounds, so they pay no call: ``SystemParams`` calls
   ``require_int`` only when that expression fails, to name the first bad
   field with its usual code and message, and ``classify_coupling`` and
   ``SignedLogReal.to_decimal`` raise their own error. ``EnergyQuery`` and
-  ``alpha_coefficient`` check the same way, but they are the public gates of
-  the evaluators and are not on the record path;
+  ``alpha_coefficient``, the public gates of the evaluators, are off the
+  record path and are plain ``require_int`` calls;
+* ``model.py`` is the one statement of the short-range outcome: no other
+  module spells its reason, "the potential is short-range", or its code,
+  "short-range";
 * each value on the record path is checked once: ``build_record`` and
   ``evaluate_point`` build no ``EnergyQuery`` or ``PotentialSpec`` and call
   neither ``e0_general`` nor ``alpha_coefficient``, whose checks
@@ -41,14 +44,19 @@ copy of it elsewhere:
 * ``model.scheme_m`` is the one statement of which m a coupling scheme
   uses: no other function compares against ``Scheme.M_EQUALS_N`` or
   ``Scheme.M_EQUALS_ONE``, except ``evaluate_point``, which attaches the
-  published energies that belong to the m = n scheme.
+  published energies that belong to the m = n scheme;
+* the numpy floor in ``pyproject.toml`` is 2 or more while the library
+  calls ``np.trapezoid``, which numpy 2.0 added.
 
 Every rule reads the library sources and changes nothing.
 """
 
 import ast
 import math
+import re
 from pathlib import Path
+
+import pytest
 
 from dimspec import Classification
 
@@ -85,6 +93,38 @@ def test_no_module_but_signedlog_spells_the_overflow_threshold():
                     found.append(f"{name}:{node.lineno}: {value!r}")
     assert checked > 0
     assert found == []
+
+
+def test_no_module_but_model_spells_the_short_range_outcome():
+    checked, found = 0, []
+    for name, tree in _modules():
+        if name == "model.py":
+            continue
+        checked += 1
+        found += [
+            f"{name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and (node.value == "short-range" or "the potential is short-range" in node.value)
+        ]
+    assert checked > 0
+    assert found == []
+
+
+def test_numpy_floor_admits_what_the_library_calls():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SOURCES.parent.parent / "pyproject.toml"
+    dependencies = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    floors = [int(m[1]) for dep in dependencies if (m := re.fullmatch(r"numpy>=(\d+)[.\d]*", dep))]
+    assert len(floors) == 1
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "trapezoid"
+    ]
+    assert floors[0] >= 2 or calls == []
 
 
 # (module, function) pairs allowed to test for bool
