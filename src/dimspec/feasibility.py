@@ -6,7 +6,14 @@ classifier: 0 < beta = D - 2m < 2n is the open interval (2m, 2(m+n)), so
 (2, 2(n+1)) for m = 1. The scan walks a rectangular (D, n) grid, classifies
 every point and evaluates the general closed form wherever a bound state
 exists. ``build_record`` makes every record: the scan's, the ``energy``
-verb's and each one the parsers read.
+verb's and each one a parser rebuilds.
+
+The record of a grid point is a pure function of (D, n, scheme), so each one
+is made once per process: ``scan`` keeps every record it makes in
+``_GRID_RECORDS``, where both parsers look rows up, and the grid bounds that
+memo at (D_MAX - D_MIN + 1) x (N_MAX - N_MIN + 1) points x 2 schemes = 2 016
+records. ``evaluate_point``, which also takes points off the grid, makes a
+fresh record on every call, and a parser never adds one.
 """
 
 from __future__ import annotations
@@ -33,6 +40,13 @@ from .spectrum import N_LIMIT, _closed_form
 # space, 1008 closed-form points per scheme.
 D_MIN, D_MAX = 2, 64
 N_MIN, N_MAX = 1, 16
+
+# The record of each grid point, one dict per scheme keyed by (D, n), made on
+# first use and kept for the life of the process: at most 2 016 entries.
+_GRID_RECORDS: dict[Scheme, dict[tuple[int, int], ScanRecord]] = {
+    Scheme.M_EQUALS_N: {},
+    Scheme.M_EQUALS_ONE: {},
+}
 
 
 @dataclass(frozen=True)
@@ -131,11 +145,18 @@ def scan(D_values: Iterable[int], n_values: Iterable[int], scheme: Scheme) -> li
 
     Duplicates are dropped and the order is row-major, ascending D outer and
     ascending n inner; ``sort_records`` gives the report order. D must lie in
-    [D_MIN, D_MAX] and n in [N_MIN, N_MAX].
+    [D_MIN, D_MAX] and n in [N_MIN, N_MAX]. Each record comes from the grid
+    memo, so a repeated scan returns the same record objects.
     """
     Ds = _grid_axis("D", D_values, D_MIN, D_MAX)
     ns = _grid_axis("n", n_values, N_MIN, N_MAX)
-    return [evaluate_point(D, n, scheme) for D in Ds for n in ns]
+    scheme_m(N_MIN, scheme)  # any scheme but mn and m1 is rejected before the memo
+    memo = _GRID_RECORDS[scheme]
+    return [
+        memo.get((D, n)) or memo.setdefault((D, n), evaluate_point(D, n, scheme))
+        for D in Ds
+        for n in ns
+    ]
 
 
 def _grid_axis(name: str, values: Iterable[int], lo: int, hi: int) -> list[int]:

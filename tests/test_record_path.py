@@ -1,7 +1,8 @@
 """The value types every scan record is built from, and the checks they run.
 
-A record is built three times per survey pass (scan, CSV parse, JSON parse),
-so its value types are slotted frozen dataclasses, the outcomes that carry no
+A record is built once per grid point and process by ``scan``, and once per
+parse of any other row (an edited cell, an explicit coupling), so its value
+types are slotted frozen dataclasses, the outcomes that carry no
 reason are shared constants, and the integer checks of ``SystemParams`` are
 one inline ``type(x) is int`` expression that calls ``require_int`` only to
 name the field that fails. ``build_record`` and ``evaluate_point`` build no

@@ -13,7 +13,9 @@ copy of it elsewhere:
   expression with their bounds, so they pay no call: ``SystemParams`` calls
   ``require_int`` only when that expression fails, to name the first bad
   field with its usual code and message, and ``classify_coupling`` and
-  ``SignedLogReal.to_decimal`` raise their own error. ``EnergyQuery`` and
+  ``SignedLogReal.to_decimal`` raise their own error; the parsers' memo
+  lookup, ``report._memoized_record``, rejects nothing and only sends a row
+  that is not plainly a grid point to the rebuild. ``EnergyQuery`` and
   ``alpha_coefficient``, the public gates of the evaluators, are off the
   record path and are plain ``require_int`` calls;
 * ``model.py`` is the one statement of the short-range outcome: no other
@@ -32,9 +34,10 @@ copy of it elsewhere:
   through ``EnumType.__getattr__``, about five times the cost;
 * the value types a record is built from (``SystemParams``,
   ``PotentialSpec``, ``EnergyOutcome``, ``ScanRecord``, ``SignedLogReal``,
-  ``EnergyQuery``) are ``@dataclass(frozen=True, slots=True)``: a survey
-  pass builds every record three times, and an instance dict would cost
-  time and memory on each;
+  ``EnergyQuery``) are ``@dataclass(frozen=True, slots=True)``: the grid
+  memo keeps up to 2 016 records for the life of the process, a parser
+  rebuilds every row the memo does not hold, and an instance dict would
+  cost time and memory on each;
 * the library computes in floats and makes no mpmath call: ``oracle.py``
   keeps a bare ``import mpmath`` only because the benchmark's
   ``-X importtime`` probe requires ``import dimspec`` to load it, and one
