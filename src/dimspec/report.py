@@ -11,23 +11,39 @@ The CSV header is part of the wire contract and is emitted bit-exactly:
 Signed-log values are split into their sign and lnmag columns (lossless,
 floats written with shortest round-trip repr) plus a 3-significant-digit
 decimal string for humans. JSON uses the same keys, with null for fields
-that do not apply. A parser first looks a row up in ``scan``'s record memo
-(``feasibility._GRID_RECORDS``, at most 2 016 records, one per grid point
-and scheme): when D, n and m are ints on the scan grid with m = n or m = 1
-(at n = 1 a set paper_E0 reads mn), a scan has made that point's record,
-and every cell is exactly that record's wire field (equal, of the same type,
-a float zero of the same sign), it returns the memoized record. The fields
-are computed once per memo entry, and a parser adds no record to the memo.
-Every other row takes the rebuild path, which raises every error: it reads
-only the input cells (D, n, m, beta, the coupling's sign and lnmag, and
-whether paper_E0 is set), rebuilds the record with ``build_record`` and
-accepts it only if the rebuilt record renders to exactly the cells read,
-and in JSON only if each cell has its column's type; otherwise it names the
-first column that differs, or an unexpected extra field. The memo path
-returns only what the rebuild path would, so ``parse(render(x)) == x`` for
-every record this library writes, and no parsed record contradicts the
-evaluator.
-``render_csv`` and ``render_json`` are the writers behind every CLI table.
+that do not apply. ``_record_row`` is the one formatter of a record's cells;
+``record_fields`` and every CLI table take their cells from it.
+
+Each record of ``scan``'s memo (``feasibility._GRID_RECORDS``, at most 2 016
+records, one per grid point and scheme) gets one wire entry, made the first
+time a writer or parser meets it: its row of cells, its fields with their
+types and the columns holding a float zero, and, keyed by it, the text of
+its CSV cells as ``csv.reader`` returns what ``csv.writer`` wrote. The
+writers take a record's cells from its entry only when the record *is* the
+memoized object. Equality is not enough: a coupling lnmag of -0.0 equals
+the memoized 0.0 but writes its own sign. Any other record has its cells
+computed, and no record outside the grid memo gets an entry.
+
+A CSV row whose text cells are exactly a memoized record's written cells is
+that record, and none of its cells is converted. Every other row (``+3``,
+``0.50``, ``1e0``, a short row) is converted cell by cell and then, like
+every JSON object, looked up in the memo: when D, n and m are ints on the
+scan grid with m = n or m = 1 (at n = 1 a set paper_E0 reads mn; an unset
+one reads m1, else the mn record, which equals it where the table has no
+energy), a scan has made that point's record, and every cell is exactly
+that record's wire field (equal, of the same type, a float zero of the same
+sign), it returns the memoized record. Every other row takes the rebuild
+path, which raises every error: it reads only the input cells (D, n, m,
+beta, the coupling's sign and lnmag, and whether paper_E0 is set), rebuilds
+the record with ``build_record`` and accepts it only if the rebuilt record
+renders to exactly the cells read, and in JSON only if each cell has its
+column's type; otherwise it names the first column that differs, or an
+unexpected extra field. Both memo paths return only what the rebuild path
+would, so ``parse(render(x)) == x`` for every record this library writes,
+and no parsed record contradicts the evaluator.
+
+``render_csv`` and ``render_json`` are the writers behind every CLI table;
+``render_csv`` and ``render_records_csv`` write through one ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -171,30 +187,39 @@ def scheme_m1_discrepancies(n: int) -> list[M1Discrepancy]:
 # -- record serialization ----------------------------------------------------
 
 
+def _record_row(rec: ScanRecord) -> tuple:
+    """The wire cells of one record, in ``CSV_COLUMNS`` order: the one
+    formatter of a record, behind both writers and every CLI table."""
+    alpha = rec.alpha
+    energy = rec.outcome.energy
+    paper = rec.paper_value
+    params = rec.params
+    if energy is None:
+        e_sign = e_lnmag = e_decimal = ratio_log10 = None
+    else:
+        e_sign, e_lnmag, e_decimal = energy.sign, energy.lnmag, energy.to_decimal()
+        ratio_log10 = _ln_ratio(energy, paper) / _LN10 if paper is not None else None
+    return (
+        params.D,
+        params.n,
+        params.m,
+        rec.beta,
+        alpha.sign if alpha is not None else None,
+        alpha.lnmag if alpha is not None else None,
+        e_sign,
+        e_lnmag,
+        e_decimal,
+        # the member's value slot itself, not the Enum ``value`` descriptor
+        rec.outcome.classification._value_,
+        FORMULA,
+        paper,
+        ratio_log10,
+    )
+
+
 def record_fields(rec: ScanRecord) -> dict:
     """The wire fields of one record, keyed and ordered as ``CSV_COLUMNS``."""
-    alpha_sign = rec.alpha.sign if rec.alpha is not None else None
-    alpha_lnmag = rec.alpha.lnmag if rec.alpha is not None else None
-    energy = rec.outcome.energy
-    ratio_log10 = None
-    if rec.paper_value is not None and energy is not None:
-        ratio_log10 = _ln_ratio(energy, rec.paper_value) / _LN10
-    return {
-        "D": rec.params.D,
-        "n": rec.params.n,
-        "m": rec.params.m,
-        "beta": rec.beta,
-        "alpha_sign": alpha_sign,
-        "alpha_lnmag": alpha_lnmag,
-        "E0_sign": energy.sign if energy is not None else None,
-        "E0_lnmag": energy.lnmag if energy is not None else None,
-        "E0_decimal": energy.to_decimal() if energy is not None else None,
-        # the member's value slot itself, not the Enum ``value`` descriptor
-        "classification": rec.outcome.classification._value_,
-        "formula": FORMULA,
-        "paper_E0": rec.paper_value,
-        "ratio_log10": ratio_log10,
-    }
+    return dict(zip(CSV_COLUMNS, _record_row(rec)))
 
 
 def _record_from_fields(f: dict) -> ScanRecord:
@@ -227,14 +252,57 @@ def _record_from_fields(f: dict) -> ScanRecord:
     return rec
 
 
-# The scan's record memo of each scheme, and beside each one the wire entry of
-# every memoized record a parser has met: the record, its fields, their types
-# in column order, and the columns holding a float zero, whose sign == cannot
-# see. Keyed (D, n), so bounded by the same grid.
 _MN_RECORDS = _GRID_RECORDS[Scheme.M_EQUALS_N]
 _M1_RECORDS = _GRID_RECORDS[Scheme.M_EQUALS_ONE]
-_MN_WIRE: dict[tuple[int, int], tuple] = {}
-_M1_WIRE: dict[tuple[int, int], tuple] = {}
+
+
+def _csv_cell(value) -> str:
+    """The text ``csv.reader`` gives back for a cell ``csv.writer`` wrote:
+    None empty, a float by ``repr`` and anything else by ``str``."""
+    if value is None:
+        return ""
+    return repr(value) if type(value) is float else str(value)
+
+
+class _WireEntry:
+    """The wire cells of one memoized record, computed once: its row in
+    ``CSV_COLUMNS`` order, its fields, their types in column order, and the
+    columns holding a float zero, whose sign == cannot see."""
+
+    __slots__ = ("rec", "row", "fields", "kinds", "zeros")
+
+    def __init__(self, rec: ScanRecord) -> None:
+        self.rec = rec
+        self.row = row = _record_row(rec)
+        self.fields = dict(zip(CSV_COLUMNS, row))
+        self.kinds = tuple(map(type, row))
+        self.zeros = tuple(
+            col for col, v in self.fields.items() if type(v) is float and v == 0.0
+        )
+
+
+# The wire entry of every memoized record a writer or parser has met, keyed by
+# id(rec): an entry holds its record, so no other object takes that id while
+# the entry lives. Beside it, each such record keyed by the text cells of its
+# CSV row, which the CSV reader matches before it converts a cell. Only a
+# record in _GRID_RECORDS gets an entry, so both hold at most 2 016.
+_WIRE: dict[int, _WireEntry] = {}
+_WIRE_ROWS: dict[tuple[str, ...], ScanRecord] = {}
+
+
+def _wire_entry(rec: ScanRecord) -> Optional[_WireEntry]:
+    """The wire entry of ``rec``, made on first use, if ``rec`` is the very
+    record the grid memo holds; None for any other record, an equal one
+    included: a coupling's lnmag of -0.0 equals the memoized 0.0 but
+    writes its own sign."""
+    entry = _WIRE.get(id(rec))
+    if entry is None:
+        key = (rec.params.D, rec.params.n)
+        if _MN_RECORDS.get(key) is not rec and _M1_RECORDS.get(key) is not rec:
+            return None
+        entry = _WIRE[id(rec)] = _WireEntry(rec)
+        _WIRE_ROWS[tuple(map(_csv_cell, entry.row))] = rec
+    return entry
 
 
 def _memoized_record(f) -> Optional[ScanRecord]:
@@ -249,25 +317,22 @@ def _memoized_record(f) -> Optional[ScanRecord]:
     if not (type(D) is type(n) is type(m) is int and D_MIN <= D <= D_MAX and N_MIN <= n <= N_MAX):
         return None
     # m = n reads mn and m = 1 reads m1; at n = 1 both hold, and only an mn
-    # record carries a published energy
+    # record carries a published energy. Where the table has none, the mn
+    # record at n = 1 equals the m1 one, so a process that scanned only mn
+    # finds it too
     if m == n and (n > 1 or f.get("paper_E0") is not None):
-        records, wire = _MN_RECORDS, _MN_WIRE
+        rec = _MN_RECORDS.get((D, n))
     elif m == 1:
-        records, wire = _M1_RECORDS, _M1_WIRE
+        rec = _M1_RECORDS.get((D, n)) or (_MN_RECORDS.get((D, n)) if n == 1 else None)
     else:
         return None
-    entry = wire.get((D, n))
-    if entry is None:
-        rec = records.get((D, n))
-        if rec is None:
-            return None
-        fields = record_fields(rec)
-        zeros = tuple(col for col, v in fields.items() if type(v) is float and v == 0.0)
-        entry = wire[D, n] = (rec, fields, tuple(map(type, fields.values())), zeros)
-    rec, fields, kinds, zeros = entry
-    if f != fields or tuple(map(type, f.values())) != kinds:
+    if rec is None:
         return None
-    for col in zeros:
+    entry = _wire_entry(rec)
+    fields = entry.fields
+    if f != fields or tuple(map(type, f.values())) != entry.kinds:
+        return None
+    for col in entry.zeros:
         if math.copysign(1.0, f[col]) != math.copysign(1.0, fields[col]):
             return None
     return rec
@@ -291,16 +356,21 @@ def _first_mismatch(f: dict, expected: dict) -> str:
 
 def render_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
     """The CSV writer behind every table: a ``columns`` header, then each
-    row's cells in that order. ``csv.writer`` writes None as an empty cell,
-    a float by ``repr`` and anything else by ``str``."""
+    row's cells in that order."""
+    cells = itemgetter(*columns)
+    if len(columns) == 1:  # itemgetter of one key returns the cell, not a tuple
+        return _render_cells(columns, ((cells(row),) for row in rows))
+    return _render_cells(columns, map(cells, rows))
+
+
+def _render_cells(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The one CSV writer: a ``columns`` header, then each row of cells.
+    ``csv.writer`` writes None as an empty cell, a float by ``repr`` and
+    anything else by ``str``, as ``_csv_cell`` spells out."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    cells = itemgetter(*columns)
-    if len(columns) == 1:  # itemgetter of one key returns the cell, not a tuple
-        writer.writerows((cells(row),) for row in rows)
-    else:
-        writer.writerows(map(cells, rows))
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -330,14 +400,16 @@ def render_json(payload) -> str:
 
 
 def render_records_csv(records: list[ScanRecord]) -> str:
-    """Records to CSV, input order preserved."""
-    return render_csv(map(record_fields, records), CSV_COLUMNS)
+    """Records to CSV, input order preserved. A memoized record writes its
+    entry's row; any other record has its row computed."""
+    rows = [entry.row if (entry := _wire_entry(rec)) else _record_row(rec) for rec in records]
+    return _render_cells(CSV_COLUMNS, rows)
 
 
 # cell type of each column, in CSV_COLUMNS order: the CSV reader converts each
-# cell to it (parse_records_csv spells the same conversions out in one dict
-# display) and the JSON reader requires it. An empty cell or a null is None,
-# except in the integer key columns, which every record fills
+# cell to it (_csv_record spells the same conversions out in one dict display)
+# and the JSON reader requires it. An empty cell or a null is None, except in
+# the integer key columns, which every record fills
 _CSV_KINDS = (int, int, int, int, int, float, int, float, str, str, str, float, float)
 _COLUMN_KINDS = tuple(zip(CSV_COLUMNS, _CSV_KINDS))
 _CSV_KEYS = frozenset(("D", "n", "m", "beta"))
@@ -350,34 +422,46 @@ def parse_records_csv(text: str) -> list[ScanRecord]:
     header = next(reader, None)
     if header != CSV_COLUMNS:
         raise InvalidParameterError("bad-header", f"unexpected CSV header {header!r}")
+    # a row whose text is exactly a memoized record's written cells is that
+    # record; every other row is converted and read as below
+    by_text = _WIRE_ROWS
     records = []
     for row in reader:
-        if not row:
-            continue
-        # one unpacking and one dict display; a row of the wrong length or a
-        # cell its column cannot read raises ValueError, and _csv_cells then
-        # names the fault
-        try:
-            D, n, m, beta, a_sign, a_ln, e_sign, e_ln, e_dec, tag, formula, paper, ratio = row
-            fields = {
-                "D": int(D),
-                "n": int(n),
-                "m": int(m),
-                "beta": int(beta),
-                "alpha_sign": int(a_sign) if a_sign else None,
-                "alpha_lnmag": float(a_ln) if a_ln else None,
-                "E0_sign": int(e_sign) if e_sign else None,
-                "E0_lnmag": float(e_ln) if e_ln else None,
-                "E0_decimal": e_dec or None,
-                "classification": tag or None,
-                "formula": formula or None,
-                "paper_E0": float(paper) if paper else None,
-                "ratio_log10": float(ratio) if ratio else None,
-            }
-        except ValueError:
-            fields = _csv_cells(row)
-        records.append(_memoized_record(fields) or _record_from_fields(fields))
+        rec = by_text.get(tuple(row))
+        if rec is None:
+            if not row:
+                continue
+            rec = _csv_record(row)
+        records.append(rec)
     return records
+
+
+def _csv_record(row: list) -> ScanRecord:
+    """The record of one CSV row, through the memo lookup on its converted
+    fields, else the rebuild path."""
+    # one unpacking and one dict display; a row of the wrong length or a
+    # cell its column cannot read raises ValueError, and _csv_cells then
+    # names the fault
+    try:
+        D, n, m, beta, a_sign, a_ln, e_sign, e_ln, e_dec, tag, formula, paper, ratio = row
+        fields = {
+            "D": int(D),
+            "n": int(n),
+            "m": int(m),
+            "beta": int(beta),
+            "alpha_sign": int(a_sign) if a_sign else None,
+            "alpha_lnmag": float(a_ln) if a_ln else None,
+            "E0_sign": int(e_sign) if e_sign else None,
+            "E0_lnmag": float(e_ln) if e_ln else None,
+            "E0_decimal": e_dec or None,
+            "classification": tag or None,
+            "formula": formula or None,
+            "paper_E0": float(paper) if paper else None,
+            "ratio_log10": float(ratio) if ratio else None,
+        }
+    except ValueError:
+        fields = _csv_cells(row)
+    return _memoized_record(fields) or _record_from_fields(fields)
 
 
 def _csv_cells(row: list) -> dict:
@@ -400,8 +484,12 @@ def _csv_cells(row: list) -> dict:
 
 
 def render_records_json(records: list[ScanRecord]) -> str:
-    """Records to a JSON array of flat objects, input order preserved."""
-    return render_json([record_fields(rec) for rec in records])
+    """Records to a JSON array of flat objects, input order preserved. A
+    memoized record writes its entry's fields; any other record has its
+    fields computed."""
+    return render_json(
+        [entry.fields if (entry := _wire_entry(rec)) else record_fields(rec) for rec in records]
+    )
 
 
 def parse_records_json(text: str) -> list[ScanRecord]:
