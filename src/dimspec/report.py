@@ -17,33 +17,41 @@ that do not apply. ``_record_row`` is the one formatter of a record's cells;
 Each record of ``scan``'s memo (``feasibility._GRID_RECORDS``, at most 2 016
 records, one per grid point and scheme) gets one wire entry, made the first
 time a writer or parser meets it: its row of cells, its fields with their
-types and the columns holding a float zero, and, keyed by it, the text of
-its CSV cells as ``csv.reader`` returns what ``csv.writer`` wrote. The
-writers take a record's cells from its entry only when the record *is* the
-memoized object. Equality is not enough: a coupling lnmag of -0.0 equals
-the memoized 0.0 but writes its own sign. Any other record has its cells
-computed, and no record outside the grid memo gets an entry.
+types and the columns holding a float zero, and its two texts, cut from the
+one writer of each format: its CSV line as ``_render_cells`` writes it and
+its JSON object as ``render_json`` writes it inside an array. An index maps
+each text to its record. A list of records that are all the memoized
+objects is written as its entries' texts joined, the CSV header first, the
+JSON array's brackets around. Equality is not enough: a coupling lnmag of
+-0.0 equals the memoized 0.0 but writes its own sign. Any other list is
+written record by record, from the entry's cells for a memoized record and
+from computed cells for any other; no record outside the grid memo gets an
+entry.
 
-A CSV row whose text cells are exactly a memoized record's written cells is
-that record, and none of its cells is converted. Every other row (``+3``,
-``0.50``, ``1e0``, a short row) is converted cell by cell and then, like
-every JSON object, looked up in the memo: when D, n and m are ints on the
-scan grid with m = n or m = 1 (at n = 1 a set paper_E0 reads mn; an unset
-one reads m1, else the mn record, which equals it where the table has no
-energy), a scan has made that point's record, and every cell is exactly
-that record's wire field (equal, of the same type, a float zero of the same
-sign), it returns the memoized record. Every other row takes the rebuild
-path, which raises every error: it reads only the input cells (D, n, m,
-beta, the coupling's sign and lnmag, and whether paper_E0 is set), rebuilds
-the record with ``build_record`` and accepts it only if the rebuilt record
-renders to exactly the cells read, and in JSON only if each cell has its
-column's type; otherwise it names the first column that differs, or an
-unexpected extra field. Both memo paths return only what the rebuild path
-would, so ``parse(render(x)) == x`` for every record this library writes,
-and no parsed record contradicts the evaluator.
+A ``str`` document that is exactly the header line and memoized records'
+lines, or exactly the array's frame around memoized records' objects, is
+those records: it is byte for byte what the writers write for them, so the
+row-by-row path below would return the same records and raise nothing. Any
+other document is read whole row by row, and no single line of it is
+trusted, since a quoted CSV cell may span lines. Each row, converted cell by
+cell, and each JSON object is looked up in the memo: when D, n and m are
+ints on the scan grid with m = n or m = 1 (at n = 1 a set paper_E0 reads
+mn; an unset one reads m1, else the mn record, which equals it where the
+table has no energy), a scan has made that point's record, and every cell
+is exactly that record's wire field (equal, of the same type, a float zero
+of the same sign), it returns the memoized record. Every other row takes the
+rebuild path, which raises every error: it reads only the input cells (D,
+n, m, beta, the coupling's sign and lnmag, and whether paper_E0 is set),
+rebuilds the record with ``build_record`` and accepts it only if the
+rebuilt record renders to exactly the cells read, and in JSON only if each
+cell has its column's type; otherwise it names the first column that
+differs, or an unexpected extra field. Both memo paths return only what the
+rebuild path would, so ``parse(render(x)) == x`` for every record this
+library writes, and no parsed record contradicts the evaluator.
 
 ``render_csv`` and ``render_json`` are the writers behind every CLI table;
-``render_csv`` and ``render_records_csv`` write through one ``csv.writer``.
+``_render_cells``, behind ``render_csv`` and ``render_records_csv``, is the
+one ``csv.writer``, and ``render_json`` the one JSON encoder.
 """
 
 from __future__ import annotations
@@ -256,20 +264,14 @@ _MN_RECORDS = _GRID_RECORDS[Scheme.M_EQUALS_N]
 _M1_RECORDS = _GRID_RECORDS[Scheme.M_EQUALS_ONE]
 
 
-def _csv_cell(value) -> str:
-    """The text ``csv.reader`` gives back for a cell ``csv.writer`` wrote:
-    None empty, a float by ``repr`` and anything else by ``str``."""
-    if value is None:
-        return ""
-    return repr(value) if type(value) is float else str(value)
-
-
 class _WireEntry:
-    """The wire cells of one memoized record, computed once: its row in
-    ``CSV_COLUMNS`` order, its fields, their types in column order, and the
-    columns holding a float zero, whose sign == cannot see."""
+    """The wire form of one memoized record, computed once: its row in
+    ``CSV_COLUMNS`` order, its fields, their types in column order, the
+    columns holding a float zero, whose sign == cannot see, and its texts as
+    the one writer of each format writes them: its CSV line, ending in its
+    newline, and its JSON object as it stands inside an array."""
 
-    __slots__ = ("rec", "row", "fields", "kinds", "zeros")
+    __slots__ = ("rec", "row", "fields", "kinds", "zeros", "csv_line", "json_text")
 
     def __init__(self, rec: ScanRecord) -> None:
         self.rec = rec
@@ -279,15 +281,23 @@ class _WireEntry:
         self.zeros = tuple(
             col for col, v in self.fields.items() if type(v) is float and v == 0.0
         )
+        # the writers' own output for a one-record list, less the frame:
+        # the CSV header line, and the JSON array's "[\n  " and "\n]"
+        self.csv_line = _render_cells(CSV_COLUMNS, (row,))[len(CSV_HEADER) + 1 :]
+        self.json_text = render_json([self.fields])[4:-2]
 
 
 # The wire entry of every memoized record a writer or parser has met, keyed by
 # id(rec): an entry holds its record, so no other object takes that id while
-# the entry lives. Beside it, each such record keyed by the text cells of its
-# CSV row, which the CSV reader matches before it converts a cell. Only a
-# record in _GRID_RECORDS gets an entry, so both hold at most 2 016.
+# the entry lives. Beside it, each such record keyed by its two texts, its
+# CSV line without the newline and its JSON object, which the parsers match
+# whole documents against. Neither parser can hit the other format's text:
+# the CSV parser looks up lines, which hold no newline, and every JSON object
+# holds one; the JSON parser looks up texts that start with "{", and every
+# CSV line starts with its D. Only a record in _GRID_RECORDS gets an entry,
+# so _WIRE holds at most 2 016 entries and _WIRE_ROWS twice that many texts.
 _WIRE: dict[int, _WireEntry] = {}
-_WIRE_ROWS: dict[tuple[str, ...], ScanRecord] = {}
+_WIRE_ROWS: dict[str, ScanRecord] = {}
 
 
 def _wire_entry(rec: ScanRecord) -> Optional[_WireEntry]:
@@ -301,7 +311,8 @@ def _wire_entry(rec: ScanRecord) -> Optional[_WireEntry]:
         if _MN_RECORDS.get(key) is not rec and _M1_RECORDS.get(key) is not rec:
             return None
         entry = _WIRE[id(rec)] = _WireEntry(rec)
-        _WIRE_ROWS[tuple(map(_csv_cell, entry.row))] = rec
+        _WIRE_ROWS[entry.csv_line[:-1]] = rec
+        _WIRE_ROWS[entry.json_text] = rec
     return entry
 
 
@@ -366,7 +377,7 @@ def render_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
 def _render_cells(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The one CSV writer: a ``columns`` header, then each row of cells.
     ``csv.writer`` writes None as an empty cell, a float by ``repr`` and
-    anything else by ``str``, as ``_csv_cell`` spells out."""
+    anything else by ``str``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -400,9 +411,14 @@ def render_json(payload) -> str:
 
 
 def render_records_csv(records: list[ScanRecord]) -> str:
-    """Records to CSV, input order preserved. A memoized record writes its
-    entry's row; any other record has its row computed."""
-    rows = [entry.row if (entry := _wire_entry(rec)) else _record_row(rec) for rec in records]
+    """Records to CSV, input order preserved. A list of memoized records is
+    the header and its entries' lines joined; any other list is written
+    row by row, a memoized record from its entry's row and any other
+    record from its computed row."""
+    entries = [_wire_entry(rec) for rec in records]
+    if all(entries):
+        return CSV_HEADER + "\n" + "".join([entry.csv_line for entry in entries])
+    rows = [entry.row if entry else _record_row(rec) for entry, rec in zip(entries, records)]
     return _render_cells(CSV_COLUMNS, rows)
 
 
@@ -418,22 +434,23 @@ _CSV_KEYS = frozenset(("D", "n", "m", "beta"))
 def parse_records_csv(text: str) -> list[ScanRecord]:
     if not isinstance(text, str):
         raise InvalidParameterError("bad-header", f"expected CSV text, got {_shown(text)}")
+    # a text that is the header line and then only memoized records' lines,
+    # each with its newline, is byte for byte what render_records_csv writes
+    # for those records, so the reader below would return them and raise
+    # nothing. Any other text is read whole, row by row: a quoted cell may
+    # span lines, so no single line of it is trusted
+    lines = text.split("\n")
+    if lines[0] == CSV_HEADER and lines[-1] == "":
+        by_text = _WIRE_ROWS
+        try:
+            return [by_text[line] for line in lines[1:-1]]
+        except KeyError:
+            pass
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_COLUMNS:
         raise InvalidParameterError("bad-header", f"unexpected CSV header {header!r}")
-    # a row whose text is exactly a memoized record's written cells is that
-    # record; every other row is converted and read as below
-    by_text = _WIRE_ROWS
-    records = []
-    for row in reader:
-        rec = by_text.get(tuple(row))
-        if rec is None:
-            if not row:
-                continue
-            rec = _csv_record(row)
-        records.append(rec)
-    return records
+    return [_csv_record(row) for row in reader if row]
 
 
 def _csv_record(row: list) -> ScanRecord:
@@ -485,14 +502,30 @@ def _csv_cells(row: list) -> dict:
 
 def render_records_json(records: list[ScanRecord]) -> str:
     """Records to a JSON array of flat objects, input order preserved. A
-    memoized record writes its entry's fields; any other record has its
-    fields computed."""
+    non-empty list of memoized records is its entries' objects joined in
+    the array's frame; any other list is encoded whole, a memoized record
+    from its entry's fields and any other record from its computed fields."""
+    entries = [_wire_entry(rec) for rec in records]
+    if entries and all(entries):
+        return "[\n  " + ",\n  ".join([entry.json_text for entry in entries]) + "\n]"
     return render_json(
-        [entry.fields if (entry := _wire_entry(rec)) else record_fields(rec) for rec in records]
+        [entry.fields if entry else record_fields(rec) for entry, rec in zip(entries, records)]
     )
 
 
 def parse_records_json(text: str) -> list[ScanRecord]:
+    # a text in the array's frame whose objects are all memoized records'
+    # objects is byte for byte what render_records_json writes for those
+    # records, so the reader below would return them and raise nothing.
+    # Splitting at ",\n  {" takes each object's opening brace, which is put
+    # back before the lookup: no CSV line starts with one. Any other text,
+    # bytes included, is read whole
+    if isinstance(text, str) and text.startswith("[\n  {") and text.endswith("\n]"):
+        by_text = _WIRE_ROWS
+        try:
+            return [by_text["{" + piece] for piece in text[5:-2].split(",\n  {")]
+        except KeyError:
+            pass
     try:
         payload = json.loads(text)
     except (TypeError, ValueError) as exc:

@@ -1,17 +1,20 @@
 """The grid memo: ``scan`` makes the record of each grid point once per
 process, ``report`` keeps one wire entry beside each memoized record it
-writes or reads, and both parsers return that memoized record for a row
-that is exactly its wire form; any other row takes the rebuild path.
+writes or reads, with its CSV line and JSON object texts, and both parsers
+return the memoized records for a document that is exactly their texts
+joined, or for a row that is exactly a record's wire fields; any other row
+takes the rebuild path.
 
 These tests pin what the memo must not change or outgrow: it holds at most
 one record per grid point and scheme, 2 016 in all; only a scan adds one;
-wire entries never outnumber the memoized records; a repeated scan returns
-the same objects, equal to what the uncached ``evaluate_point`` makes; the
-writers give the same bytes for a memoized record as for an equal fresh
-one; and a parse through the memo gives what the rebuild path gives, a
+wire entries never outnumber the memoized records, and the text index
+holds their two texts each and nothing else; a repeated scan returns the
+same objects, equal to what the uncached ``evaluate_point`` makes; the
+writers give any list, memoized records or not, the bytes of the plain
+writers; and a parse through the memo gives what the rebuild path gives, a
 record with the same bits or an error with the same type, code and
-message, however one cell of a grid record's CSV or JSON, or only the text
-of one CSV cell, is edited.
+message, however one cell of a grid record's CSV or JSON, only the text of
+one CSV cell, or a whole document's lines are edited.
 """
 
 import csv
@@ -52,11 +55,22 @@ def _memo_size() -> int:
     return sum(map(len, _GRID_RECORDS.values()))
 
 
+def _texts(entry) -> tuple[str, str]:
+    """The two texts an entry is indexed by: its CSV line without the
+    newline, and its JSON object."""
+    return entry.csv_line[:-1], entry.json_text
+
+
 def _wire_size() -> int:
-    """Wire entries, after checking that the CSV text index holds no record
-    without one."""
-    entries = {id(entry.rec) for entry in report._WIRE.values()}
-    assert {id(rec) for rec in report._WIRE_ROWS.values()} <= entries
+    """Wire entries, after checking that the text index holds exactly the
+    two texts of each entry, each naming a record with an entry and that
+    text, and no record without an entry. At n = 1 the mn and m1 records
+    without a published energy have the same texts, so two entries may
+    share their keys."""
+    index = report._WIRE_ROWS
+    assert set(index) == {text for entry in report._WIRE.values() for text in _texts(entry)}
+    assert all(text in _texts(report._WIRE[id(rec)]) for text, rec in index.items())
+    assert len(index) <= 2 * len(report._WIRE)
     return len(report._WIRE)
 
 
@@ -81,7 +95,7 @@ class TestMemoBound:
                 assert parse_records_csv(render_records_csv(records)) == records
                 assert parse_records_json(render_records_json(records)) == records
         assert _memo_size() == len(DS) * len(NS) * len(SCHEMES) == 2016
-        assert _wire_size() <= 2016
+        assert _wire_size() <= 2016 and len(report._WIRE_ROWS) <= 4032
 
     @pytest.mark.parametrize(
         "Ds,ns,scheme",
@@ -155,6 +169,7 @@ class TestMemoBound:
                     assert parse_records_csv(csv_text) == records
                     assert parse_records_json(json_text) == records
                 assert 0 < _wire_size() <= _memo_size() == 2016
+                assert len(report._WIRE_ROWS) <= 4032
 
 
 # -- wire entries --------------------------------------------------------------
@@ -171,7 +186,7 @@ class TestWireEntries:
             (parse_records_json, render_records_json(records)),
         ):
             assert all(a is b for a, b in zip(parse(text), records, strict=True))
-            # the converted fields' lookup alone, without the CSV text match
+            # the converted fields' lookup alone, without the whole-text match
             with mock.patch.object(report, "_WIRE_ROWS", {}):
                 assert all(a is b for a, b in zip(parse(text), records, strict=True))
 
@@ -247,7 +262,7 @@ def _result(parse, text):
 
 def _rebuild_result(parse, text):
     """``_result`` with the memo lookups switched off, on converted fields and
-    on CSV text: every row is rebuilt."""
+    on whole CSV and JSON texts: every row is rebuilt."""
     with mock.patch.object(report, "_memoized_record", lambda f: None):
         with mock.patch.object(report, "_WIRE_ROWS", {}):
             return _result(parse, text)
@@ -378,3 +393,185 @@ class TestMemoPathEqualsRebuildPath:
             assert parsed is not rec and parsed == rec
             assert math.copysign(1.0, parsed.alpha.lnmag) == -1.0
             assert [_record_bits(parsed)] == _rebuild_result(parse, text)
+
+
+# -- whole documents -----------------------------------------------------------
+
+
+def _csv_line(rec) -> str:
+    return render_records_csv([rec]).split("\n")[1]
+
+
+def _json_object(rec) -> str:
+    return render_records_json([rec])[4:-2]
+
+
+def _csv_doc(lines: list) -> str:
+    return "".join(line + "\n" for line in [",".join(CSV_COLUMNS), *lines])
+
+
+def _json_doc(objects: list) -> str:
+    return "[\n  " + ",\n  ".join(objects) + "\n]" if objects else "[]"
+
+
+# edits of a whole document; the first four keep it the joined texts of
+# memoized records, every other one makes it a document that is not
+LINE_EDITS = ("none", "drop", "duplicate", "swap")
+CSV_EDITS = (*LINE_EDITS, "crlf", "final-newline", "blank-line", "quoted-cell", "leading-space")
+JSON_EDITS = (*CSV_EDITS, "reindent", "compact", "csv-line")
+FOREIGN = ("unscanned", "explicit", "negative-zero")
+
+
+def _foreign_record(kind: str, scheme, draw):
+    """A record no text of the memo names: one off the scan grid, one with
+    an explicit coupling, or the (3, 1) record with a coupling lnmag of
+    -0.0, which equals the memoized one."""
+    if kind == "unscanned":
+        D, n = draw(st.sampled_from([(D_MAX + 1, 1), (3, N_MAX + 1), (100, 2)]), label="point")
+        return evaluate_point(D, n, scheme)
+    if kind == "explicit":
+        return build_record(SystemParams(3, 2, 1), 1, SignedLogReal(1, 0.5), False)
+    (rec,) = scan([3], [1], scheme)
+    return dataclasses.replace(rec, alpha=SignedLogReal(1, -0.0))
+
+
+def _edited_document(records: list, fmt: str, edit: str, draw) -> str:
+    """The document ``fmt`` writes for ``records``, with one edit to its
+    lines (CSV rows or JSON objects) or to its whole text."""
+    if edit in ("reindent", "compact"):
+        indent = draw(st.sampled_from([1, 4])) if edit == "reindent" else None
+        return json.dumps([record_fields(rec) for rec in records], indent=indent)
+    text_of, doc = (_csv_line, _csv_doc) if fmt == "csv" else (_json_object, _json_doc)
+    lines = [text_of(rec) for rec in records]
+    at = draw(st.integers(0, max(len(lines) - 1, 0)), label="at")
+    if edit in FOREIGN:
+        line = text_of(_foreign_record(edit, draw(st.sampled_from(SCHEMES)), draw))
+        lines[at : at + 1] = [line]
+    elif edit == "csv-line":
+        (rec,) = scan([3], [1], draw(st.sampled_from(SCHEMES)))
+        lines[at : at + 1] = ["{" + _csv_line(rec) + draw(st.sampled_from(["", "}"]))]
+    elif lines and edit == "drop":
+        del lines[at]
+    elif lines and edit == "duplicate":
+        lines.insert(at, lines[at])
+    elif lines and edit == "swap":
+        other = draw(st.integers(0, len(lines) - 1), label="other")
+        lines[at], lines[other] = lines[other], lines[at]
+    elif lines and edit == "quoted-cell":
+        lines[at] = lines[at].replace('"D": ', '"D": "', 1).replace(",", '",', 1)
+        if fmt == "csv":
+            lines[at] = '"' + lines[at]
+    elif lines and edit == "leading-space":
+        lines[at] = " " + lines[at]
+    text = doc(lines)
+    if edit == "crlf":
+        return text.replace("\n", "\r\n")
+    if edit == "final-newline":
+        return text[:-1] if fmt == "csv" else text + "\n"
+    if edit == "blank-line":
+        cut = draw(st.sampled_from([i for i, c in enumerate(text) if c == "\n"]), label="blank")
+        return text[:cut] + "\n" + text[cut:]
+    return text
+
+
+def _is_or_twin(got, rec) -> bool:
+    """Whether ``got`` is ``rec``, or at n = 1 without a published energy,
+    where both schemes' records have one text, the other scheme's record."""
+    key = (rec.params.D, rec.params.n)
+    return got is rec or (
+        rec.params.n == 1
+        and rec.paper_value is None
+        and got == rec
+        and any(got is memo.get(key) for memo in _GRID_RECORDS.values())
+    )
+
+
+class TestWholeDocuments:
+    @given(
+        points=st.lists(st.tuples(_POINTS, st.sampled_from(SCHEMES)), max_size=40),
+        fmt=st.sampled_from(["csv", "json"]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_an_edited_document_parses_as_the_rebuild_path_does(self, points, fmt, data):
+        records = [scan([D], [n], scheme)[0] for (D, n), scheme in points]
+        parse = parse_records_csv if fmt == "csv" else parse_records_json
+        edit = data.draw(st.sampled_from((CSV_EDITS if fmt == "csv" else JSON_EDITS) + FOREIGN))
+        text = _edited_document(records, fmt, edit, data.draw)
+        assert _result(parse, text) == _rebuild_result(parse, text)
+        if edit == "none":
+            assert text == (render_records_csv if fmt == "csv" else render_records_json)(records)
+            assert all(map(_is_or_twin, parse(text), records))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_written_grid_is_matched_as_one_text(self, scheme):
+        records = scan(DS, NS, scheme)
+        for render, parse in (
+            (render_records_csv, parse_records_csv),
+            (render_records_json, parse_records_json),
+        ):
+            text = render(records)
+            # neither the row-by-row reader nor the field lookup may run
+            with mock.patch.object(report, "_memoized_record", None), mock.patch.object(
+                report, "csv", None
+            ), mock.patch.object(report, "json", None):
+                parsed = parse(text)
+            assert len(parsed) == len(records) and all(map(_is_or_twin, parsed, records))
+
+    def test_non_text_documents_keep_their_readers(self):
+        records = scan([2, 3, 4], [1, 2], Scheme.M_EQUALS_N)
+        text = render_records_json(records)
+        for blob in (text.encode(), bytearray(text.encode())):
+            # json.loads reads bytes, and each object then meets the memo
+            assert all(map(_is_or_twin, parse_records_json(blob), records))
+            assert len(parse_records_json(blob)) == len(records)
+            assert _result(parse_records_json, blob) == _rebuild_result(parse_records_json, blob)
+        csv_text = render_records_csv(records)
+        for blob in (csv_text.encode(), bytearray(csv_text.encode())):
+            with pytest.raises(InvalidParameterError) as err:
+                parse_records_csv(blob)
+            assert err.value.code == "bad-header"
+            assert str(err.value).startswith("expected CSV text, got ")
+
+
+# records the writers may meet: memoized ones, equal fresh ones, the (3, 1)
+# record with a -0.0 coupling lnmag and records with explicit couplings
+def _writer_records(draw) -> list:
+    kinds = st.sampled_from(["memo", "fresh", "negative-zero", "explicit"])
+    out = []
+    for kind, (D, n), scheme in draw(
+        st.lists(st.tuples(kinds, _POINTS, st.sampled_from(SCHEMES)), max_size=12)
+    ):
+        if kind == "memo":
+            out.append(scan([D], [n], scheme)[0])
+        elif kind == "fresh":
+            out.append(evaluate_point(D, n, scheme))
+        elif kind == "negative-zero":
+            out.append(_foreign_record("negative-zero", scheme, draw))
+        else:
+            beta = draw(st.integers(-1, 2 * n), label="beta")
+            lnmag = draw(st.floats(-5.0, 5.0), label="lnmag")
+            out.append(build_record(SystemParams(D, n, 1), beta, SignedLogReal(1, lnmag), False))
+    return out
+
+
+class TestWriterBytes:
+    def _check(self, records):
+        assert render_records_csv(records) == report._render_cells(
+            CSV_COLUMNS, map(report._record_row, records)
+        )
+        assert render_records_json(records) == json.dumps(
+            [record_fields(rec) for rec in records], indent=2
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_lists_write_the_plain_writers_bytes(self, data):
+        self._check(_writer_records(data.draw))
+
+    def test_empty_single_and_published_lists(self):
+        (published,) = scan([3], [1], Scheme.M_EQUALS_N)
+        assert published.paper_value is not None
+        (m1,) = scan([3], [1], Scheme.M_EQUALS_ONE)
+        for records in ([], [published], [published, published], [m1], [published, m1]):
+            self._check(records)

@@ -48,6 +48,11 @@ copy of it elsewhere:
   uses: no other function compares against ``Scheme.M_EQUALS_N`` or
   ``Scheme.M_EQUALS_ONE``, except ``evaluate_point``, which attaches the
   published energies that belong to the m = n scheme;
+* each wire format has one writer: only ``report._render_cells`` builds a
+  ``csv.writer``, and only ``report.render_json`` calls ``json.dumps`` or
+  the C encoder ``report._ROWS_ENCODER``. A memoized record's cached CSV
+  line and JSON object are cut from those writers' own output, so a whole
+  document joined from them is what the writers write;
 * the numpy floor in ``pyproject.toml`` is 2 or more while the library
   calls ``np.trapezoid``, which numpy 2.0 added.
 
@@ -299,4 +304,50 @@ def test_no_function_reads_a_classification_member_off_its_class():
             and any(node.lineno in lines for lines in functions)
         ]
     assert checked == len(ENUM_BY_NAME)
+    assert found == []
+
+
+# (module, function) pairs allowed to write each wire format, and the names
+# that write it
+WRITERS = {
+    ("report.py", "_render_cells"): {"csv.writer", "csv.DictWriter"},
+    ("report.py", "render_json"): {"json.dump", "json.dumps", "_ROWS_ENCODER"},
+}
+
+
+def _dotted(node: ast.AST) -> str:
+    """``csv.writer`` for an attribute read off a module name, the name
+    itself for a bare name, else the empty string."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    return ""
+
+
+def test_each_wire_format_has_one_writer():
+    names = set().union(*WRITERS.values())
+    checked, seen, found = 0, set(), []
+    for name, tree in _modules():
+        checked += 1
+        functions = {
+            func.name: range(func.lineno, func.end_lineno + 1)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+        }
+        for node in ast.walk(tree):
+            written = _dotted(node)
+            if written not in names:
+                continue
+            owners = [
+                (module, func)
+                for (module, func), allowed in WRITERS.items()
+                if written in allowed and module == name and node.lineno in functions.get(func, ())
+            ]
+            if owners:
+                seen.update(owners)
+            else:
+                found.append(f"{name}:{node.lineno}: {written}")
+    assert checked > 0
+    assert seen == set(WRITERS)
     assert found == []
