@@ -73,12 +73,31 @@ _VEFF_TOL = 1e-14  # search tolerance in ln r, relative to max(1, |ln r*|)
 
 
 def _exact_sum(*terms: tuple[int, float]) -> float:
-    """The sum of k v over the (k, v) pairs, rounded once. Every float is a
-    dyadic fraction, so the exact sum is one integer over the largest
-    denominator, and int true division rounds it correctly."""
-    ratios = [(k, *v.as_integer_ratio()) for k, v in terms]
-    den = max(d for _, _, d in ratios)
-    return sum(k * num * (den // d) for k, num, d in ratios) / den
+    """The sum of k v over the (k, v) pairs, rounded once. Each k v is
+    written as the floats v 2^j over the set bits j of |k|, each exact, as
+    doubling is, and math.fsum rounds their sum once (Shewchuk, Discrete
+    Comput. Geom. 18, 305 (1997)): ~log2 |k| parts per term, summed in C.
+    Raises ValueError on a non-finite v, and OverflowError where the sum
+    rounds past the float range, or where a part or a partial sum does
+    though the total would not, which needs the sum of |k v| past 2^1023."""
+    parts = []
+    for k, v in terms:
+        if not math.isfinite(v):
+            raise ValueError(f"cannot sum the non-finite term {v!r}")
+        if k < 0:
+            k, v = -k, -v
+        while k:
+            if k & 1:
+                parts.append(v)
+            k >>= 1
+            v += v
+    try:
+        total = math.fsum(parts)
+    except ValueError:  # parts overflowed to both inf and -inf
+        total = math.inf
+    if math.isinf(total):  # a part overflowed
+        raise OverflowError(f"the sum of {terms!r} leaves the float range")
+    return total
 
 
 def _slope(t: float, p: float, q: float, two_n: int, beta: int) -> float:
@@ -123,7 +142,8 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     # both terms at the seed, from their exponents as the float inputs give
     # them; the stationarity identity p = beta / (2n - beta) is not used.
     # An extreme alpha carries ln r* or ln_scale past the float range, where
-    # _exact_sum meets an inf or a nan and math.exp overflows.
+    # _exact_sum meets an inf, a nan or a term it cannot hold, and math.exp
+    # overflows.
     try:
         p_seed = math.exp(_exact_sum((1, ln_amp), (-1, ln_scale), (-two_n, x_seed)))
         q_seed = math.exp(_exact_sum((1, q.alpha.lnmag), (-1, ln_scale), (-beta, x_seed)))

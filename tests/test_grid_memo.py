@@ -469,7 +469,9 @@ def _edited_document(records: list, fmt: str, edit: str, draw) -> str:
     if edit == "final-newline":
         return text[:-1] if fmt == "csv" else text + "\n"
     if edit == "blank-line":
-        cut = draw(st.sampled_from([i for i, c in enumerate(text) if c == "\n"]), label="blank")
+        # "[]", the empty JSON document, has no newline: append the blank line
+        breaks = [i for i, c in enumerate(text) if c == "\n"] or [len(text)]
+        cut = draw(st.sampled_from(breaks), label="blank")
         return text[:cut] + "\n" + text[cut:]
     return text
 

@@ -1,15 +1,19 @@
+import hashlib
 import itertools
 import math
+import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimspec import (
     Classification,
+    DimspecError,
     EnergyQuery,
     InvalidParameterError,
     KineticConvention,
@@ -22,14 +26,17 @@ from dimspec import (
     bound_dims,
     e0_general,
     minimize_v_eff,
+    oracle_equivalence_report,
     radial_ground_state,
 )
 from dimspec import oracle
+from dimspec.model import scheme_m
 from dimspec.oracle import (
     RADIAL_D_LIMIT,
     RADIAL_EXCITATION_LIMIT,
     _MAX_POLISH,
     _brent_zero,
+    _exact_sum,
     _hardy_floor,
     _log_path,
     _ratio_list,
@@ -564,3 +571,125 @@ class TestVeffObjective:
                 closed = e0_general(q).energy.lnmag
                 gap = abs(found.e_min.lnmag - closed)
                 assert gap <= 1e-8 * max(1.0, abs(closed)), (beta, D, alpha)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# the weights the search gives its exponents: 1, beta, 2n and beta - 2n
+WEIGHT = st.integers(min_value=-2 * N_LIMIT, max_value=2 * N_LIMIT)
+MAX = sys.float_info.max
+TINY = 5e-324  # the smallest subnormal
+
+
+class TestExactSum:
+    @given(
+        st.lists(
+            st.tuples(WEIGHT, st.one_of(FINITE, st.floats(min_value=-1e-300, max_value=1e-300))),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example([(1, 1.0), (-1, 1.0), (3, TINY)])  # cancels onto a subnormal
+    @example([(1, 2.0**-1022), (-1, TINY)])  # subnormal result
+    @example([(1, 1.0), (1, 2.0**-53), (1, TINY)])  # a tie, broken by a subnormal
+    @example([(1, 1.0), (1, 2.0**-53), (-1, TINY)])
+    @example([(1, MAX), (1, 2.0**970)])  # the exact midpoint above MAX overflows
+    @example([(1, MAX), (1, 2.0**970), (-1, TINY)])  # just below it, still finite
+    @example([(2, MAX), (-2, MAX)])  # cancelling terms past the float range
+    @example([(2 * N_LIMIT, -MAX), (2 * N_LIMIT, 1.0), (-2 * N_LIMIT, -MAX)])
+    @example([(-1, 0.0), (1, -0.0)])
+    @settings(max_examples=500, deadline=None)
+    def test_is_the_exact_sum_rounded_once(self, terms):
+        exact = sum(Fraction(k) * Fraction(v) for k, v in terms)
+        try:
+            want = float(exact)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _exact_sum(*terms)
+            return
+        if sum(abs(Fraction(k) * Fraction(v)) for k, v in terms) < 2**1023:
+            # no term k v or partial sum can leave the float range
+            assert _exact_sum(*terms).hex() == want.hex()
+            return
+        # past half the float range, a term k v or a partial sum of the
+        # parts may overflow though the total would not: OverflowError then
+        try:
+            got = _exact_sum(*terms)
+        except OverflowError:
+            return
+        assert got.hex() == want.hex()
+
+    @given(
+        WEIGHT,
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.lists(st.tuples(WEIGHT, FINITE), max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_term_raises(self, k, v, terms, data):
+        at = data.draw(st.integers(min_value=0, max_value=len(terms)))
+        terms.insert(at, (k, v))
+        with pytest.raises((ValueError, OverflowError)):
+            _exact_sum(*terms)
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def _veff_row(q: EnergyQuery) -> str:
+    try:
+        found = minimize_v_eff(q)
+    except DimspecError as err:
+        return f"{type(err).__name__}: {err}"
+    return f"{found.e_min.lnmag.hex()} {found.ln_r_star.hex()} {found.evaluations}"
+
+
+def _veff_pin_rows():
+    """One row per query: the bound points of oracle_equivalence_report(16,
+    64), then 2 000 seeded queries across the whole window, |ln alpha| up to
+    7e5, and 200 near the float range's edge, where the search gives up."""
+    for p in oracle_equivalence_report(16, 64).points:
+        spec = alpha_coefficient(p.D, scheme_m(p.n, p.scheme))
+        yield _veff_row(EnergyQuery(spec.alpha, spec.beta, p.n, p.D))
+    rng = random.Random(20376)
+    for i in range(2200):
+        n = rng.randint(1, N_LIMIT) if rng.random() < 0.3 else rng.randint(1, 40)
+        beta = rng.randint(1, 2 * n - 1)
+        if i < 2000:
+            bound = 7e5 if rng.random() < 0.5 else 300.0
+            ln_alpha = rng.uniform(-bound, bound)
+        else:
+            ln_alpha = rng.choice((1, -1)) * rng.uniform(1, 10) * 10.0 ** rng.randint(290, 307)
+        yield _veff_row(EnergyQuery(SignedLogReal(1, ln_alpha), beta, n, rng.randint(2, 10_000)))
+
+
+def _radial_pin_rows():
+    """One row per solve: the level's bits and the solver's counters, over
+    ten dimensions, both conventions, three excitations and four couplings."""
+    for D, convention, k, alpha in itertools.product(
+        (3, 4, 5, 7, 12, 25, 60, 150, 400, 1200),
+        KineticConvention,
+        (0, 1, 4),
+        (1e-6, 1.0, 1.7, 1e50),
+    ):
+        sol = radial_ground_state(D, alpha, 1, convention, k)
+        yield f"{sol.energy.hex()} {sol.sweeps} {sol.matches} {sol.steps}"
+
+
+class TestBitPins:
+    """The searches' outputs, bit for bit, against digests taken at commit
+    1f14d7d, before the exact sum moved from integer ratios to math.fsum.
+    They pin this platform's libm as much as the code: a digest that moves
+    with no change to the solvers means the platform did."""
+
+    def test_veff_search(self):
+        assert (
+            _digest(_veff_pin_rows())
+            == "24ff09ed56c83d52f22c268bcaab835694dfbac29518a0e260d13bfec06f75a7"
+        )
+
+    def test_radial_solver(self):
+        assert (
+            _digest(_radial_pin_rows())
+            == "b44f97bb6eb00b913bceaf32a2da2bcfa3a20a5eabe87786df12f69242a484df"
+        )

@@ -54,7 +54,10 @@ copy of it elsewhere:
   line and JSON object are cut from those writers' own output, so a whole
   document joined from them is what the writers write;
 * the numpy floor in ``pyproject.toml`` is 2 or more while the library
-  calls ``np.trapezoid``, which numpy 2.0 added.
+  calls ``np.trapezoid``, which numpy 2.0 added;
+* an exact sum of float terms is ``oracle._exact_sum``, exact float parts
+  rounded once by ``math.fsum``: no module calls ``as_integer_ratio``, so no
+  big-integer form of the same sum is kept beside it.
 
 Every rule reads the library sources and changes nothing.
 """
@@ -133,6 +136,19 @@ def test_numpy_floor_admits_what_the_library_calls():
         if isinstance(node, ast.Attribute) and node.attr == "trapezoid"
     ]
     assert floors[0] >= 2 or calls == []
+
+
+def test_no_module_sums_by_integer_ratios():
+    checked, found = 0, []
+    for name, tree in _modules():
+        checked += 1
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"
+        ]
+    assert checked > 0
+    assert found == []
 
 
 # (module, function) pairs allowed to test for bool
