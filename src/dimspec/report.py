@@ -16,38 +16,29 @@ that do not apply. ``_record_row`` is the one formatter of a record's cells;
 
 Each record of ``scan``'s memo (``feasibility._GRID_RECORDS``, at most 2 016
 records, one per grid point and scheme) gets one wire entry, made the first
-time a writer or parser meets it: its row of cells, its fields with their
-types and the columns holding a float zero, and its two texts, cut from the
-one writer of each format: its CSV line as ``_render_cells`` writes it and
-its JSON object as ``render_json`` writes it inside an array. An index maps
-each text to its record. A list of records that are all the memoized
-objects is written as its entries' texts joined, the CSV header first, the
-JSON array's brackets around. Equality is not enough: a coupling lnmag of
--0.0 equals the memoized 0.0 but writes its own sign. Any other list is
-written record by record, from the entry's cells for a memoized record and
-from computed cells for any other; no record outside the grid memo gets an
-entry.
+time a writer meets it: its two texts, cut from the one writer of each
+format, its CSV line as ``_render_cells`` writes it and its JSON object as
+``render_json`` writes it inside an array. An index maps each text to its
+record. A list of records that are all the memoized objects is written as
+its entries' texts joined, the CSV header first, the JSON array's brackets
+around. Equality is not enough: a coupling lnmag of -0.0 equals the memoized
+0.0 but writes its own sign. Any other list is written record by record by
+the one formatter; no record outside the grid memo gets an entry.
 
-A ``str`` document that is exactly the header line and memoized records'
-lines, or exactly the array's frame around memoized records' objects, is
-those records: it is byte for byte what the writers write for them, so the
-row-by-row path below would return the same records and raise nothing. Any
-other document is read whole row by row, and no single line of it is
-trusted, since a quoted CSV cell may span lines. Each row, converted cell by
-cell, and each JSON object is looked up in the memo: when D, n and m are
-ints on the scan grid with m = n or m = 1 (at n = 1 a set paper_E0 reads
-mn; an unset one reads m1, else the mn record, which equals it where the
-table has no energy), a scan has made that point's record, and every cell
-is exactly that record's wire field (equal, of the same type, a float zero
-of the same sign), it returns the memoized record. Every other row takes the
-rebuild path, which raises every error: it reads only the input cells (D,
-n, m, beta, the coupling's sign and lnmag, and whether paper_E0 is set),
-rebuilds the record with ``build_record`` and accepts it only if the
-rebuilt record renders to exactly the cells read, and in JSON only if each
-cell has its column's type; otherwise it names the first column that
-differs, or an unexpected extra field. Both memo paths return only what the
-rebuild path would, so ``parse(render(x)) == x`` for every record this
-library writes, and no parsed record contradicts the evaluator.
+Each format has two read paths. A ``str`` document that is exactly the
+header line and memoized records' lines, or exactly the array's frame
+around memoized records' objects, is those records: it is byte for byte what
+the writers write for them, so the rebuild path would return equal records
+and raise nothing. Any other document is read whole, row by row, by the
+rebuild path, and no single line of it is trusted, since a quoted CSV cell
+may span lines. The rebuild path raises every error: it reads only the
+input cells (D, n, m, beta, the coupling's sign and lnmag, and whether
+paper_E0 is set), rebuilds the record with ``build_record`` and accepts it
+only if the rebuilt record renders to exactly the cells read, and in JSON
+only if each cell has its column's type; otherwise it names the first
+column that differs, or an unexpected extra field. So ``parse(render(x)) ==
+x`` for every record this library writes, no parsed record contradicts the
+evaluator, and a parse adds no wire entry.
 
 ``render_csv`` and ``render_json`` are the writers behind every CLI table;
 ``_render_cells``, behind ``render_csv`` and ``render_records_csv``, is the
@@ -265,32 +256,25 @@ _M1_RECORDS = _GRID_RECORDS[Scheme.M_EQUALS_ONE]
 
 
 class _WireEntry:
-    """The wire form of one memoized record, computed once: its row in
-    ``CSV_COLUMNS`` order, its fields, their types in column order, the
-    columns holding a float zero, whose sign == cannot see, and its texts as
-    the one writer of each format writes them: its CSV line, ending in its
-    newline, and its JSON object as it stands inside an array."""
+    """The texts of one memoized record, computed once, as the one writer of
+    each format writes them: its CSV line, ending in its newline, and its
+    JSON object as it stands inside an array."""
 
-    __slots__ = ("rec", "row", "fields", "kinds", "zeros", "csv_line", "json_text")
+    __slots__ = ("rec", "csv_line", "json_text")
 
     def __init__(self, rec: ScanRecord) -> None:
         self.rec = rec
-        self.row = row = _record_row(rec)
-        self.fields = dict(zip(CSV_COLUMNS, row))
-        self.kinds = tuple(map(type, row))
-        self.zeros = tuple(
-            col for col, v in self.fields.items() if type(v) is float and v == 0.0
-        )
+        row = _record_row(rec)
         # the writers' own output for a one-record list, less the frame:
         # the CSV header line, and the JSON array's "[\n  " and "\n]"
         self.csv_line = _render_cells(CSV_COLUMNS, (row,))[len(CSV_HEADER) + 1 :]
-        self.json_text = render_json([self.fields])[4:-2]
+        self.json_text = render_json([dict(zip(CSV_COLUMNS, row))])[4:-2]
 
 
-# The wire entry of every memoized record a writer or parser has met, keyed by
-# id(rec): an entry holds its record, so no other object takes that id while
-# the entry lives. Beside it, each such record keyed by its two texts, its
-# CSV line without the newline and its JSON object, which the parsers match
+# The wire entry of every memoized record a writer has met, keyed by id(rec):
+# an entry holds its record, so no other object takes that id while the
+# entry lives. Beside it, each such record keyed by its two texts, its CSV
+# line without the newline and its JSON object, which the parsers match
 # whole documents against. Neither parser can hit the other format's text:
 # the CSV parser looks up lines, which hold no newline, and every JSON object
 # holds one; the JSON parser looks up texts that start with "{", and every
@@ -314,39 +298,6 @@ def _wire_entry(rec: ScanRecord) -> Optional[_WireEntry]:
         _WIRE_ROWS[entry.csv_line[:-1]] = rec
         _WIRE_ROWS[entry.json_text] = rec
     return entry
-
-
-def _memoized_record(f) -> Optional[ScanRecord]:
-    """The scan's memoized record of the grid point ``f`` names, if every
-    cell of ``f`` is exactly its wire field: equal, of the same type and, for
-    a float zero, of the same sign. None for any other ``f`` and for a point
-    no scan has made; the rebuild path then reads it and raises what it must."""
-    try:
-        D, n, m = f["D"], f["n"], f["m"]
-    except (KeyError, TypeError):
-        return None
-    if not (type(D) is type(n) is type(m) is int and D_MIN <= D <= D_MAX and N_MIN <= n <= N_MAX):
-        return None
-    # m = n reads mn and m = 1 reads m1; at n = 1 both hold, and only an mn
-    # record carries a published energy. Where the table has none, the mn
-    # record at n = 1 equals the m1 one, so a process that scanned only mn
-    # finds it too
-    if m == n and (n > 1 or f.get("paper_E0") is not None):
-        rec = _MN_RECORDS.get((D, n))
-    elif m == 1:
-        rec = _M1_RECORDS.get((D, n)) or (_MN_RECORDS.get((D, n)) if n == 1 else None)
-    else:
-        return None
-    if rec is None:
-        return None
-    entry = _wire_entry(rec)
-    fields = entry.fields
-    if f != fields or tuple(map(type, f.values())) != entry.kinds:
-        return None
-    for col in entry.zeros:
-        if math.copysign(1.0, f[col]) != math.copysign(1.0, fields[col]):
-            return None
-    return rec
 
 
 def _where(f: dict) -> str:
@@ -413,13 +364,11 @@ def render_json(payload) -> str:
 def render_records_csv(records: list[ScanRecord]) -> str:
     """Records to CSV, input order preserved. A list of memoized records is
     the header and its entries' lines joined; any other list is written
-    row by row, a memoized record from its entry's row and any other
-    record from its computed row."""
+    row by row by the one formatter."""
     entries = [_wire_entry(rec) for rec in records]
     if all(entries):
         return CSV_HEADER + "\n" + "".join([entry.csv_line for entry in entries])
-    rows = [entry.row if entry else _record_row(rec) for entry, rec in zip(entries, records)]
-    return _render_cells(CSV_COLUMNS, rows)
+    return _render_cells(CSV_COLUMNS, map(_record_row, records))
 
 
 # cell type of each column, in CSV_COLUMNS order: the CSV reader converts each
@@ -436,9 +385,9 @@ def parse_records_csv(text: str) -> list[ScanRecord]:
         raise InvalidParameterError("bad-header", f"expected CSV text, got {_shown(text)}")
     # a text that is the header line and then only memoized records' lines,
     # each with its newline, is byte for byte what render_records_csv writes
-    # for those records, so the reader below would return them and raise
-    # nothing. Any other text is read whole, row by row: a quoted cell may
-    # span lines, so no single line of it is trusted
+    # for those records, so the rebuild path below would return equal
+    # records and raise nothing. Any other text is rebuilt whole, row by row:
+    # a quoted cell may span lines, so no single line of it is trusted
     lines = text.split("\n")
     if lines[0] == CSV_HEADER and lines[-1] == "":
         by_text = _WIRE_ROWS
@@ -454,8 +403,7 @@ def parse_records_csv(text: str) -> list[ScanRecord]:
 
 
 def _csv_record(row: list) -> ScanRecord:
-    """The record of one CSV row, through the memo lookup on its converted
-    fields, else the rebuild path."""
+    """The record of one CSV row, by the rebuild path."""
     # one unpacking and one dict display; a row of the wrong length or a
     # cell its column cannot read raises ValueError, and _csv_cells then
     # names the fault
@@ -478,7 +426,7 @@ def _csv_record(row: list) -> ScanRecord:
         }
     except ValueError:
         fields = _csv_cells(row)
-    return _memoized_record(fields) or _record_from_fields(fields)
+    return _record_from_fields(fields)
 
 
 def _csv_cells(row: list) -> dict:
@@ -503,23 +451,20 @@ def _csv_cells(row: list) -> dict:
 def render_records_json(records: list[ScanRecord]) -> str:
     """Records to a JSON array of flat objects, input order preserved. A
     non-empty list of memoized records is its entries' objects joined in
-    the array's frame; any other list is encoded whole, a memoized record
-    from its entry's fields and any other record from its computed fields."""
+    the array's frame; any other list is encoded whole by the one formatter."""
     entries = [_wire_entry(rec) for rec in records]
     if entries and all(entries):
         return "[\n  " + ",\n  ".join([entry.json_text for entry in entries]) + "\n]"
-    return render_json(
-        [entry.fields if entry else record_fields(rec) for entry, rec in zip(entries, records)]
-    )
+    return render_json([record_fields(rec) for rec in records])
 
 
 def parse_records_json(text: str) -> list[ScanRecord]:
     # a text in the array's frame whose objects are all memoized records'
     # objects is byte for byte what render_records_json writes for those
-    # records, so the reader below would return them and raise nothing.
-    # Splitting at ",\n  {" takes each object's opening brace, which is put
-    # back before the lookup: no CSV line starts with one. Any other text,
-    # bytes included, is read whole
+    # records, so the rebuild path below would return equal records and
+    # raise nothing. Splitting at ",\n  {" takes each object's opening brace,
+    # which is put back before the lookup: no CSV line starts with one. Any
+    # other text, bytes included, is rebuilt whole
     if isinstance(text, str) and text.startswith("[\n  {") and text.endswith("\n]"):
         by_text = _WIRE_ROWS
         try:
@@ -532,7 +477,7 @@ def parse_records_json(text: str) -> list[ScanRecord]:
         raise InvalidParameterError("bad-json", f"not JSON: {exc}") from None
     if not isinstance(payload, list):
         raise InvalidParameterError("bad-json", "expected a top-level JSON array")
-    return [_memoized_record(entry) or _json_record(entry) for entry in payload]
+    return [_json_record(entry) for entry in payload]
 
 
 def _json_record(entry: dict) -> ScanRecord:

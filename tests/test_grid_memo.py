@@ -1,25 +1,24 @@
 """The grid memo: ``scan`` makes the record of each grid point once per
 process, ``report`` keeps one wire entry beside each memoized record it
-writes or reads, with its CSV line and JSON object texts, and both parsers
-return the memoized records for a document that is exactly their texts
-joined, or for a row that is exactly a record's wire fields; any other row
-takes the rebuild path.
+writes, with its CSV line and JSON object texts, and both parsers return
+the memoized records for a document that is exactly their texts joined;
+any other document takes the rebuild path and returns fresh records.
 
 These tests pin what the memo must not change or outgrow: it holds at most
 one record per grid point and scheme, 2 016 in all; only a scan adds one;
-wire entries never outnumber the memoized records, and the text index
-holds their two texts each and nothing else; a repeated scan returns the
-same objects, equal to what the uncached ``evaluate_point`` makes; the
-writers give any list, memoized records or not, the bytes of the plain
-writers; and a parse through the memo gives what the rebuild path gives, a
-record with the same bits or an error with the same type, code and
-message, however one cell of a grid record's CSV or JSON, only the text of
-one CSV cell, or a whole document's lines are edited.
+only a writer adds a wire entry, entries never outnumber the memoized
+records, and the text index holds their two texts each and nothing else; a
+repeated scan returns the same objects, equal to what the uncached
+``evaluate_point`` makes; the writers give any list, memoized records or
+not, the bytes of the plain writers; and the whole-text path gives what
+the rebuild path gives, a record with the same bits or an error with the
+same type, code and message, however one cell of a grid record's CSV or
+JSON, only the text of one CSV cell, or a whole document's lines are
+edited.
 """
 
 import csv
 import dataclasses
-import io
 import json
 import math
 from unittest import mock
@@ -49,6 +48,7 @@ SCHEMES = (Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE)
 DS = range(D_MIN, D_MAX + 1)
 NS = range(N_MIN, N_MAX + 1)
 _MEMOS = (*_GRID_RECORDS.values(), report._WIRE, report._WIRE_ROWS)
+FORMATS = ((render_records_csv, parse_records_csv), (render_records_json, parse_records_json))
 
 
 def _memo_size() -> int:
@@ -76,7 +76,7 @@ def _wire_size() -> int:
 
 @pytest.fixture
 def empty_memo():
-    """The record memo and the parsers' wire entries emptied for one test,
+    """The record memo and the writers' wire entries emptied for one test,
     and refilled as they were after it."""
     saved = [dict(memo) for memo in _MEMOS]
     for memo in _MEMOS:
@@ -124,19 +124,18 @@ class TestMemoBound:
     def test_parsing_adds_no_entry(self, empty_memo):
         explicit = build_record(SystemParams(3, 1, 1), 2, SignedLogReal(1, 0.5), False)
         unscanned = evaluate_point(7, 3, Scheme.M_EQUALS_ONE)
-        for records in ([explicit], [unscanned]):
-            assert parse_records_csv(render_records_csv(records)) == records
-            assert parse_records_json(render_records_json(records)) == records
-        assert _memo_size() == 0 and _wire_size() == 0
-        scanned = scan([3], [1], Scheme.M_EQUALS_ONE)
-        # an equal record that is not the memoized object gets no wire entry
+        (scanned,) = scan([3], [1], Scheme.M_EQUALS_ONE)
+        # an equal record that is not the memoized object writes the memoized
+        # record's texts but gets no wire entry; parsing them adds none
         equal = evaluate_point(3, 1, Scheme.M_EQUALS_ONE)
-        for records in ([explicit], [equal]):
-            assert parse_records_csv(render_records_csv(records)) == records
-            assert parse_records_json(render_records_json(records)) == records
-        assert _memo_size() == 1 and _wire_size() == 1
-        assert id(explicit) not in report._WIRE and id(equal) not in report._WIRE
-        assert parse_records_json(render_records_json(scanned))[0] is scanned[0]
+        for records in ([explicit], [unscanned], [equal], [scanned], [equal]):
+            for render, parse in FORMATS:
+                text = render(records)
+                size = _wire_size()
+                assert parse(text) == records and _wire_size() == size
+        assert _memo_size() == 1 and _wire_size() == 1 and id(scanned) in report._WIRE
+        for render, parse in FORMATS:
+            assert parse(render([equal]))[0] is scanned
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_a_repeated_scan_returns_the_same_objects(self, scheme):
@@ -151,7 +150,7 @@ class TestMemoBound:
     def test_wire_entries_stay_within_the_grid_memo(self, empty_memo, loops):
         grids = [scan(DS, NS, scheme) for scheme in SCHEMES]
         # texts from equal records the memo does not hold, so that writing
-        # them makes no entry and only the parse loops do
+        # them makes no entry and only the render loops do
         texts = [
             (render_records_csv(fresh), render_records_json(fresh))
             for fresh in (
@@ -168,7 +167,10 @@ class TestMemoBound:
                 if loops in ("parse", "both"):
                     assert parse_records_csv(csv_text) == records
                     assert parse_records_json(json_text) == records
-                assert 0 < _wire_size() <= _memo_size() == 2016
+                if loops == "parse":
+                    assert _wire_size() == 0
+                else:
+                    assert 0 < _wire_size() <= _memo_size() == 2016
                 assert len(report._WIRE_ROWS) <= 4032
 
 
@@ -177,34 +179,19 @@ class TestMemoBound:
 
 class TestWireEntries:
     def test_an_mn_only_process_reads_every_row_back_as_its_record(self, empty_memo):
-        # at n = 1 a row without paper_E0 reads m1; no m1 scan has run, and
-        # the mn record there, which the table gives no energy, serves
+        # at n = 1 a row without paper_E0 reads m1 when rebuilt; no m1 scan
+        # has run, and the mn record's text, which the table gives no
+        # energy, answers it
         records = scan(DS, NS, Scheme.M_EQUALS_N)
         assert any(rec.params.n == 1 and rec.paper_value is None for rec in records)
-        for parse, text in (
-            (parse_records_csv, render_records_csv(records)),
-            (parse_records_json, render_records_json(records)),
-        ):
+        for render, parse in FORMATS:
+            text = render(records)
             assert all(a is b for a, b in zip(parse(text), records, strict=True))
-            # the converted fields' lookup alone, without the whole-text match
+            # without the whole-text match every row is rebuilt: equal records,
+            # none of them the memo's
             with mock.patch.object(report, "_WIRE_ROWS", {}):
-                assert all(a is b for a, b in zip(parse(text), records, strict=True))
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_every_written_grid_row_is_matched_as_text(self, scheme):
-        records = scan(DS, NS, scheme)
-        text = render_records_csv(records)
-        # the converted fields' lookup switched off: only a text match
-        # returns the memoized record
-        with mock.patch.object(report, "_memoized_record", lambda f: None):
-            parsed = parse_records_csv(text)
-        # at n = 1 a point without a published energy has one text under
-        # both schemes, and either scheme's record may answer it
-        for got, rec in zip(parsed, records, strict=True):
-            key = (rec.params.D, rec.params.n)
-            assert any(got is memo.get(key) for memo in _GRID_RECORDS.values()) and got == rec
-            assert got is rec or (rec.params.n == 1 and rec.paper_value is None)
-        assert _result(parse_records_csv, text) == _rebuild_result(parse_records_csv, text)
+                parsed = parse(text)
+            assert parsed == records and not any(map(_memoized, parsed))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_writers_give_a_memoized_record_the_bytes_of_a_fresh_one(self, scheme):
@@ -229,7 +216,7 @@ class TestWireEntries:
         assert id(signed) not in report._WIRE
 
 
-# -- memo path against rebuild path ------------------------------------------
+# -- whole-text path against rebuild path --------------------------------------
 
 
 def _slr_bits(value):
@@ -261,21 +248,22 @@ def _result(parse, text):
 
 
 def _rebuild_result(parse, text):
-    """``_result`` with the memo lookups switched off, on converted fields and
-    on whole CSV and JSON texts: every row is rebuilt."""
-    with mock.patch.object(report, "_memoized_record", lambda f: None):
-        with mock.patch.object(report, "_WIRE_ROWS", {}):
-            return _result(parse, text)
+    """``_result`` with the whole-text match switched off: every row is
+    rebuilt."""
+    with mock.patch.object(report, "_WIRE_ROWS", {}):
+        return _result(parse, text)
+
+
+def _memoized(rec) -> bool:
+    """Whether ``rec`` is an object the grid memo holds."""
+    key = (rec.params.D, rec.params.n)
+    return any(rec is memo.get(key) for memo in _GRID_RECORDS.values())
 
 
 def _csv_text(entry) -> str:
-    """The CSV a writer would make of one row holding ``entry``'s values in
+    """The CSV the one writer makes of one row holding ``entry``'s values in
     its order: None empty, a float by repr, anything else by str."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerow(entry.values() if isinstance(entry, dict) else entry)
-    return buf.getvalue()
+    return report._render_cells(CSV_COLUMNS, [entry.values() if isinstance(entry, dict) else entry])
 
 
 # grid points of both schemes, with n = 1 (where m = 1 under both) and the
@@ -341,7 +329,7 @@ def _edited(entry: dict, edit: str, draw):
     return entry
 
 
-class TestMemoPathEqualsRebuildPath:
+class TestWholeTextPathEqualsRebuildPath:
     @given(
         point=_POINTS,
         scheme=st.sampled_from(SCHEMES),
@@ -351,16 +339,14 @@ class TestMemoPathEqualsRebuildPath:
     @settings(max_examples=400, deadline=None)
     def test_one_edited_cell(self, point, scheme, edit, data):
         D, n = point
-        scanned = {s: scan([D], [n], s)[0] for s in SCHEMES}
-        entry = _edited(record_fields(scanned[scheme]), edit, data.draw)
-        json_text = json.dumps([entry])
-        csv_text = _csv_text(entry)
+        (rec,) = scan([D], [n], scheme)
+        render_records_csv([rec])  # the memoized record's entry exists
+        entry = _edited(record_fields(rec), edit, data.draw)
+        # in the writers' layout, which the whole-text match reads
+        json_text, csv_text = json.dumps([entry], indent=2), _csv_text(entry)
         for parse, text in ((parse_records_json, json_text), (parse_records_csv, csv_text)):
             assert _result(parse, text) == _rebuild_result(parse, text)
-        if edit == "none":
-            for parse, text in ((parse_records_json, json_text), (parse_records_csv, csv_text)):
-                (parsed,) = parse(text)
-                assert any(parsed is rec for rec in scanned.values())
+            assert edit != "none" or _memoized(parse(text)[0])
 
     @given(
         point=_POINTS,
@@ -386,11 +372,14 @@ class TestMemoPathEqualsRebuildPath:
     def test_negative_zero_coupling_takes_the_rebuild_path(self, scheme):
         (rec,) = scan([3], [1], scheme)
         assert rec.alpha.lnmag == 0.0
-        entry = {**record_fields(rec), "alpha_lnmag": -0.0}
-        texts = ((parse_records_json, json.dumps([entry])), (parse_records_csv, _csv_text(entry)))
-        for parse, text in texts:
+        signed = dataclasses.replace(rec, alpha=SignedLogReal(1, -0.0))
+        # the equal record's texts, with the memoized record's entry made, so
+        # the whole-text match is live and misses
+        for render, parse in FORMATS:
+            text = render([signed])
+            assert text != render([rec])
             (parsed,) = parse(text)
-            assert parsed is not rec and parsed == rec
+            assert parsed == rec and not _memoized(parsed)
             assert math.copysign(1.0, parsed.alpha.lnmag) == -1.0
             assert [_record_bits(parsed)] == _rebuild_result(parse, text)
 
@@ -479,12 +468,8 @@ def _edited_document(records: list, fmt: str, edit: str, draw) -> str:
 def _is_or_twin(got, rec) -> bool:
     """Whether ``got`` is ``rec``, or at n = 1 without a published energy,
     where both schemes' records have one text, the other scheme's record."""
-    key = (rec.params.D, rec.params.n)
     return got is rec or (
-        rec.params.n == 1
-        and rec.paper_value is None
-        and got == rec
-        and any(got is memo.get(key) for memo in _GRID_RECORDS.values())
+        rec.params.n == 1 and rec.paper_value is None and got == rec and _memoized(got)
     )
 
 
@@ -500,34 +485,34 @@ class TestWholeDocuments:
         parse = parse_records_csv if fmt == "csv" else parse_records_json
         edit = data.draw(st.sampled_from((CSV_EDITS if fmt == "csv" else JSON_EDITS) + FOREIGN))
         text = _edited_document(records, fmt, edit, data.draw)
-        assert _result(parse, text) == _rebuild_result(parse, text)
+        result = _result(parse, text)
+        assert result == _rebuild_result(parse, text)
         if edit == "none":
             assert text == (render_records_csv if fmt == "csv" else render_records_json)(records)
             assert all(map(_is_or_twin, parse(text), records))
+        if isinstance(result, list):
+            # the joined texts of memoized records take the whole-text path,
+            # every other document the rebuild path
+            assert all(_memoized(rec) == (edit in LINE_EDITS) for rec in parse(text))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_a_written_grid_is_matched_as_one_text(self, scheme):
         records = scan(DS, NS, scheme)
-        for render, parse in (
-            (render_records_csv, parse_records_csv),
-            (render_records_json, parse_records_json),
-        ):
+        for render, parse in FORMATS:
             text = render(records)
-            # neither the row-by-row reader nor the field lookup may run
-            with mock.patch.object(report, "_memoized_record", None), mock.patch.object(
-                report, "csv", None
-            ), mock.patch.object(report, "json", None):
+            # the rebuild path's readers may not run
+            with mock.patch.object(report, "csv", None), mock.patch.object(report, "json", None):
                 parsed = parse(text)
             assert len(parsed) == len(records) and all(map(_is_or_twin, parsed, records))
+            assert _result(parse, text) == _rebuild_result(parse, text)
 
     def test_non_text_documents_keep_their_readers(self):
         records = scan([2, 3, 4], [1, 2], Scheme.M_EQUALS_N)
         text = render_records_json(records)
         for blob in (text.encode(), bytearray(text.encode())):
-            # json.loads reads bytes, and each object then meets the memo
-            assert all(map(_is_or_twin, parse_records_json(blob), records))
-            assert len(parse_records_json(blob)) == len(records)
-            assert _result(parse_records_json, blob) == _rebuild_result(parse_records_json, blob)
+            # json.loads reads bytes, and each object is then rebuilt
+            parsed = parse_records_json(blob)
+            assert parsed == records and not any(map(_memoized, parsed))
         csv_text = render_records_csv(records)
         for blob in (csv_text.encode(), bytearray(csv_text.encode())):
             with pytest.raises(InvalidParameterError) as err:

@@ -13,9 +13,7 @@ copy of it elsewhere:
   expression with their bounds, so they pay no call: ``SystemParams`` calls
   ``require_int`` only when that expression fails, to name the first bad
   field with its usual code and message, and ``classify_coupling`` and
-  ``SignedLogReal.to_decimal`` raise their own error; the parsers' memo
-  lookup, ``report._memoized_record``, rejects nothing and only sends a row
-  that is not plainly a grid point to the rebuild. ``EnergyQuery`` and
+  ``SignedLogReal.to_decimal`` raise their own error. ``EnergyQuery`` and
   ``alpha_coefficient``, the public gates of the evaluators, are off the
   record path and are plain ``require_int`` calls;
 * ``model.py`` is the one statement of the short-range outcome: no other
@@ -42,7 +40,7 @@ copy of it elsewhere:
   keeps a bare ``import mpmath`` only because the benchmark's
   ``-X importtime`` probe requires ``import dimspec`` to load it, and one
   40-digit mpmath evaluation costs about twice a whole float
-  ``minimize_v_eff`` call. ROADMAP item 1 relaxes the probe, and the change
+  ``minimize_v_eff`` call. ROADMAP item 1a relaxes the probe, and the change
   that does so deletes the import too;
 * ``model.scheme_m`` is the one statement of which m a coupling scheme
   uses: no other function compares against ``Scheme.M_EQUALS_N`` or
@@ -53,6 +51,9 @@ copy of it elsewhere:
   the C encoder ``report._ROWS_ENCODER``. A memoized record's cached CSV
   line and JSON object are cut from those writers' own output, so a whole
   document joined from them is what the writers write;
+* each wire format has two read paths, the whole-text match and the
+  rebuild: in ``report.py`` only ``_wire_entry`` reads the grid memo
+  (``_GRID_RECORDS`` and its aliases), so no parser looks a row up in it;
 * the numpy floor in ``pyproject.toml`` is 2 or more while the library
   calls ``np.trapezoid``, which numpy 2.0 added;
 * an exact sum of float terms is ``oracle._exact_sum``, exact float parts
@@ -367,3 +368,14 @@ def test_each_wire_format_has_one_writer():
     assert checked > 0
     assert seen == set(WRITERS)
     assert found == []
+
+
+def test_only_the_wire_entry_reads_the_grid_memo():
+    memo = {"_GRID_RECORDS", "_MN_RECORDS", "_M1_RECORDS"}
+    readers = [
+        func.name
+        for func in ast.walk(dict(_modules())["report.py"])
+        if isinstance(func, ast.FunctionDef)
+        and any(getattr(n, "id", getattr(n, "attr", None)) in memo for n in ast.walk(func))
+    ]
+    assert readers == ["_wire_entry"]
