@@ -194,6 +194,21 @@ class TestWireEntries:
             assert parsed == records and not any(map(_memoized, parsed))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_written_grid_row_is_matched_as_text(self, scheme):
+        records = scan(DS, NS, scheme)
+        text = render_records_csv(records)
+        header, *lines = text.splitlines(keepends=True)
+        # each written row alone under the header is a whole document the
+        # text match answers: with its memoized record, or, at n = 1 without
+        # a published energy, where both schemes' records have one text,
+        # with either scheme's record
+        for line, rec in zip(lines, records, strict=True):
+            (got,) = parse_records_csv(header + line)
+            assert _is_or_twin(got, rec)
+            assert line == report._WIRE[id(rec)].csv_line
+        assert _result(parse_records_csv, text) == _rebuild_result(parse_records_csv, text)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_writers_give_a_memoized_record_the_bytes_of_a_fresh_one(self, scheme):
         for rec in scan(DS, NS, scheme):
             fresh = evaluate_point(rec.params.D, rec.params.n, scheme)
