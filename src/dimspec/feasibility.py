@@ -6,7 +6,10 @@ classifier: 0 < beta = D - 2m < 2n is the open interval (2m, 2(m+n)), so
 (2, 2(n+1)) for m = 1. The scan walks a rectangular (D, n) grid, classifies
 every point and evaluates the general closed form wherever a bound state
 exists. ``build_record`` makes every record: the scan's, the ``energy``
-verb's and each one a parser rebuilds.
+verb's and each one a parser rebuilds. A record takes the same checked
+entry points a caller of the library does: its coupling comes from
+``alpha_coefficient`` and its energy from ``e0_general`` through the
+``EnergyQuery`` gate, so each limit is checked in one place.
 
 The record of a grid point is a pure function of (D, n, scheme), so each one
 is made once per process: ``scan`` keeps every record it makes in
@@ -32,10 +35,10 @@ from .model import (
     Classification,
     scheme_m,
 )
-from .potential import D_LIMIT, _coupling
+from .potential import alpha_coefficient
 from .refdata import PUBLISHED_MEMBERS, TABLE1_E0
 from .signedlog import SignedLogReal
-from .spectrum import N_LIMIT, _closed_form
+from .spectrum import N_LIMIT, EnergyQuery, e0_general
 
 # Bounds of the (D, n) grid that scan accepts: the paper's whole parameter
 # space, 1008 closed-form points per scheme.
@@ -103,21 +106,14 @@ def build_record(
     parsers.
 
     A short-range potential (beta < 0) is invalid; every other beta goes to
-    the general evaluator. ``reference`` attaches the published energy at
-    (D, n), if the table has one.
-
-    Each value is checked once: ``params`` by ``SystemParams``, and alpha
-    (a SignedLogReal or None) and beta (an int) by the caller that made
-    them, so no ``EnergyQuery`` is built. The one check of the query left
-    is n <= N_LIMIT, made here with its usual code and message.
+    ``e0_general`` through its gate, ``EnergyQuery``, which rejects an n past
+    N_LIMIT. ``reference`` attaches the published energy at (D, n), if the
+    table has one.
     """
     if beta < 0:
         outcome = _short_range(beta, beta == params.beta)
     else:
-        n = params.n
-        if n > N_LIMIT:
-            require_int("n", n, 1, N_LIMIT)
-        outcome = _closed_form(alpha, beta, n, params.D)
+        outcome = e0_general(EnergyQuery(alpha, beta, params.n, params.D))
     paper = TABLE1_E0.get((params.D, params.n)) if reference else None
     return ScanRecord(params, beta, alpha, outcome, paper)
 
@@ -125,19 +121,13 @@ def build_record(
 def evaluate_point(D: int, n: int, scheme: Scheme) -> ScanRecord:
     """Classify one grid point and evaluate its energy when bound.
 
-    The coupling is the point charge's alpha(D, m), which exists only for
-    beta > 0; the m = n scheme carries the published reference energy.
-    ``SystemParams`` checks D, n and m, so of ``alpha_coefficient``'s checks
-    only D <= D_LIMIT is left, made here with its usual code and message.
+    The coupling is the point charge's alpha(D, m) from
+    ``alpha_coefficient``, which exists only for beta > 0 and rejects a D
+    past D_LIMIT; the m = n scheme carries the published reference energy.
     """
     params = SystemParams(D, n, scheme_m(n, scheme))
     beta = params.beta
-    if beta > 0:
-        if D > D_LIMIT:
-            require_int("D", D, 2, D_LIMIT, "out-of-domain")
-        alpha = _coupling(D, params.m)
-    else:
-        alpha = None
+    alpha = alpha_coefficient(D, params.m).alpha if beta > 0 else None
     return build_record(params, beta, alpha, reference=scheme is Scheme.M_EQUALS_N)
 
 

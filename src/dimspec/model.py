@@ -36,7 +36,8 @@ class Classification(Enum):
 
 # The members by module name: on CPython 3.11 a read of ``Classification.X``
 # goes through ``EnumType.__getattr__`` (~120 ns), a module global does not
-# (~26 ns), and the record path reads a member several times per record.
+# (~26 ns), and ``classify_coupling`` returns a member on every call of
+# ``e0_general`` and of each ``minimize_v_eff`` search.
 BOUND = Classification.BOUND
 DIVERGENT = Classification.DIVERGENT
 SINGULAR = Classification.SINGULAR
@@ -64,13 +65,9 @@ class SystemParams:
     m: int
 
     def __post_init__(self) -> None:
-        D, n, m = self.D, self.n, self.m
-        # one expression, no call: this runs once per record built; the
-        # require_int calls only name the first field that fails it
-        if not (type(D) is type(n) is type(m) is int and D >= 2 and n >= 1 and m >= 1):
-            require_int("D", D, 2, code="bad-dimension")
-            require_int("n", n, 1, code="bad-power")
-            require_int("m", m, 1, code="bad-power")
+        require_int("D", self.D, 2, code="bad-dimension")
+        require_int("n", self.n, 1, code="bad-power")
+        require_int("m", self.m, 1, code="bad-power")
 
     @property
     def scheme(self) -> Scheme:

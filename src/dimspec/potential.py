@@ -63,20 +63,14 @@ def alpha_coefficient(D: int, m: int) -> PotentialSpec:
         raise InvalidParameterError(short.reason_code, short.reason)
     if beta == 0:
         return PotentialSpec(alpha=None, beta=0)
-    return PotentialSpec(alpha=_coupling(D, m), beta=beta)
-
-
-def _coupling(D: int, m: int) -> SignedLogReal:
-    """``alpha_coefficient(D, m).alpha``, unchecked: D and m must be ints
-    with 2m < D <= D_LIMIT and m >= 1."""
-    # D - 2m > 0 and m >= 1 put both arguments on the positive lattice
+    # beta > 0 and m >= 1 put both gamma arguments on the positive lattice
     lnmag = (
-        _log_gamma_twice(D - 2 * m)
+        _log_gamma_twice(beta)
         - (m - 1) * LN_4
         - (D - 2) * 0.5 * LN_PI
         - _log_gamma_twice(2 * m)
     )
-    return SignedLogReal(1 if m % 2 == 1 else -1, lnmag)
+    return PotentialSpec(alpha=SignedLogReal(1 if m % 2 == 1 else -1, lnmag), beta=beta)
 
 
 def alpha_m1_closed_form(D: int) -> SignedLogReal:

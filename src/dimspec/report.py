@@ -33,12 +33,17 @@ and raise nothing. Any other document is read whole, row by row, by the
 rebuild path, and no single line of it is trusted, since a quoted CSV cell
 may span lines. The rebuild path raises every error: it reads only the
 input cells (D, n, m, beta, the coupling's sign and lnmag, and whether
-paper_E0 is set), rebuilds the record with ``build_record`` and accepts it
-only if the rebuilt record renders to exactly the cells read, and in JSON
-only if each cell has its column's type; otherwise it names the first
-column that differs, or an unexpected extra field. So ``parse(render(x)) ==
-x`` for every record this library writes, no parsed record contradicts the
-evaluator, and a parse adds no wire entry.
+paper_E0 is set), rebuilds the record with ``build_record``, through the
+same checked ``e0_general`` every caller uses, and accepts it only if the
+rebuilt record renders to exactly the cells read, and in JSON only if each
+cell has its column's type; otherwise it names the first column that
+differs, or an unexpected extra field. ``_csv_cells`` converts each CSV row
+cell by cell and names the first cell its column cannot read. A document
+the reader cannot split at all, a CSV cell past ``csv.field_size_limit()``
+or JSON nested past the recursion limit, is rejected as ``bad-header`` (in
+the CSV header), ``unparseable`` (in a CSV row) or ``bad-json``. So
+``parse(render(x)) == x`` for every record this library writes, no parsed
+record contradicts the evaluator, and a parse adds no wire entry.
 
 ``render_csv`` and ``render_json`` are the writers behind every CLI table;
 ``_render_cells``, behind ``render_csv`` and ``render_records_csv``, is the
@@ -208,8 +213,7 @@ def _record_row(rec: ScanRecord) -> tuple:
         e_sign,
         e_lnmag,
         e_decimal,
-        # the member's value slot itself, not the Enum ``value`` descriptor
-        rec.outcome.classification._value_,
+        rec.outcome.classification.value,
         FORMULA,
         paper,
         ratio_log10,
@@ -251,10 +255,6 @@ def _record_from_fields(f: dict) -> ScanRecord:
     return rec
 
 
-_MN_RECORDS = _GRID_RECORDS[Scheme.M_EQUALS_N]
-_M1_RECORDS = _GRID_RECORDS[Scheme.M_EQUALS_ONE]
-
-
 class _WireEntry:
     """The texts of one memoized record, computed once, as the one writer of
     each format writes them: its CSV line, ending in its newline, and its
@@ -292,7 +292,12 @@ def _wire_entry(rec: ScanRecord) -> Optional[_WireEntry]:
     entry = _WIRE.get(id(rec))
     if entry is None:
         key = (rec.params.D, rec.params.n)
-        if _MN_RECORDS.get(key) is not rec and _M1_RECORDS.get(key) is not rec:
+        # a loop, not any() over a generator: the generator would make rec a
+        # closure cell, which every call pays for, each hit included
+        for memo in _GRID_RECORDS.values():
+            if memo.get(key) is rec:
+                break
+        else:
             return None
         entry = _WIRE[id(rec)] = _WireEntry(rec)
         _WIRE_ROWS[entry.csv_line[:-1]] = rec
@@ -372,9 +377,8 @@ def render_records_csv(records: list[ScanRecord]) -> str:
 
 
 # cell type of each column, in CSV_COLUMNS order: the CSV reader converts each
-# cell to it (_csv_record spells the same conversions out in one dict display)
-# and the JSON reader requires it. An empty cell or a null is None, except in
-# the integer key columns, which every record fills
+# cell to it and the JSON reader requires it. An empty cell or a null is None,
+# except in the integer key columns, which every record fills
 _CSV_KINDS = (int, int, int, int, int, float, int, float, str, str, str, float, float)
 _COLUMN_KINDS = tuple(zip(CSV_COLUMNS, _CSV_KINDS))
 _CSV_KEYS = frozenset(("D", "n", "m", "beta"))
@@ -395,38 +399,19 @@ def parse_records_csv(text: str) -> list[ScanRecord]:
             return [by_text[line] for line in lines[1:-1]]
         except KeyError:
             pass
+    # the reader raises csv.Error on a text it cannot split: a cell past
+    # csv.field_size_limit(), or a carriage return inside an unquoted cell
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise InvalidParameterError("bad-header", f"unreadable CSV header: {exc}") from None
     if header != CSV_COLUMNS:
         raise InvalidParameterError("bad-header", f"unexpected CSV header {header!r}")
-    return [_csv_record(row) for row in reader if row]
-
-
-def _csv_record(row: list) -> ScanRecord:
-    """The record of one CSV row, by the rebuild path."""
-    # one unpacking and one dict display; a row of the wrong length or a
-    # cell its column cannot read raises ValueError, and _csv_cells then
-    # names the fault
     try:
-        D, n, m, beta, a_sign, a_ln, e_sign, e_ln, e_dec, tag, formula, paper, ratio = row
-        fields = {
-            "D": int(D),
-            "n": int(n),
-            "m": int(m),
-            "beta": int(beta),
-            "alpha_sign": int(a_sign) if a_sign else None,
-            "alpha_lnmag": float(a_ln) if a_ln else None,
-            "E0_sign": int(e_sign) if e_sign else None,
-            "E0_lnmag": float(e_ln) if e_ln else None,
-            "E0_decimal": e_dec or None,
-            "classification": tag or None,
-            "formula": formula or None,
-            "paper_E0": float(paper) if paper else None,
-            "ratio_log10": float(ratio) if ratio else None,
-        }
-    except ValueError:
-        fields = _csv_cells(row)
-    return _record_from_fields(fields)
+        return [_record_from_fields(_csv_cells(row)) for row in reader if row]
+    except csv.Error as exc:
+        raise InvalidParameterError("unparseable", f"unreadable CSV row: {exc}") from None
 
 
 def _csv_cells(row: list) -> dict:
@@ -475,6 +460,8 @@ def parse_records_json(text: str) -> list[ScanRecord]:
         payload = json.loads(text)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError("bad-json", f"not JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidParameterError("bad-json", "JSON nested too deeply to read") from None
     if not isinstance(payload, list):
         raise InvalidParameterError("bad-json", "expected a top-level JSON array")
     return [_json_record(entry) for entry in payload]

@@ -38,7 +38,8 @@ N_LIMIT = 10_000
 class EnergyQuery:
     """Inputs to the general evaluator: coupling, decay exponent, powers.
 
-    The one gate of ``e0_general`` and ``minimize_v_eff`` alike: alpha is a
+    The one gate of ``e0_general`` and ``minimize_v_eff`` alike, and so of
+    every record ``feasibility.build_record`` makes: alpha is a
     SignedLogReal or None (no coupling), and beta >= 0, 1 <= n <= N_LIMIT
     and D >= 2 are ints. Anything else raises InvalidParameterError.
     """
@@ -65,11 +66,7 @@ def e0_general(q: EnergyQuery) -> EnergyOutcome:
     Outside that window the outcome is the ``classify_coupling`` tag of
     (beta, sign of alpha, n); a missing alpha counts as zero.
     """
-    return _closed_form(q.alpha, q.beta, q.n, q.D)
-
-
-def _closed_form(alpha: Optional[SignedLogReal], beta: int, n: int, D: int) -> EnergyOutcome:
-    """``e0_general`` of values ``EnergyQuery`` would accept, unchecked."""
+    alpha, beta, n, D = q.alpha, q.beta, q.n, q.D
     tag = classify_coupling(beta, alpha.sign if alpha is not None else 0, n)
     if tag is not BOUND:
         return NON_BOUND_OUTCOMES[tag]

@@ -2,17 +2,16 @@
 
 A record is built once per grid point and process by ``scan``, and once per
 parse of any other row (an edited cell, an explicit coupling), so its value
-types are slotted frozen dataclasses, the outcomes that carry no
-reason are shared constants, and the integer checks of ``SystemParams`` are
-one inline ``type(x) is int`` expression that calls ``require_int`` only to
-name the field that fails. ``build_record`` and ``evaluate_point`` build no
-``EnergyQuery`` or ``PotentialSpec``: they call the cores behind
-``e0_general`` and ``alpha_coefficient``, whose checks ``SystemParams`` has
-already made, and those two public gates are plain ``require_int`` calls.
-These tests pin what that must not change: the exception, code and message
-of every rejected argument (a type and a range error for each field, and the
-first field named when two are bad), the value semantics of each type, and
-records bit-identical to what the public evaluators give.
+types are slotted frozen dataclasses and the outcomes that carry no reason
+are shared constants. ``SystemParams``, ``EnergyQuery`` and
+``alpha_coefficient`` check each field with one ``require_int`` call, and
+``build_record`` and ``evaluate_point`` take every energy and coupling
+through ``e0_general`` and ``alpha_coefficient``, the same checked entry
+points a caller of the library uses. These tests pin what that must not
+change: the exception, code and message of every rejected argument (a type
+and a range error for each field, and the first field named when two are
+bad), the value semantics of each type, and records bit-identical to what
+the public evaluators give.
 """
 
 import copy
@@ -362,9 +361,9 @@ def _coupling_bits(alpha):
 
 
 class TestRecordPathBitIdentity:
-    """``build_record`` and ``evaluate_point`` skip the public gates
-    (``EnergyQuery``, ``alpha_coefficient``) and call the cores behind them;
-    the records must match what the gates give, bit for bit."""
+    """The records ``build_record`` and ``evaluate_point`` make must match
+    what the public evaluators (``e0_general``, ``alpha_coefficient``) give,
+    bit for bit."""
 
     @pytest.mark.parametrize("scheme", [Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE])
     def test_every_grid_point_matches_the_public_evaluators(self, scheme):

@@ -129,6 +129,31 @@ class TestSerialization:
         with pytest.raises(InvalidParameterError):
             parse_records_csv(CSV_HEADER + "\n3,1\n")
 
+    # the csv reader raises csv.Error on a cell past its field limit, quoted
+    # or not, and on a carriage return inside an unquoted cell
+    @pytest.mark.parametrize(
+        "text,code",
+        [
+            pytest.param(
+                "D" * (csv.field_size_limit() + 1) + "\n", "bad-header", id="header-cell-too-long"
+            ),
+            pytest.param(
+                CSV_HEADER + "\n" + "3" * (csv.field_size_limit() + 1) + "\n", "unparseable",
+                id="row-cell-too-long",
+            ),
+            pytest.param(
+                CSV_HEADER + '\n"' + "x" * (csv.field_size_limit() + 1) + '"\n', "unparseable",
+                id="row-quoted-cell-too-long",
+            ),
+            pytest.param("D\rn\n", "bad-header", id="header-carriage-return"),
+            pytest.param(CSV_HEADER + "\n3\r1\n", "unparseable", id="row-carriage-return"),
+        ],
+    )
+    def test_csv_the_reader_cannot_split_is_rejected(self, text, code):
+        with pytest.raises(InvalidParameterError) as err:
+            parse_records_csv(text)
+        assert err.value.code == code
+
     @pytest.mark.parametrize("field", ["D", "beta", "E0_lnmag", "classification", "paper_E0"])
     def test_json_missing_field_is_unparseable(self, field):
         payload = json.loads(render_records_json(scan([3], [1], Scheme.M_EQUALS_N)))
@@ -191,6 +216,18 @@ class TestSerialization:
     def test_json_malformed_input_rejected(self, text):
         with pytest.raises(InvalidParameterError):
             parse_records_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-arrays"),
+            pytest.param('{"a": ' * 50_000 + "1" + "}" * 50_000, id="nested-objects"),
+        ],
+    )
+    def test_json_nested_past_the_recursion_limit_is_bad_json(self, text):
+        with pytest.raises(InvalidParameterError) as err:
+            parse_records_json(text)
+        assert err.value.code == "bad-json"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(

@@ -8,24 +8,20 @@ copy of it elsewhere:
   threshold (709.78) as a literal;
 * an integer argument is checked in ``errors.require_int``: no other
   function tests ``isinstance(x, bool)``, except ``radial_ground_state``'s
-  real-number check on ``alpha``, where a bool is not a real either. Only
-  the checks on the record path spell it ``type(x) is int`` inline, in one
-  expression with their bounds, so they pay no call: ``SystemParams`` calls
-  ``require_int`` only when that expression fails, to name the first bad
-  field with its usual code and message, and ``classify_coupling`` and
-  ``SignedLogReal.to_decimal`` raise their own error. ``EnergyQuery`` and
-  ``alpha_coefficient``, the public gates of the evaluators, are off the
-  record path and are plain ``require_int`` calls;
+  real-number check on ``alpha``, where a bool is not a real either. The
+  inline ``type(x) is int`` gates are left only in ``classify_coupling``
+  and ``SignedLogReal.to_decimal``, which raise their own error;
 * ``model.py`` is the one statement of the short-range outcome: no other
   module spells its reason, "the potential is short-range", or its code,
   "short-range";
-* each value on the record path is checked once: ``build_record`` and
-  ``evaluate_point`` build no ``EnergyQuery`` or ``PotentialSpec`` and call
-  neither ``e0_general`` nor ``alpha_coefficient``, whose checks
-  ``SystemParams`` and their callers have already made. They call the
-  cores behind them, ``spectrum._closed_form`` and ``potential._coupling``,
-  and check only what ``SystemParams`` leaves open, n <= N_LIMIT and
-  D <= D_LIMIT;
+* each computation has one checked entry point: no library module imports
+  an underscore name from ``spectrum.py`` or ``potential.py``, so every
+  energy and coupling, a scan record's included, comes through
+  ``e0_general`` and its gate ``EnergyQuery``, or ``alpha_coefficient``;
+* no library module imports a name it never reads, except
+  ``__init__.py``, whose imports are the package's re-exports, and
+  ``oracle.py``'s ``import mpmath`` (next rule); ``from __future__``
+  directives bind no name the code reads;
 * inside the functions of ``model.py`` and ``spectrum.py`` a
   ``Classification`` member is read by its module name (``BOUND``), never
   as ``Classification.BOUND``: on CPython 3.11 the class attribute goes
@@ -53,7 +49,7 @@ copy of it elsewhere:
   document joined from them is what the writers write;
 * each wire format has two read paths, the whole-text match and the
   rebuild: in ``report.py`` only ``_wire_entry`` reads the grid memo
-  (``_GRID_RECORDS`` and its aliases), so no parser looks a row up in it;
+  ``_GRID_RECORDS``, so no parser looks a row up in it;
 * the numpy floor in ``pyproject.toml`` is 2 or more while the library
   calls ``np.trapezoid``, which numpy 2.0 added;
 * an exact sum of float terms is ``oracle._exact_sum``, exact float parts
@@ -273,26 +269,59 @@ def test_no_function_but_scheme_m_tells_the_schemes_apart():
     assert found == []
 
 
-# the record path's functions, and the gates whose checks they must not repeat
-RECORD_PATH = {("feasibility.py", "build_record"), ("feasibility.py", "evaluate_point")}
-_GATES = {"EnergyQuery", "PotentialSpec", "e0_general", "alpha_coefficient"}
+# the modules whose public functions are the one checked entry point of
+# each energy and coupling
+EVALUATORS = {"spectrum", "potential"}
 
 
-def test_record_path_calls_no_public_gate():
-    found = []
-    functions = [
-        (name, func)
-        for name, tree in _modules()
-        for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef) and (name, func.name) in RECORD_PATH
-    ]
-    assert {(name, func.name) for name, func in functions} == RECORD_PATH
-    for name, func in functions:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if called in _GATES:
-                    found.append(f"{name}:{node.lineno}: {func.name} calls {called}")
+def test_no_module_imports_a_private_name_of_the_evaluators():
+    checked, found = 0, []
+    for name, tree in _modules():
+        checked += 1
+        found += [
+            f"{name}:{node.lineno}: from .{node.module} import {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in EVALUATORS
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert checked > 0
+    assert found == []
+
+
+# (module, name) pairs allowed to be imported and never read
+UNREAD_IMPORT_ALLOWED = {("oracle.py", "mpmath")}
+
+
+def _imported_names(tree: ast.Module):
+    """(line, name) of each name an import binds, ``from __future__``
+    directives aside; ``import a.b`` binds ``a``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    checked, found = 0, []
+    for name, tree in _modules():
+        if name == "__init__.py":
+            continue
+        checked += 1
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [
+            f"{name}:{line}: {imported}"
+            for line, imported in _imported_names(tree)
+            if imported not in read and (name, imported) not in UNREAD_IMPORT_ALLOWED
+        ]
+    assert checked > 0
     assert found == []
 
 
@@ -371,7 +400,7 @@ def test_each_wire_format_has_one_writer():
 
 
 def test_only_the_wire_entry_reads_the_grid_memo():
-    memo = {"_GRID_RECORDS", "_MN_RECORDS", "_M1_RECORDS"}
+    memo = {"_GRID_RECORDS"}
     readers = [
         func.name
         for func in ast.walk(dict(_modules())["report.py"])
