@@ -1,15 +1,16 @@
 """Bound-state windows over (D, n) and grid scans across parameter space.
 
-A scheme fixes m (``model.scheme_m``) and the window follows from the
-classifier: 0 < beta = D - 2m < 2n is the open interval (2m, 2(m+n)), so
-(2n, 4n) for m = n, empty for even n since the coupling turns repulsive, and
-(2, 2(n+1)) for m = 1. The scan walks a rectangular (D, n) grid, classifies
-every point and evaluates the general closed form wherever a bound state
-exists. ``build_record`` makes every record: the scan's, the ``energy``
-verb's and each one a parser rebuilds. A record takes the same checked
-entry points a caller of the library does: its coupling comes from
-``alpha_coefficient`` and its energy from ``e0_general`` through the
-``EnergyQuery`` gate, so each limit is checked in one place.
+A scheme fixes m (``model.scheme_m``) and the window follows from one
+classification: 0 < beta = D - 2m < 2n is the open interval (2m, 2(m+n)),
+every D of which has the coupling sign of m, so (2n, 4n) for m = n, empty
+for even n since the coupling turns repulsive, and (2, 2(n+1)) for m = 1.
+The scan walks a rectangular (D, n) grid, classifies every point and
+evaluates the general closed form wherever a bound state exists.
+``build_record`` makes every record: the scan's, the ``energy`` verb's and
+each one a parser rebuilds. A record takes the same checked entry points a
+caller of the library does: its coupling comes from ``alpha_coefficient``
+and its energy from ``e0_general`` through the ``EnergyQuery`` gate, so each
+limit is checked in one place.
 
 The record of a grid point is a pure function of (D, n, scheme), so each one
 is made once per process: ``scan`` keeps every record it makes in
@@ -66,16 +67,15 @@ class FeasibilityWindow:
 
 
 def bound_dims(n: int, scheme: Scheme) -> FeasibilityWindow:
-    """Enumerate the integer dimensions inside the bound-state window, for
-    1 <= n <= N_LIMIT: the window holds ~2n dimensions."""
+    """The integer dimensions of the bound-state window, 1 <= n <= N_LIMIT:
+    ~2n dimensions, all of them or none, as one classification says."""
     require_int("n", n, 1, N_LIMIT)
     m = scheme_m(n, scheme)
     d_min, d_max = 2 * m, 2 * (m + n)
-    members = tuple(
-        D
-        for D in range(d_min + 1, d_max)
-        if classify_regime(D, n, m) is Classification.BOUND
-    )
+    # every D of the open window has 0 < beta < 2n and the coupling sign of
+    # m, so the classifier gives one verdict for all of them: ask it once
+    bound = classify_regime(d_min + 1, n, m) is Classification.BOUND
+    members = tuple(range(d_min + 1, d_max)) if bound else ()
     published = PUBLISHED_MEMBERS.get((scheme, n))
     omitted = tuple(sorted(set(members) - set(published))) if published else ()
     return FeasibilityWindow(n, scheme, d_min, d_max, members, omitted)

@@ -34,18 +34,6 @@ class Classification(Enum):
     INVALID = "invalid"
 
 
-# The members by module name: on CPython 3.11 a read of ``Classification.X``
-# goes through ``EnumType.__getattr__`` (~120 ns), a module global does not
-# (~26 ns), and ``classify_coupling`` returns a member on every call of
-# ``e0_general`` and of each ``minimize_v_eff`` search.
-BOUND = Classification.BOUND
-DIVERGENT = Classification.DIVERGENT
-SINGULAR = Classification.SINGULAR
-REPULSIVE = Classification.REPULSIVE
-LOGARITHMIC = Classification.LOGARITHMIC
-INVALID = Classification.INVALID
-
-
 class PotentialNature(Enum):
     ATTRACTIVE = "attractive"
     REPULSIVE = "repulsive"
@@ -113,7 +101,7 @@ class EnergyOutcome:
     reason: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.classification is BOUND:
+        if self.classification is Classification.BOUND:
             if self.energy is None or self.energy.sign != -1:
                 raise InvalidParameterError(
                     "inconsistent-outcome", "bound outcomes carry a strictly negative energy"
@@ -122,22 +110,22 @@ class EnergyOutcome:
             raise InvalidParameterError(
                 "inconsistent-outcome", "only bound outcomes carry an energy"
             )
-        if (self.classification is INVALID) != (self.reason_code is not None):
+        if (self.classification is Classification.INVALID) != (self.reason_code is not None):
             raise InvalidParameterError(
                 "inconsistent-outcome", "invalid outcomes (and only those) carry a reason code"
             )
 
     @property
     def is_bound(self) -> bool:
-        return self.classification is BOUND
+        return self.classification is Classification.BOUND
 
     @classmethod
     def bound(cls, energy: SignedLogReal) -> "EnergyOutcome":
-        return cls(BOUND, energy=energy)
+        return cls(Classification.BOUND, energy=energy)
 
     @classmethod
     def invalid(cls, code: str, reason: str) -> "EnergyOutcome":
-        return cls(INVALID, reason_code=code, reason=reason)
+        return cls(Classification.INVALID, reason_code=code, reason=reason)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +142,9 @@ class ScanRecord:
 # The outcome of each regime that carries neither an energy nor a reason:
 # immutable values, stated once and shared by every record in that regime.
 NON_BOUND_OUTCOMES = {
-    tag: EnergyOutcome(tag) for tag in (DIVERGENT, SINGULAR, REPULSIVE, LOGARITHMIC)
+    tag: EnergyOutcome(tag)
+    for tag in Classification
+    if tag not in (Classification.BOUND, Classification.INVALID)
 }
 
 
@@ -184,16 +174,16 @@ def classify_coupling(beta: int, sign: int, n: int) -> Classification:
             f"beta, sign and n must be integers, got {_shown(beta)}, {_shown(sign)}, {_shown(n)}",
         )
     if beta < 0:
-        return INVALID
+        return Classification.INVALID
     if beta == 0:
-        return LOGARITHMIC
+        return Classification.LOGARITHMIC
     if sign <= 0:
-        return REPULSIVE
+        return Classification.REPULSIVE
     if beta == 2 * n:
-        return DIVERGENT
+        return Classification.DIVERGENT
     if beta > 2 * n:
-        return SINGULAR
-    return BOUND
+        return Classification.SINGULAR
+    return Classification.BOUND
 
 
 def classify_regime(D: int, n: int, m: int) -> Classification:
@@ -213,9 +203,9 @@ def classify_outcome(D: int, n: int, m: int) -> Optional[EnergyOutcome]:
     invalid (short-range) case.
     """
     tag = classify_regime(D, n, m)
-    if tag is BOUND:
+    if tag is Classification.BOUND:
         return None
-    if tag is INVALID:
+    if tag is Classification.INVALID:
         return _short_range(D - 2 * m, True)
     return NON_BOUND_OUTCOMES[tag]
 

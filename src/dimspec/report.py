@@ -464,13 +464,17 @@ def parse_records_json(text: str) -> list[ScanRecord]:
         raise InvalidParameterError("bad-json", "JSON nested too deeply to read") from None
     if not isinstance(payload, list):
         raise InvalidParameterError("bad-json", "expected a top-level JSON array")
-    return [_json_record(entry) for entry in payload]
+    return [_json_record(i, entry) for i, entry in enumerate(payload)]
 
 
-def _json_record(entry: dict) -> ScanRecord:
-    """``_record_from_fields``, with every cell of its column's type as well:
-    a JSON 1.0 or true compares equal to 1, and 0 to 0.0, but the writer
-    never writes one for the other."""
+def _json_record(i: int, entry: dict) -> ScanRecord:
+    """``_record_from_fields`` of the array's entry ``i``, an object, with every
+    cell of its column's type as well: a JSON 1.0 or true compares equal to
+    1, and 0 to 0.0, but the writer never writes one for the other."""
+    if type(entry) is not dict:
+        raise InvalidParameterError(
+            "unparseable", f"JSON array entry {i} is not an object, got {_shown(entry)}"
+        )
     rec = _record_from_fields(entry)
     for col, kind in _COLUMN_KINDS:
         value = entry[col]

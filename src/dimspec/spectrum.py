@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import InvalidParameterError, _shown, require_int
-from .model import BOUND, NON_BOUND_OUTCOMES, EnergyOutcome, classify_coupling, classify_outcome
+from .model import (
+    NON_BOUND_OUTCOMES,
+    Classification,
+    EnergyOutcome,
+    classify_coupling,
+    classify_outcome,
+)
 from .potential import LN_2, alpha_coefficient
 from .signedlog import SignedLogReal
 
@@ -68,7 +74,7 @@ def e0_general(q: EnergyQuery) -> EnergyOutcome:
     """
     alpha, beta, n, D = q.alpha, q.beta, q.n, q.D
     tag = classify_coupling(beta, alpha.sign if alpha is not None else 0, n)
-    if tag is not BOUND:
+    if tag is not Classification.BOUND:
         return NON_BOUND_OUTCOMES[tag]
 
     two_n = 2 * n
@@ -84,7 +90,12 @@ def e0_general(q: EnergyQuery) -> EnergyOutcome:
         - x_dim * math.log(D)
         - x_cpl * ln_t
     )
-    return EnergyOutcome(BOUND, SignedLogReal(-1, lnmag))
+    if not math.isfinite(lnmag):
+        raise InvalidParameterError(
+            "out-of-range",
+            f"ln|E0| leaves the float range at ln alpha = {alpha.lnmag!r}, beta = {beta}, n = {n}",
+        )
+    return EnergyOutcome(Classification.BOUND, SignedLogReal(-1, lnmag))
 
 
 def _ln_bracket_base(D: int, n: int) -> float:
@@ -114,7 +125,7 @@ def _e0_printed(D: int, n: int, m: int) -> EnergyOutcome:
         + math.log(4 * n - D)
         - math.log(2 * n)
     )
-    return EnergyOutcome(BOUND, SignedLogReal(-1, lnmag))
+    return EnergyOutcome(Classification.BOUND, SignedLogReal(-1, lnmag))
 
 
 def e0_scheme_mn(D: int, n: int) -> EnergyOutcome:

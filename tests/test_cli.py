@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,6 +20,7 @@ from dimspec import (
     render_records_csv,
     render_records_json,
 )
+from dimspec import cli
 from dimspec.cli import _energy_record, build_parser, run_cli
 from dimspec.oracle import RADIAL_EXCITATION_LIMIT
 
@@ -257,6 +259,19 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--D", "11:3", "--n", "1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "D,message",
+        [
+            ("3:", "cannot parse integer set"),
+            ("a", "cannot parse integer set"),
+            (",", "empty integer set"),
+        ],
+    )
+    def test_unreadable_integer_set(self, capsys, D, message):
+        code, out, err = run(capsys, "scan", "--D", D, "--n", "1")
+        assert code == 1 and out == ""
+        assert f"{message} {D!r}" in err
+
     def test_huge_range_rejected_before_expansion(self, capsys):
         start = time.process_time()
         code, out, err = run(capsys, "scan", "--D", "2:1000000000", "--n", "1")
@@ -420,6 +435,25 @@ class TestVerify:
         assert code == 0
         point = r"\((\d+), (\d+), (mn|m1)\)"
         assert re.search(rf"worst ln\|E\| at {point}, worst r\* at {point}$", err.strip())
+
+    @pytest.mark.parametrize(
+        "field,gate,worst",
+        [("lnmag_oracle", 1e-8, "worst_lnmag"), ("r_star_search", 1e-9, "worst_r_star")],
+        ids=["ln-E", "r-star"],
+    )
+    def test_deviation_past_its_gate_exits_2(self, capsys, monkeypatch, field, gate, worst):
+        # a real sweep with its last point moved ten gates off the closed form
+        report = cli.oracle_equivalence_report(max_n=3, max_D=12)
+        last = report.points[-1]
+        bad = dataclasses.replace(last, **{field: getattr(last, field) * (1 + 10 * gate)})
+        report = dataclasses.replace(report, points=report.points[:-1] + [bad], **{worst: bad})
+        monkeypatch.setattr(cli, "oracle_equivalence_report", lambda max_n, max_D: report)
+        code, out, err = run(capsys, "verify", "--max-n", "3", "--max-D", "12")
+        assert code == 2
+        assert out.strip() == "oracle–closed-form max relative deviation exceeds 1e-8"
+        label = f"({bad.D}, {bad.n}, {bad.scheme.value})"
+        named = "worst ln|E| at " if worst == "worst_lnmag" else "worst r* at "
+        assert named + label in err
 
     def test_empty_sweep_exit_code(self, capsys):
         code, _, err = run(capsys, "verify", "--max-D", "2")

@@ -13,6 +13,7 @@ from dimspec import (
     scan,
 )
 from dimspec.feasibility import D_MAX, D_MIN, N_MAX, N_MIN
+from dimspec.model import scheme_m
 from dimspec.spectrum import N_LIMIT
 from dimspec.report import record_fields
 
@@ -69,6 +70,34 @@ class TestBoundDims:
             in_window = D in window.members
             bound = classify_regime(D, n, m_of()) is Classification.BOUND
             assert in_window == bound, (D, n, scheme)
+
+
+def _bound_dims_per_d(n, scheme):
+    """The window's members as one classification per D gives them."""
+    m = scheme_m(n, scheme)
+    return tuple(
+        D
+        for D in range(2 * m + 1, 2 * (m + n))
+        if classify_regime(D, n, m) is Classification.BOUND
+    )
+
+
+class TestOneClassificationPerWindow:
+    """``bound_dims`` classifies a window once; every D of it, classified on
+    its own, gives the same members."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE])
+    def test_every_window_up_to_n_200(self, scheme):
+        for n in range(1, 201):
+            assert bound_dims(n, scheme).members == _bound_dims_per_d(n, scheme), n
+
+    @given(
+        n=st.integers(min_value=1, max_value=N_LIMIT),
+        scheme=st.sampled_from([Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE]),
+    )
+    @settings(max_examples=60)
+    def test_windows_up_to_n_limit(self, n, scheme):
+        assert bound_dims(n, scheme).members == _bound_dims_per_d(n, scheme)
 
 
 class TestUniversalExclusion:

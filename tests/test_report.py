@@ -229,6 +229,28 @@ class TestSerialization:
             parse_records_json(text)
         assert err.value.code == "bad-json"
 
+    def test_json_top_level_object_is_bad_json(self):
+        with pytest.raises(InvalidParameterError) as err:
+            parse_records_json('{"a": 1}')
+        assert err.value.code == "bad-json"
+        assert str(err.value) == "expected a top-level JSON array"
+
+    @pytest.mark.parametrize(
+        "text,shown", [("[1]", "1"), ("[null]", "None"), ('["x"]', "'x'"), ("[[1]]", "[1]")]
+    )
+    def test_json_entry_that_is_not_an_object_is_unparseable(self, text, shown):
+        with pytest.raises(InvalidParameterError) as err:
+            parse_records_json(text)
+        assert err.value.code == "unparseable"
+        assert str(err.value) == f"JSON array entry 0 is not an object, got {shown}"
+
+    def test_json_entry_after_a_valid_object_is_named_by_its_index(self):
+        payload = json.loads(render_records_json(scan([3], [1], Scheme.M_EQUALS_N))) + [1]
+        with pytest.raises(InvalidParameterError) as err:
+            parse_records_json(json.dumps(payload))
+        assert err.value.code == "unparseable"
+        assert str(err.value) == "JSON array entry 1 is not an object, got 1"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "point,column,value",

@@ -22,10 +22,6 @@ copy of it elsewhere:
   ``__init__.py``, whose imports are the package's re-exports, and
   ``oracle.py``'s ``import mpmath`` (next rule); ``from __future__``
   directives bind no name the code reads;
-* inside the functions of ``model.py`` and ``spectrum.py`` a
-  ``Classification`` member is read by its module name (``BOUND``), never
-  as ``Classification.BOUND``: on CPython 3.11 the class attribute goes
-  through ``EnumType.__getattr__``, about five times the cost;
 * the value types a record is built from (``SystemParams``,
   ``PotentialSpec``, ``EnergyOutcome``, ``ScanRecord``, ``SignedLogReal``,
   ``EnergyQuery``) are ``@dataclass(frozen=True, slots=True)``: the grid
@@ -65,8 +61,6 @@ import re
 from pathlib import Path
 
 import pytest
-
-from dimspec import Classification
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "dimspec"
 
@@ -322,34 +316,6 @@ def test_no_module_imports_a_name_it_never_reads():
             if imported not in read and (name, imported) not in UNREAD_IMPORT_ALLOWED
         ]
     assert checked > 0
-    assert found == []
-
-
-# modules whose functions read Classification members by module name
-ENUM_BY_NAME = {"model.py", "spectrum.py"}
-
-
-def test_no_function_reads_a_classification_member_off_its_class():
-    members = set(Classification.__members__)
-    checked, found = 0, []
-    for name, tree in _modules():
-        if name not in ENUM_BY_NAME:
-            continue
-        checked += 1
-        functions = [
-            range(func.lineno, func.end_lineno + 1)
-            for func in ast.walk(tree)
-            if isinstance(func, ast.FunctionDef)
-        ]
-        found += [
-            f"{name}:{node.lineno}: Classification.{node.attr}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and node.attr in members
-            and getattr(node.value, "id", None) == "Classification"
-            and any(node.lineno in lines for lines in functions)
-        ]
-    assert checked == len(ENUM_BY_NAME)
     assert found == []
 
 

@@ -76,6 +76,18 @@ class TestE0General:
             with pytest.raises(InvalidParameterError, match="n <= "):
                 EnergyQuery(SignedLogReal(1, 0.0), 1, n, 3)
 
+    @pytest.mark.parametrize(
+        "ln_alpha,beta,n,D",
+        [(1.7e308, 1, 1, 3), (-1.7e308, 1, 1, 3), (1e305, 2 * N_LIMIT - 1, N_LIMIT, 3)],
+    )
+    def test_energy_past_the_float_range_is_out_of_range(self, ln_alpha, beta, n, D):
+        with pytest.raises(InvalidParameterError) as err:
+            e0_general(EnergyQuery(SignedLogReal(1, ln_alpha), beta, n, D))
+        assert err.value.code == "out-of-range"
+        assert str(err.value) == (
+            f"ln|E0| leaves the float range at ln alpha = {ln_alpha!r}, beta = {beta}, n = {n}"
+        )
+
     @given(
         D=st.integers(min_value=2, max_value=64),
         n=st.integers(min_value=1, max_value=12),
