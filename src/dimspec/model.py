@@ -101,7 +101,9 @@ class EnergyOutcome:
     reason: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.classification is Classification.BOUND:
+        # BOUND is not INVALID, so a bound outcome reads one member
+        bound = self.classification is Classification.BOUND
+        if bound:
             if self.energy is None or self.energy.sign != -1:
                 raise InvalidParameterError(
                     "inconsistent-outcome", "bound outcomes carry a strictly negative energy"
@@ -110,7 +112,8 @@ class EnergyOutcome:
             raise InvalidParameterError(
                 "inconsistent-outcome", "only bound outcomes carry an energy"
             )
-        if (self.classification is Classification.INVALID) != (self.reason_code is not None):
+        invalid = not bound and self.classification is Classification.INVALID
+        if invalid != (self.reason_code is not None):
             raise InvalidParameterError(
                 "inconsistent-outcome", "invalid outcomes (and only those) carry a reason code"
             )

@@ -100,15 +100,6 @@ def _exact_sum(*terms: tuple[int, float]) -> float:
     return total
 
 
-def _slope(t: float, p: float, q: float, two_n: int, beta: int) -> float:
-    """d/dt of V_eff / |V(r*)| = p e^(-2n t) - q e^(-beta t) at ln r =
-    x_seed + t; -inf once e^(-2n t) overflows, far inside the seed."""
-    try:
-        return beta * q * math.exp(-beta * t) - two_n * p * math.exp(-two_n * t)
-    except OverflowError:
-        return -math.inf
-
-
 def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     """Locate the interior minimum of the effective potential by search.
 
@@ -125,6 +116,8 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     ``classify_coupling`` calls the query bound, and NoConvergenceError for a
     bound query whose coupling carries the search past what floats resolve.
     """
+    if not isinstance(q, EnergyQuery):
+        raise InvalidParameterError("malformed-query", f"need an EnergyQuery, got {_shown(q)}")
     sign = q.alpha.sign if q.alpha is not None else 0
     tag = classify_coupling(q.beta, sign, q.n)
     if tag is not Classification.BOUND:
@@ -139,14 +132,14 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     # ln |V_eff(r*)|: the potential is divided by it, so that its slope near
     # the minimum is of order 1
     ln_scale = q.alpha.lnmag - beta * x_seed + math.log1p(-beta / two_n)
-    # both terms at the seed, from their exponents as the float inputs give
-    # them; the stationarity identity p = beta / (2n - beta) is not used.
-    # An extreme alpha carries ln r* or ln_scale past the float range, where
-    # _exact_sum meets an inf, a nan or a term it cannot hold, and math.exp
-    # overflows.
+    # V_eff / |V(r*)| = p e^(-2n t) - q e^(-beta t) at ln r = x_seed + t; the
+    # slope's rates 2n p and beta q come from exponents as the float inputs
+    # give them, not from the identity p = beta / (2n - beta). An extreme alpha
+    # carries ln r* or ln_scale past the float range, where _exact_sum meets
+    # an inf, a nan or a term it cannot hold, and math.exp overflows.
     try:
-        p_seed = math.exp(_exact_sum((1, ln_amp), (-1, ln_scale), (-two_n, x_seed)))
-        q_seed = math.exp(_exact_sum((1, q.alpha.lnmag), (-1, ln_scale), (-beta, x_seed)))
+        p_rate = two_n * math.exp(_exact_sum((1, ln_amp), (-1, ln_scale), (-two_n, x_seed)))
+        q_rate = beta * math.exp(_exact_sum((1, q.alpha.lnmag), (-1, ln_scale), (-beta, x_seed)))
     except (OverflowError, ValueError):
         raise NoConvergenceError(
             f"coupling ln alpha = {q.alpha.lnmag!r} is outside the search's float range"
@@ -156,7 +149,11 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     def slope(x: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return _slope(x - x_seed, p_seed, q_seed, two_n, beta)
+        t = x - x_seed
+        try:
+            return q_rate * math.exp(-beta * t) - p_rate * math.exp(-two_n * t)
+        except OverflowError:  # e^(-2n t), far inside the seed
+            return -math.inf
 
     # 1 in ln r, narrowed above beta = 32 so that e^(-beta t) stays at or
     # above e^-32 across the bracket, far from underflowing to a slope of 0
@@ -481,8 +478,6 @@ class _RadialProblem:
         self.slope = (k / c0) * self.rr**2
         self.z = (alpha / c0) * self.rr
         self.start = max(0, int(np.searchsorted(self.z / (D - 1), _SERIES_EDGE, "right")) - 1)
-        # r^((D-2)/2) one step past the start, relative to the start
-        self.lift = math.exp((D - 2) / 2.0 * h)
 
     def r_stop(self, energy: float) -> float:
         """Outer turning point plus _TAIL decay lengths."""
@@ -491,32 +486,27 @@ class _RadialProblem:
     def _points(self, energy: float) -> int:
         return int(math.ceil((math.log(self.r_stop(energy)) - self.ln_r_min) / self.h)) + 1
 
-    def _coeffs(self, energy: float, first: int) -> tuple[np.ndarray, list]:
-        """t = 1 - h^2 g / 12 and the recurrence factors 12 / t - 10 on mesh
-        points first .. r_stop(energy)."""
-        n_pts = self._points(energy)
-        t = self.base[first:n_pts] + self.slope[first:n_pts] * energy
-        return t, (12.0 / t - 10.0).tolist()
-
     def _eps(self, energy: float) -> float:
         """E c0 / alpha^2, the energy in the series' scale-free form: finite
         at any alpha."""
         return (energy / self.alpha) * (self.c0 / self.alpha)
 
-    def _start(self, energy: float, t: np.ndarray) -> tuple[float, float]:
-        """w = t y at the first two swept points, from the series."""
-        s = self.start
+    def _sweep_start(self, energy: float) -> tuple[np.ndarray, list, float, float]:
+        """t = 1 - h^2 g / 12 and the recurrence factors 12 / t - 10 on mesh
+        points start .. r_stop(energy), and w = t y at the first two of them,
+        from the series, with r^((D-2)/2) = 1 at the first."""
+        s, n_pts = self.start, self._points(energy)
+        t = self.base[s:n_pts] + self.slope[s:n_pts] * energy
         a = _series_terms(self._eps(energy), self.D)
         y0 = _series(float(self.z[s]), a)
-        y1 = self.lift * _series(float(self.z[s + 1]), a)
-        return float(t[0]) * y0, float(t[1]) * y1
+        y1 = math.exp((self.D - 2) / 2.0 * self.h) * _series(float(self.z[s + 1]), a)
+        return t, (12.0 / t - 10.0).tolist(), float(t[0]) * y0, float(t[1]) * y1
 
     def nodes_at(self, energy: float, limit: int) -> int:
         """Sign changes of the outward solution up to r_stop(energy); stops
         counting once the count exceeds ``limit``."""
-        t, c = self._coeffs(energy, self.start)
+        _, c, w0, w1 = self._sweep_start(energy)
         self.sweeps += 1
-        w0, w1 = self._start(energy, t)
         _, nodes, steps = _ratio_sweep(c[1:-1], w1 / w0, limit)
         self.steps += steps
         return nodes
@@ -535,12 +525,11 @@ class _RadialProblem:
         w[m] and the inward w[m+1]: -1 to the number of negative ratios before
         each.
         """
-        t, c = self._coeffs(energy, self.start)
+        _, c, w0, w1 = self._sweep_start(energy)
         self.sweeps += 2
         self.matches += 1
         self.steps += len(c) - 1
         i = m - self.start  # the matching point in the swept arrays
-        w0, w1 = self._start(energy, t)
         out, n_out, _ = _ratio_sweep(c[1 : i + 1], w1 / w0)
         inn, n_in, _ = _ratio_sweep(c[-1:i:-1], math.inf)
         n_out -= out < 0.0  # sign changes up to w[m]
@@ -604,9 +593,8 @@ class _RadialProblem:
         the sweep start u is r^(1/2) y from the series, on the scale the
         outward sweep starts from."""
         s = self.start
-        t, c = self._coeffs(energy, s)
+        t, c, w0, w1 = self._sweep_start(energy)
         i = m - s  # the matching point in the swept arrays
-        w0, w1 = self._start(energy, t)
         out = [w1 / w0] + _ratio_list(c[1:i], w1 / w0)  # w[j+1] / w[j] up to w[m]
         inn = _ratio_list(c[-1:i:-1], math.inf)[::-1]  # w[j] / w[j+1] from w[m]
         with np.errstate(divide="ignore"):

@@ -291,6 +291,8 @@ def _wire_entry(rec: ScanRecord) -> Optional[_WireEntry]:
     writes its own sign."""
     entry = _WIRE.get(id(rec))
     if entry is None:
+        if not isinstance(rec, ScanRecord):
+            raise InvalidParameterError("not-a-record", f"need a ScanRecord, got {_shown(rec)}")
         key = (rec.params.D, rec.params.n)
         # a loop, not any() over a generator: the generator would make rec a
         # closure cell, which every call pays for, each hit included
@@ -489,7 +491,10 @@ def _json_record(i: int, entry: dict) -> ScanRecord:
 
 def sort_records(records: list[ScanRecord]) -> list[ScanRecord]:
     """Canonical report order: ascending n, then ascending D."""
-    return sorted(records, key=lambda r: (r.params.n, r.params.D, r.params.m))
+    try:
+        return sorted(records, key=lambda r: (r.params.n, r.params.D, r.params.m))
+    except AttributeError as exc:  # a value that is not a ScanRecord
+        raise InvalidParameterError("not-a-record", f"need ScanRecords: {exc}") from None
 
 
 # -- oracle equivalence sweep -------------------------------------------------

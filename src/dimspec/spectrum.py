@@ -72,6 +72,8 @@ def e0_general(q: EnergyQuery) -> EnergyOutcome:
     Outside that window the outcome is the ``classify_coupling`` tag of
     (beta, sign of alpha, n); a missing alpha counts as zero.
     """
+    if not isinstance(q, EnergyQuery):
+        raise InvalidParameterError("malformed-query", f"need an EnergyQuery, got {_shown(q)}")
     alpha, beta, n, D = q.alpha, q.beta, q.n, q.D
     tag = classify_coupling(beta, alpha.sign if alpha is not None else 0, n)
     if tag is not Classification.BOUND:
@@ -95,7 +97,7 @@ def e0_general(q: EnergyQuery) -> EnergyOutcome:
             "out-of-range",
             f"ln|E0| leaves the float range at ln alpha = {alpha.lnmag!r}, beta = {beta}, n = {n}",
         )
-    return EnergyOutcome(Classification.BOUND, SignedLogReal(-1, lnmag))
+    return EnergyOutcome(tag, SignedLogReal(-1, lnmag))
 
 
 def _ln_bracket_base(D: int, n: int) -> float:

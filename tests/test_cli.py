@@ -436,24 +436,37 @@ class TestVerify:
         point = r"\((\d+), (\d+), (mn|m1)\)"
         assert re.search(rf"worst ln\|E\| at {point}, worst r\* at {point}$", err.strip())
 
+    # field moved -> (its gate, the report's worst point of it, stderr's name of that point)
+    GATES = {
+        "lnmag_oracle": (1e-8, "worst_lnmag", "worst ln|E| at "),
+        "r_star_search": (1e-9, "worst_r_star", "worst r* at "),
+    }
+
     @pytest.mark.parametrize(
-        "field,gate,worst",
-        [("lnmag_oracle", 1e-8, "worst_lnmag"), ("r_star_search", 1e-9, "worst_r_star")],
-        ids=["ln-E", "r-star"],
+        "fields,crossed",
+        [
+            (["lnmag_oracle"], "1e-8 in ln|E|"),
+            (["r_star_search"], "1e-9 in r*"),
+            (["lnmag_oracle", "r_star_search"], "1e-8 in ln|E| and 1e-9 in r*"),
+        ],
+        ids=["ln-E", "r-star", "both"],
     )
-    def test_deviation_past_its_gate_exits_2(self, capsys, monkeypatch, field, gate, worst):
+    def test_deviation_past_its_gate_exits_2(self, capsys, monkeypatch, fields, crossed):
         # a real sweep with its last point moved ten gates off the closed form
         report = cli.oracle_equivalence_report(max_n=3, max_D=12)
         last = report.points[-1]
-        bad = dataclasses.replace(last, **{field: getattr(last, field) * (1 + 10 * gate)})
-        report = dataclasses.replace(report, points=report.points[:-1] + [bad], **{worst: bad})
+        moved = {f: getattr(last, f) * (1 + 10 * self.GATES[f][0]) for f in fields}
+        bad = dataclasses.replace(last, **moved)
+        worst = {self.GATES[f][1]: bad for f in fields}
+        report = dataclasses.replace(report, points=report.points[:-1] + [bad], **worst)
         monkeypatch.setattr(cli, "oracle_equivalence_report", lambda max_n, max_D: report)
         code, out, err = run(capsys, "verify", "--max-n", "3", "--max-D", "12")
         assert code == 2
-        assert out.strip() == "oracle–closed-form max relative deviation exceeds 1e-8"
+        # stdout names each gate crossed, with its own bound
+        assert out.strip() == f"oracle–closed-form max relative deviation exceeds {crossed}"
         label = f"({bad.D}, {bad.n}, {bad.scheme.value})"
-        named = "worst ln|E| at " if worst == "worst_lnmag" else "worst r* at "
-        assert named + label in err
+        for f in fields:
+            assert self.GATES[f][2] + label in err
 
     def test_empty_sweep_exit_code(self, capsys):
         code, _, err = run(capsys, "verify", "--max-D", "2")

@@ -37,8 +37,11 @@ from dimspec import (
     parse_records_csv,
     parse_records_json,
     radial_ground_state,
+    render_records_csv,
+    render_records_json,
     scan,
     scheme_m1_discrepancies,
+    sort_records,
 )
 from dimspec.potential import D_LIMIT
 from dimspec.spectrum import N_LIMIT
@@ -67,6 +70,8 @@ _CALLS = {
     "EnergyQuery": (EnergyQuery, 4),
     "e0_general": (lambda *a: e0_general(EnergyQuery(*a)), 4),
     "minimize_v_eff": (lambda *a: minimize_v_eff(EnergyQuery(*a)), 4),
+    "e0_general of a non-query": (e0_general, 1),
+    "minimize_v_eff of a non-query": (minimize_v_eff, 1),
     "SignedLogReal": (SignedLogReal, 2),
     "SignedLogReal.from_float": (SignedLogReal.from_float, 1),
     "SignedLogReal.to_decimal": (lambda s, l, d: SignedLogReal(s, l).to_decimal(d), 3),
@@ -89,6 +94,9 @@ _CALLS = {
     "radial_ground_state": (radial_ground_state, 5),
     "parse_records_csv": (parse_records_csv, 1),
     "parse_records_json": (parse_records_json, 1),
+    "render_records_csv": (lambda v: render_records_csv([v]), 1),
+    "render_records_json": (lambda v: render_records_json([v]), 1),
+    "sort_records": (lambda v: sort_records([v]), 1),
 }
 
 

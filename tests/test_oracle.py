@@ -43,7 +43,6 @@ from dimspec.oracle import (
     _ratio_sweep,
     _series,
     _series_terms,
-    _slope,
 )
 from dimspec.spectrum import N_LIMIT
 
@@ -551,14 +550,6 @@ class TestVeffObjective:
             v = mpmath.exp(ln_amp - 2 * n * x) - mpmath.exp(ln_alpha - beta * x)
             ln_e = float(mpmath.log(-v))
         assert abs(found.e_min.lnmag - ln_e) <= 4.5e-16 * max(1.0, abs(ln_e))
-
-    @pytest.mark.parametrize("beta", [1, 2 * N_LIMIT - 1])
-    def test_slope_inside_the_seed_reads_minus_inf(self, beta):
-        # e^(2 N_LIMIT) overflows a float: the slope reads -inf, it does not
-        # raise; p and q are the stationary values, where the slope is 0 at t = 0
-        two_n = 2 * N_LIMIT
-        p, q = beta / (two_n - beta), two_n / (two_n - beta)
-        assert _slope(-1.0, p, q, two_n, beta) == -math.inf
 
     @pytest.mark.parametrize("n", [100, N_LIMIT])
     def test_large_n(self, n):
