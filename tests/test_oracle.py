@@ -551,6 +551,22 @@ class TestVeffObjective:
             ln_e = float(mpmath.log(-v))
         assert abs(found.e_min.lnmag - ln_e) <= 4.5e-16 * max(1.0, abs(ln_e))
 
+    @pytest.mark.parametrize("beta", [1, 2 * N_LIMIT - 1])
+    def test_slope_inside_the_seed_reads_minus_inf(self, beta, monkeypatch):
+        # e^(2 N_LIMIT) overflows a float: the search's slope reads -inf one
+        # unit of ln r inside the minimizer, it does not raise; the slope is
+        # the function the search hands its zero finder
+        handed = []
+
+        def recording(f, *rest):
+            handed.append(f)
+            return _brent_zero(f, *rest)
+
+        monkeypatch.setattr(oracle, "_brent_zero", recording)
+        found = minimize_v_eff(EnergyQuery(SignedLogReal(1, 0.0), beta, N_LIMIT, 64))
+        (slope,) = handed
+        assert slope(found.ln_r_star - 1.0) == -math.inf
+
     @pytest.mark.parametrize("n", [100, N_LIMIT])
     def test_large_n(self, n):
         # the bracket edge inside the seed overflows e^(-2n t) at n = N_LIMIT,
