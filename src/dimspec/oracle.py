@@ -248,11 +248,13 @@ _STEP_MAX = 0.01
 _STEP_SCALE = 1.5
 # The fine solve starts Brent's zero finder from the bracket E_2h (1 -+ delta)
 # about the coarse level, with delta = _WARM, widened _WARM_GROWTH-fold up to
-# _WARM_TRIES times, and falls back to a full solve if no bracket holds a sign
-# change. The relative gap |E_h - E_2h| / |E| runs from 2e-10 (D = 1200,
-# k = 0) to 5e-5 (D = 100, k = 8); of the deltas tried, 1e-8 to 1e-5, 1e-6
-# takes the fewest matches over 130 cases with D up to 1200 and k up to 16,
-# and 1e-6 * 16^3 covers the widest gap over 80-fold.
+# _WARM_TRIES times, and raises if no bracket holds a sign change. Over every
+# D and k up to the limits in both conventions at alpha = 1, and every 13th D
+# at alpha = 1e-100, 1e-6, 1.7, 1e50 and 1e100 (56 542 solves), the relative
+# gap 15 shift / |E| runs from 1.7e-10 (D = 1200, k = 0) to 5.3e-4 (D = 152,
+# k = 16), 1e-6 * 16^3 covers it 7.7-fold, and 0, 1, 2 and 3 widenings serve
+# 27 760, 19 094, 8 902 and 786 solves. Of the deltas tried, 1e-8 to 1e-5,
+# 1e-6 takes the fewest matches over 130 cases to D = 1200 and k = 16.
 _WARM = 1e-6
 _WARM_GROWTH = 16.0
 _WARM_TRIES = 3
@@ -299,9 +301,8 @@ def radial_ground_state(
     beta >= 2 falls to the center and is rejected as singular. Every length
     and energy scale comes from the closed-form estimate E_est, so the solve
     costs the same at any alpha. The level is solved on the coarse mesh, then
-    on the fine mesh from a bracket about it (by a full solve should that
-    bracket fail), and each solve must end on a level with ``excitation``
-    nodes and no vanished sweep.
+    on the fine mesh from a bracket about it, and each solve must end on a
+    level with ``excitation`` nodes and no vanished sweep.
     """
     needs = "radial solver needs {bound}, got {value}"
     require_int("D", D, 3, RADIAL_D_LIMIT, message=needs)
@@ -337,11 +338,10 @@ def radial_ground_state(
     r_min = _INNER * (alpha / scale)
     h = min(_STEP_MAX, _STEP_SCALE / (D - 2))
     coarse = _RadialProblem(D, alpha, c0, r_min, hi, 2.0 * h)
-    e_2h, _ = coarse.solve(excitation, lo, hi)
+    e_2h = coarse.solve(excitation, lo, hi)
     _check(coarse, e_2h, excitation)
     fine = _RadialProblem(D, alpha, c0, r_min, hi, h)
-    warm = fine.polish(excitation, e_2h, lo, hi)
-    e_h, m = warm if warm is not None else fine.solve(excitation, lo, hi)
+    e_h, m = fine.polish(e_2h, lo, hi)
     _check(fine, e_h, excitation)
     # Numerov's level error is c h^4 + O(h^6): this removes the h^4 term
     energy = (16.0 * e_h - e_2h) / 15.0
@@ -538,10 +538,9 @@ class _RadialProblem:
         sine = math.cos(math.atan(out) + math.atan(inn))
         return -sine if (n_out + n_in - (inn < 0.0)) % 2 else sine
 
-    def solve(self, k: int, lo: float, hi: float) -> tuple[float, int]:
-        """The k-th level and the matching point: node-count bisection
-        isolates the level, then Brent's zero finder on the matching condition
-        polishes it."""
+    def solve(self, k: int, lo: float, hi: float) -> float:
+        """The k-th level: node-count bisection isolates it, then Brent's zero
+        finder on the matching condition polishes it."""
         n_lo = self.nodes_at(lo, k + 1)
         n_hi = self.nodes_at(hi, k + 1)
         if n_lo > k:
@@ -561,14 +560,13 @@ class _RadialProblem:
 
         m = self._match_point(hi * math.sqrt(lo / hi))
         match = partial(self._match, m=m)
-        return _brent_zero(match, lo, hi, match(lo), match(hi), _REL_TOL, 0.0), m
+        return _brent_zero(match, lo, hi, match(lo), match(hi), _REL_TOL, 0.0)
 
-    def polish(self, k: int, guess: float, lo: float, hi: float) -> tuple[float, int] | None:
-        """The k-th level from a close ``guess`` without node counting: Brent's
-        zero finder from the bracket guess (1 -+ delta), widened until the
-        matching condition changes sign across it. None when it never does
-        within [lo, hi] and _WARM_TRIES widenings, or when the level found
-        does not have k nodes."""
+    def polish(self, guess: float, lo: float, hi: float) -> tuple[float, int]:
+        """The level next to a close ``guess``, and the matching point, without
+        node counting: Brent's zero finder from the bracket guess (1 -+ delta),
+        widened until the matching condition changes sign across it, within
+        [lo, hi] and _WARM_TRIES widenings."""
         m = self._match_point(guess)
         match = partial(self._match, m=m)
         delta = _WARM
@@ -576,10 +574,9 @@ class _RadialProblem:
             a, b = max(lo, guess * (1.0 + delta)), min(hi, guess * (1.0 - delta))
             fa, fb = match(a), match(b)
             if (fa > 0.0) != (fb > 0.0):
-                energy = _brent_zero(match, a, b, fa, fb, _REL_TOL, 0.0)
-                return (energy, m) if self.signs[energy][0] == k else None
+                return _brent_zero(match, a, b, fa, fb, _REL_TOL, 0.0), m
             delta *= _WARM_GROWTH
-        return None
+        raise NoConvergenceError(f"no fine level in [{a}, {b}] about the coarse level {guess}")
 
     def _match_point(self, energy: float) -> int:
         """The bottom of the well in x at ``energy``, r = alpha / (2 |E|),

@@ -368,10 +368,25 @@ def render_json(payload) -> str:
     return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
 
 
-def render_records_csv(records: list[ScanRecord]) -> str:
+def _record_list(records: Iterable[ScanRecord]) -> list:
+    """``records`` read once: a list as it is, any other iterable into a new
+    list, so a writer can pass over it twice."""
+    if isinstance(records, list):
+        return records
+    try:
+        it = iter(records)
+    except TypeError:
+        raise InvalidParameterError(
+            "not-a-record", f"need an iterable of ScanRecords, got {_shown(records)}"
+        ) from None
+    return list(it)
+
+
+def render_records_csv(records: Iterable[ScanRecord]) -> str:
     """Records to CSV, input order preserved. A list of memoized records is
     the header and its entries' lines joined; any other list is written
     row by row by the one formatter."""
+    records = _record_list(records)
     entries = [_wire_entry(rec) for rec in records]
     if all(entries):
         return CSV_HEADER + "\n" + "".join([entry.csv_line for entry in entries])
@@ -435,10 +450,11 @@ def _csv_cells(row: list) -> dict:
     return fields
 
 
-def render_records_json(records: list[ScanRecord]) -> str:
+def render_records_json(records: Iterable[ScanRecord]) -> str:
     """Records to a JSON array of flat objects, input order preserved. A
     non-empty list of memoized records is its entries' objects joined in
     the array's frame; any other list is encoded whole by the one formatter."""
+    records = _record_list(records)
     entries = [_wire_entry(rec) for rec in records]
     if entries and all(entries):
         return "[\n  " + ",\n  ".join([entry.json_text for entry in entries]) + "\n]"
@@ -489,10 +505,10 @@ def _json_record(i: int, entry: dict) -> ScanRecord:
     return rec
 
 
-def sort_records(records: list[ScanRecord]) -> list[ScanRecord]:
+def sort_records(records: Iterable[ScanRecord]) -> list[ScanRecord]:
     """Canonical report order: ascending n, then ascending D."""
     try:
-        return sorted(records, key=lambda r: (r.params.n, r.params.D, r.params.m))
+        return sorted(_record_list(records), key=lambda r: (r.params.n, r.params.D, r.params.m))
     except AttributeError as exc:  # a value that is not a ScanRecord
         raise InvalidParameterError("not-a-record", f"need ScanRecords: {exc}") from None
 

@@ -571,6 +571,20 @@ class TestWriterBytes:
     def test_mixed_lists_write_the_plain_writers_bytes(self, data):
         self._check(_writer_records(data.draw))
 
+    @pytest.mark.parametrize("write", [render_records_csv, render_records_json])
+    def test_an_iterator_writes_its_lists_bytes(self, write):
+        # the writers pass over their argument twice, first for the wire
+        # entries; a one-shot iterator of a list that is not all memoized once
+        # wrote the bare frame
+        memo = scan([3, 5], [1], Scheme.M_EQUALS_N)
+        for records in (
+            [evaluate_point(3, 1, Scheme.M_EQUALS_N), evaluate_point(7, 3, Scheme.M_EQUALS_N)],
+            [memo[0], evaluate_point(7, 3, Scheme.M_EQUALS_ONE), memo[1]],
+            memo,
+        ):
+            assert write(iter(records)) == write(tuple(records)) == write(records)
+            assert write(rec for rec in records) == write(records)
+
     def test_empty_single_and_published_lists(self):
         (published,) = scan([3], [1], Scheme.M_EQUALS_N)
         assert published.paper_value is not None

@@ -97,6 +97,9 @@ _CALLS = {
     "render_records_csv": (lambda v: render_records_csv([v]), 1),
     "render_records_json": (lambda v: render_records_json([v]), 1),
     "sort_records": (lambda v: sort_records([v]), 1),
+    "render_records_csv of a non-list": (render_records_csv, 1),
+    "render_records_json of a non-list": (render_records_json, 1),
+    "sort_records of a non-list": (sort_records, 1),
 }
 
 

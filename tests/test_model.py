@@ -6,9 +6,12 @@ from dimspec import (
     Classification,
     EnergyOutcome,
     InvalidParameterError,
+    PotentialNature,
+    PotentialSpec,
     Scheme,
     SignedLogReal,
     SystemParams,
+    classify_coupling,
     classify_outcome,
     classify_regime,
 )
@@ -120,6 +123,13 @@ class TestClassifyRegime:
     def test_m_equals_n_window(self, D, n):
         bound = classify_regime(D, n, n) is Classification.BOUND
         assert bound == (n % 2 == 1 and 2 * n < D < 4 * n)
+
+
+class TestPotentialSpec:
+    def test_a_zero_coupling_is_repulsive(self):
+        # as classify_coupling calls every non-positive coupling repulsive
+        assert PotentialSpec(SignedLogReal(0), 2).nature is PotentialNature.REPULSIVE
+        assert classify_coupling(2, 0, 1) is Classification.REPULSIVE
 
 
 class TestEnergyOutcome:

@@ -165,23 +165,30 @@ class TestRadialGroundState:
         # two node counts and three bisections reach lo / hi <= 1.6, and
         # Brent's zero finder takes six matches of two sweeps each; the fine
         # solve, warm-started about the coarse level, counts no nodes and takes
-        # two bracket matches and three Brent steps. A cold fine solve would
-        # add node-count sweeps.
+        # two bracket matches and three Brent steps.
         sol = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
         assert sol.sweeps - 2 * sol.matches == 5
         assert sol.matches <= 6 + 5
 
-    def test_fine_solve_falls_back_to_node_counting(self, monkeypatch):
+    def test_fine_solve_without_a_sign_change_raises(self, monkeypatch):
         # a warm bracket far narrower than the gap |E_h - E_2h| ~ 1e-9 |E|, never
-        # widened, holds no sign change: the fine solve counts nodes from the
-        # Hardy floor as the coarse one does, and ends on the same level
-        warm = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
+        # widened, holds no sign change, and the fine mesh has no other path
         monkeypatch.setattr(oracle, "_WARM", 1e-15)
         monkeypatch.setattr(oracle, "_WARM_TRIES", 0)
-        cold = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
-        assert cold.sweeps - 2 * cold.matches == 2 * 5
-        assert cold.energy == pytest.approx(warm.energy, rel=1e-11)
-        assert cold.nodes == 0
+        match = r"no fine level in \[-0\.2\d+, -0\.2\d+\] about the coarse level -0\.2\d+$"
+        with pytest.raises(NoConvergenceError, match=match):
+            radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
+
+    @pytest.mark.parametrize("convention", list(KineticConvention))
+    def test_widest_bracket_covers_the_widest_gap(self, convention):
+        # the fine level lies 15 shift from the coarse one; the gap relative to
+        # |E| peaks at D = 152, k = 16 (5.3e-4 over every supported D and k at
+        # alpha = 1), past which the step shrinks as 1.5 / (D - 2). The last
+        # warm bracket must hold it with room to spare, since the fine mesh
+        # has no fallback.
+        sol = radial_ground_state(152, 1.0, 1, convention, 16)
+        widest = oracle._WARM * oracle._WARM_GROWTH**oracle._WARM_TRIES
+        assert 15 * sol.shift / abs(sol.energy) <= widest / 4
 
     def test_wavefunction_shape(self):
         sol = radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)

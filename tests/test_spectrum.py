@@ -152,7 +152,12 @@ class TestSchemeM1:
         out = e0_scheme_m1(5, 3)
         assert out.classification is Classification.INVALID
         assert out.reason_code == "printed-form-undefined"
-        assert out.reason.startswith("printed-form undefined")
+        # the full text at two points: 2 + n is 2n at n = 2 only
+        for D, n in [(3, 2), (5, 3)]:
+            assert e0_scheme_m1(D, n).reason == (
+                "printed-form undefined: bracket base n(D/2)^(2n)/(D/2-n) is not positive "
+                f"for D={D} <= 2n={2 * n}"
+            )
         # the pole at D == 2n is equally unevaluable as printed
         assert e0_scheme_m1(6, 3).reason_code == "printed-form-undefined"
 
@@ -195,6 +200,13 @@ class TestEffectiveQuantumNumber:
         q = effective_quantum_number(SignedLogReal.from_float(-0.125))
         assert q.k_star == pytest.approx(2.0, abs=1e-12)
         assert q.nearest == 2
+
+    def test_a_level_too_shallow_for_floats_has_no_nearest_integer(self):
+        # k* = e^1000 / sqrt(2) is past the float range: it reads inf, and no
+        # integer is nearest to it
+        q = effective_quantum_number(SignedLogReal(-1, -2000.0))
+        assert q.k_star == math.inf
+        assert q.nearest == 0
 
     def test_reference_row(self):
         q = effective_quantum_number(SignedLogReal.from_float(-0.00041))
