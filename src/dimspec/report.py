@@ -16,14 +16,16 @@ that do not apply. ``_record_row`` is the one formatter of a record's cells;
 
 Each record of ``scan``'s memo (``feasibility._GRID_RECORDS``, at most 2 016
 records, one per grid point and scheme) gets one wire entry, made the first
-time a writer meets it: its two texts, cut from the one writer of each
-format, its CSV line as ``_render_cells`` writes it and its JSON object as
-``render_json`` writes it inside an array. An index maps each text to its
-record. A list of records that are all the memoized objects is written as
-its entries' texts joined, the CSV header first, the JSON array's brackets
-around. Equality is not enough: a coupling lnmag of -0.0 equals the memoized
-0.0 but writes its own sign. Any other list is written record by record by
-the one formatter; no record outside the grid memo gets an entry.
+time a writer meets it in a list of memoized records: its two texts, its
+CSV line as ``_render_cells`` writes it and its JSON object as
+``render_json`` writes it inside an array. The entries a list lacks are cut
+from one call of each writer over those records. An index maps each text to
+its record. A list of records that are all the memoized objects is written
+as its entries' texts joined, the CSV header first, the JSON array's
+brackets around. Equality is not enough: a coupling lnmag of -0.0 equals
+the memoized 0.0 but writes its own sign. Any other list is written record
+by record by the one formatter and makes no entry, not even for the
+memoized records in it.
 
 Each format has two read paths. A ``str`` document that is exactly the
 header line and memoized records' lines, or exactly the array's frame
@@ -47,7 +49,8 @@ record contradicts the evaluator, and a parse adds no wire entry.
 
 ``render_csv`` and ``render_json`` are the writers behind every CLI table;
 ``_render_cells``, behind ``render_csv`` and ``render_records_csv``, is the
-one ``csv.writer``, and ``render_json`` the one JSON encoder.
+one ``csv.writer``, and ``render_json``, ``json.dumps(indent=2)`` of any
+payload, the one JSON encoder.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimspecError, InvalidParameterError, _shown, require_int
 from .feasibility import (
@@ -255,20 +258,14 @@ def _record_from_fields(f: dict) -> ScanRecord:
     return rec
 
 
-class _WireEntry:
-    """The texts of one memoized record, computed once, as the one writer of
-    each format writes them: its CSV line, ending in its newline, and its
-    JSON object as it stands inside an array."""
+class _WireEntry(NamedTuple):
+    """The texts of one memoized record, as the one writer of each format
+    writes them: its CSV line, ending in its newline, and its JSON object as
+    it stands inside an array."""
 
-    __slots__ = ("rec", "csv_line", "json_text")
-
-    def __init__(self, rec: ScanRecord) -> None:
-        self.rec = rec
-        row = _record_row(rec)
-        # the writers' own output for a one-record list, less the frame:
-        # the CSV header line, and the JSON array's "[\n  " and "\n]"
-        self.csv_line = _render_cells(CSV_COLUMNS, (row,))[len(CSV_HEADER) + 1 :]
-        self.json_text = render_json([dict(zip(CSV_COLUMNS, row))])[4:-2]
+    rec: ScanRecord
+    csv_line: str
+    json_text: str
 
 
 # The wire entry of every memoized record a writer has met, keyed by id(rec):
@@ -284,27 +281,34 @@ _WIRE: dict[int, _WireEntry] = {}
 _WIRE_ROWS: dict[str, ScanRecord] = {}
 
 
-def _wire_entry(rec: ScanRecord) -> Optional[_WireEntry]:
-    """The wire entry of ``rec``, made on first use, if ``rec`` is the very
-    record the grid memo holds; None for any other record, an equal one
-    included: a coupling's lnmag of -0.0 equals the memoized 0.0 but
-    writes its own sign."""
-    entry = _WIRE.get(id(rec))
-    if entry is None:
+def _wire_entries(records: list) -> Optional[list[_WireEntry]]:
+    """The wire entry of each of ``records``, if every one is the very record
+    the grid memo holds; None if any is not, an equal one included: a
+    coupling's lnmag of -0.0 equals the memoized 0.0 but writes its own sign.
+    The entries a list lacks are made together, cut from one call of each
+    writer over those records; a list that gets None gets no entry."""
+    entries = [_WIRE.get(id(rec)) for rec in records]
+    if all(entries):
+        return entries
+    missing = {id(rec): rec for rec, entry in zip(records, entries) if entry is None}
+    for rec in missing.values():
         if not isinstance(rec, ScanRecord):
             raise InvalidParameterError("not-a-record", f"need a ScanRecord, got {_shown(rec)}")
+    for rec in missing.values():
         key = (rec.params.D, rec.params.n)
-        # a loop, not any() over a generator: the generator would make rec a
-        # closure cell, which every call pays for, each hit included
-        for memo in _GRID_RECORDS.values():
-            if memo.get(key) is rec:
-                break
-        else:
+        if not any(memo.get(key) is rec for memo in _GRID_RECORDS.values()):
             return None
-        entry = _WIRE[id(rec)] = _WireEntry(rec)
-        _WIRE_ROWS[entry.csv_line[:-1]] = rec
-        _WIRE_ROWS[entry.json_text] = rec
-    return entry
+    rows = [_record_row(rec) for rec in missing.values()]
+    # the writers' own output for these records, cut at the record
+    # boundaries: the CSV text at each newline after the header line, since
+    # no cell holds one, and the JSON array into its objects
+    lines = _render_cells(CSV_COLUMNS, rows).split("\n")[1:-1]
+    objects = _json_objects(render_json([dict(zip(CSV_COLUMNS, row)) for row in rows]))
+    for rec, line, obj in zip(missing.values(), lines, objects, strict=True):
+        _WIRE[id(rec)] = _WireEntry(rec, line + "\n", obj)
+        _WIRE_ROWS[line] = rec
+        _WIRE_ROWS[obj] = rec
+    return [_WIRE[id(rec)] for rec in records]
 
 
 def _where(f: dict) -> str:
@@ -343,29 +347,19 @@ def _render_cells(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-# CPython takes its C encoder only when indent is None. With the item
-# separator carrying the newline and the field indent, it lays out each flat
-# object's fields exactly as indent=2 does inside an array; only the brackets
-# and the boundaries between objects are left to rewrite. An escaped JSON
-# string never holds a raw newline, so "},\n    {" can only fall between two
-# objects.
-_ROWS_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
-
-
 def render_json(payload) -> str:
-    """The JSON writer behind every table, byte-identical to
-    ``json.dumps(payload, indent=2)``.
+    """The one JSON writer, behind every table: ``json.dumps(payload,
+    indent=2)``."""
+    return json.dumps(payload, indent=2)
 
-    An array must be an array of flat, non-empty objects (no list or object
-    as a value), as every array the CLI writes is: it is encoded in one pass
-    of the C encoder. Any other payload goes through ``json.dumps``.
-    """
-    if not isinstance(payload, list):
-        return json.dumps(payload, indent=2)
-    if not payload:
-        return "[]"
-    body = _ROWS_ENCODER.encode(payload)[2:-2]
-    return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
+
+def _json_objects(array: str) -> list[str]:
+    r"""The objects of a non-empty JSON array as ``render_json`` writes it,
+    each as it stands inside the array. At the array's level it joins them
+    by ",\n  "; each opens with "{", and an escaped string never holds a raw
+    newline, so ",\n  {" falls only between two objects. The split takes
+    each object's opening brace, which is put back."""
+    return ["{" + piece for piece in array[5:-2].split(",\n  {")]
 
 
 def _record_list(records: Iterable[ScanRecord]) -> list:
@@ -387,8 +381,8 @@ def render_records_csv(records: Iterable[ScanRecord]) -> str:
     the header and its entries' lines joined; any other list is written
     row by row by the one formatter."""
     records = _record_list(records)
-    entries = [_wire_entry(rec) for rec in records]
-    if all(entries):
+    entries = _wire_entries(records)
+    if entries is not None:
         return CSV_HEADER + "\n" + "".join([entry.csv_line for entry in entries])
     return _render_cells(CSV_COLUMNS, map(_record_row, records))
 
@@ -455,8 +449,8 @@ def render_records_json(records: Iterable[ScanRecord]) -> str:
     non-empty list of memoized records is its entries' objects joined in
     the array's frame; any other list is encoded whole by the one formatter."""
     records = _record_list(records)
-    entries = [_wire_entry(rec) for rec in records]
-    if entries and all(entries):
+    entries = _wire_entries(records)
+    if entries:
         return "[\n  " + ",\n  ".join([entry.json_text for entry in entries]) + "\n]"
     return render_json([record_fields(rec) for rec in records])
 
@@ -465,13 +459,12 @@ def parse_records_json(text: str) -> list[ScanRecord]:
     # a text in the array's frame whose objects are all memoized records'
     # objects is byte for byte what render_records_json writes for those
     # records, so the rebuild path below would return equal records and
-    # raise nothing. Splitting at ",\n  {" takes each object's opening brace,
-    # which is put back before the lookup: no CSV line starts with one. Any
-    # other text, bytes included, is rebuilt whole
+    # raise nothing. No CSV line starts with the "{" each object opens with.
+    # Any other text, bytes included, is rebuilt whole
     if isinstance(text, str) and text.startswith("[\n  {") and text.endswith("\n]"):
         by_text = _WIRE_ROWS
         try:
-            return [by_text["{" + piece] for piece in text[5:-2].split(",\n  {")]
+            return [by_text[obj] for obj in _json_objects(text)]
         except KeyError:
             pass
     try:

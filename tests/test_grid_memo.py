@@ -193,6 +193,18 @@ class TestWireEntries:
                 parsed = parse(text)
             assert parsed == records and not any(map(_memoized, parsed))
 
+    def test_the_first_write_cuts_every_entry_from_one_call_of_each_writer(self, empty_memo):
+        records = [rec for scheme in SCHEMES for rec in scan(DS, NS, scheme)]
+        with mock.patch.object(
+            report, "_render_cells", wraps=report._render_cells
+        ) as cells, mock.patch.object(report, "render_json", wraps=report.render_json) as dumps:
+            csv_text = render_records_csv(records)
+            json_text = render_records_json(records)
+        assert cells.call_count == dumps.call_count == 1
+        assert _wire_size() == len(records) == 2016
+        assert csv_text == report._render_cells(CSV_COLUMNS, map(report._record_row, records))
+        assert json_text == json.dumps([record_fields(rec) for rec in records], indent=2)
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_every_written_grid_row_is_matched_as_text(self, scheme):
         records = scan(DS, NS, scheme)
@@ -585,9 +597,21 @@ class TestWriterBytes:
             assert write(iter(records)) == write(tuple(records)) == write(records)
             assert write(rec for rec in records) == write(records)
 
-    def test_empty_single_and_published_lists(self):
+    def test_empty_single_and_published_lists(self, empty_memo):
         (published,) = scan([3], [1], Scheme.M_EQUALS_N)
         assert published.paper_value is not None
         (m1,) = scan([3], [1], Scheme.M_EQUALS_ONE)
-        for records in ([], [published], [published, published], [m1], [published, m1]):
+        fresh = evaluate_point(7, 3, Scheme.M_EQUALS_N)
+        # a list not all memoized falls back to the plain writers and makes
+        # no entry, not even for its memoized records; a record twice in a
+        # list gets one entry
+        for records, entries in (
+            ([], 0),
+            ([published, fresh], 0),
+            ([published, published], 1),
+            ([published], 1),
+            ([m1], 2),
+            ([published, m1], 2),
+        ):
             self._check(records)
+            assert _wire_size() == entries

@@ -429,8 +429,28 @@ class TestWriterBytes:
 
     @pytest.mark.parametrize(
         "rows_of",
-        [_grid_rows, _explicit_rows, _table1_rows, lambda: _explicit_rows()[-1:], list],
-        ids=["grid", "explicit", "table1", "one-row", "empty"],
+        [
+            _grid_rows,
+            _explicit_rows,
+            _table1_rows,
+            lambda: _explicit_rows()[-1:],
+            list,
+            lambda: [{}],
+            lambda: [{"a": [1, 2]}],
+            lambda: [{"a": {"b": None}}],
+            lambda: [1, "x"],
+        ],
+        ids=[
+            "grid",
+            "explicit",
+            "table1",
+            "one-row",
+            "empty",
+            "empty-object",
+            "nested-list",
+            "nested-object",
+            "not-objects",
+        ],
     )
     def test_json_array_matches_indent_2(self, rows_of):
         rows = rows_of()

@@ -39,12 +39,12 @@ copy of it elsewhere:
   ``Scheme.M_EQUALS_ONE``, except ``evaluate_point``, which attaches the
   published energies that belong to the m = n scheme;
 * each wire format has one writer: only ``report._render_cells`` builds a
-  ``csv.writer``, and only ``report.render_json`` calls ``json.dumps`` or
-  the C encoder ``report._ROWS_ENCODER``. A memoized record's cached CSV
-  line and JSON object are cut from those writers' own output, so a whole
-  document joined from them is what the writers write;
+  ``csv.writer``, and only ``report.render_json`` calls ``json.dumps``. A
+  memoized record's cached CSV line and JSON object are cut from one call
+  of those writers over the records a write lacks, so a whole document
+  joined from them is what the writers write;
 * each wire format has two read paths, the whole-text match and the
-  rebuild: in ``report.py`` only ``_wire_entry`` reads the grid memo
+  rebuild: in ``report.py`` only ``_wire_entries`` reads the grid memo
   ``_GRID_RECORDS``, so no parser looks a row up in it;
 * the numpy floor in ``pyproject.toml`` is 2 or more while the library
   calls ``np.trapezoid``, which numpy 2.0 added;
@@ -323,7 +323,7 @@ def test_no_module_imports_a_name_it_never_reads():
 # that write it
 WRITERS = {
     ("report.py", "_render_cells"): {"csv.writer", "csv.DictWriter"},
-    ("report.py", "render_json"): {"json.dump", "json.dumps", "_ROWS_ENCODER"},
+    ("report.py", "render_json"): {"json.dump", "json.dumps"},
 }
 
 
@@ -373,4 +373,4 @@ def test_only_the_wire_entry_reads_the_grid_memo():
         if isinstance(func, ast.FunctionDef)
         and any(getattr(n, "id", getattr(n, "attr", None)) in memo for n in ast.walk(func))
     ]
-    assert readers == ["_wire_entry"]
+    assert readers == ["_wire_entries"]
