@@ -8,14 +8,7 @@ Coulomb couplings alpha(D, m), enumerates the feasibility windows, and
 checks everything against two independent numerical oracles.
 """
 
-from .errors import (
-    DimspecError,
-    GammaPoleError,
-    InvalidParameterError,
-    NoConvergenceError,
-    NoMinimumError,
-    SingularPotentialError,
-)
+from .errors import DimspecError, InvalidParameterError, NoConvergenceError
 from .feasibility import (
     FeasibilityWindow,
     bound_dims,
@@ -88,12 +81,10 @@ __all__ = [
     "EnergyOutcome",
     "EnergyQuery",
     "FeasibilityWindow",
-    "GammaPoleError",
     "InvalidParameterError",
     "KineticConvention",
     "M1Discrepancy",
     "NoConvergenceError",
-    "NoMinimumError",
     "OraclePoint",
     "OracleReport",
     "PotentialNature",
@@ -103,7 +94,6 @@ __all__ = [
     "ScanRecord",
     "Scheme",
     "SignedLogReal",
-    "SingularPotentialError",
     "SystemParams",
     "TABLE1_E0",
     "Table1Row",

@@ -7,7 +7,8 @@ oracle sweep, ``radial`` for the shooting eigensolver. Data goes to stdout,
 diagnostics to stderr. Every verb builds its cells once and returns through
 one writer, ``_write``, which picks the format and the destination: --out
 gets exactly the bytes stdout would. Exit codes: 0 success, 1 invalid
-arguments or parameters, 2 numerical failure.
+arguments or parameters (a usage error or an ``InvalidParameterError``, whose
+code names the kind), 2 numerical failure (any other ``DimspecError``).
 """
 
 from __future__ import annotations
@@ -20,11 +21,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .errors import (
-    DimspecError,
-    GammaPoleError,
-    InvalidParameterError,
-)
+from .errors import DimspecError, InvalidParameterError
 from .feasibility import bound_dims, build_record, evaluate_point, scan
 from .model import ScanRecord, Scheme, SystemParams, scheme_m
 from .oracle import KineticConvention, radial_ground_state
@@ -397,7 +394,7 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
         return 1 if code != 0 else 0
     try:
         return args.func(args)
-    except (InvalidParameterError, GammaPoleError) as exc:
+    except InvalidParameterError as exc:
         print(f"dimspec: invalid parameters: {exc}", file=sys.stderr)
         return 1
     except DimspecError as exc:

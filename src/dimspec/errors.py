@@ -1,6 +1,11 @@
 """Exception hierarchy shared across the package, ``require_int``, the one
 check of an integer argument, and ``_shown``, the one way a message prints a
-caller's value."""
+caller's value.
+
+Every library failure is a ``DimspecError``, and its class is its exit code:
+``InvalidParameterError`` (exit 1) rejects the caller's input, its ``code``
+naming the kind; ``NoConvergenceError`` and a bare ``DimspecError``, a
+broken internal invariant, exit 2."""
 
 from __future__ import annotations
 
@@ -12,25 +17,14 @@ class DimspecError(Exception):
 class InvalidParameterError(DimspecError):
     """Caller supplied parameters outside an operation's domain.
 
-    Carries a short machine-readable ``code`` alongside the human message so
-    the CLI can map failures onto exit codes deterministically.
+    Carries a short machine-readable ``code`` alongside the human message:
+    the code, not a subclass, names the kind ("out-of-range", "gamma-pole",
+    "divergent", ...).
     """
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-class GammaPoleError(DimspecError):
-    """Gamma function requested at a pole (argument <= 0 on the lattice)."""
-
-
-class NoMinimumError(DimspecError):
-    """The effective potential has no interior minimum for these parameters."""
-
-
-class SingularPotentialError(DimspecError):
-    """Fall-to-center parameters: the radial problem has no ground state."""
 
 
 class NoConvergenceError(DimspecError):

@@ -48,8 +48,6 @@ import numpy as np
 from .errors import (
     InvalidParameterError,
     NoConvergenceError,
-    NoMinimumError,
-    SingularPotentialError,
     _shown,
     require_int,
 )
@@ -111,18 +109,21 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     the estimate to 1e-10 relative in ln r. The depth at the root x is
     ln |E| = ln alpha - beta x + ln(1 - e^d) with A = (D/2)^(2n) and
     d = ln A - ln alpha - (2n - beta) x < 0, each sum exact and rounded once;
-    d ~ ln(beta / 2n) there, so nothing cancels and floats suffice. Raises
-    NoMinimumError when no interior minimum exists, that is unless
-    ``classify_coupling`` calls the query bound, and NoConvergenceError for a
-    bound query whose coupling carries the search past what floats resolve.
+    d ~ ln(beta / 2n) there, so nothing cancels and floats suffice. A query
+    that ``classify_coupling`` does not call bound has no interior minimum
+    and raises InvalidParameterError coded with its classification
+    ("divergent", "repulsive", "logarithmic", ...); a bound query whose
+    coupling carries the search past what floats resolve raises
+    NoConvergenceError.
     """
     if not isinstance(q, EnergyQuery):
         raise InvalidParameterError("malformed-query", f"need an EnergyQuery, got {_shown(q)}")
     sign = q.alpha.sign if q.alpha is not None else 0
     tag = classify_coupling(q.beta, sign, q.n)
     if tag is not Classification.BOUND:
-        raise NoMinimumError(
-            f"no interior minimum for alpha sign {sign}, beta={q.beta}, n={q.n}: {tag.value}"
+        raise InvalidParameterError(
+            tag.value,
+            f"no interior minimum for alpha sign {sign}, beta={q.beta}, n={q.n}: {tag.value}",
         )
     two_n, beta = 2 * q.n, q.beta
     # ln A with A = (D/2)^(2n), and the stationarity estimate of ln r*, from
@@ -177,7 +178,7 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     # d = ln(kinetic / coupling term) ~ ln(beta / 2n): 1 - e^d is in [1/2n, 1]
     d = _exact_sum((1, ln_amp), (-1, q.alpha.lnmag), (beta - two_n, x))
     if d >= 0.0:
-        raise NoMinimumError("search ended on a non-negative minimum")
+        raise NoConvergenceError("search ended on a non-negative minimum")
     ln_e = _exact_sum((1, q.alpha.lnmag), (-beta, x), (1, math.log(-math.expm1(d))))
 
     if abs(x - x_seed) > 1e-10 * max(1.0, abs(x_seed)):
@@ -297,8 +298,8 @@ def radial_ground_state(
 
     c0 is 1 (full Laplacian) or 1/2 (half). Only the centrifugal-regular,
     long-range-safe case beta = 1 with 3 <= D <= RADIAL_D_LIMIT and
-    excitation <= RADIAL_EXCITATION_LIMIT is supported; an attractive
-    beta >= 2 falls to the center and is rejected as singular. Every length
+    excitation <= RADIAL_EXCITATION_LIMIT is supported; every other coupling
+    is rejected, coded with its classification. Every length
     and energy scale comes from the closed-form estimate E_est, so the solve
     costs the same at any alpha. The level is solved on the coarse mesh, then
     on the fine mesh from a bracket about it, and each solve must end on a
@@ -320,10 +321,6 @@ def radial_ground_state(
         )
     alpha = float(alpha)
     tag = classify_coupling(beta, 1 if alpha > 0 else -1, 1)
-    if tag in (Classification.DIVERGENT, Classification.SINGULAR):
-        raise SingularPotentialError(
-            f"beta = {_shown(beta)} >= 2: fall-to-center, no radial ground state"
-        )
     if tag is not Classification.BOUND:
         raise InvalidParameterError(
             tag.value, f"radial solver needs alpha > 0 and beta = 1: {tag.value} coupling"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import GammaPoleError, InvalidParameterError, _shown, require_int
+from .errors import InvalidParameterError, _shown, require_int
 from .model import PotentialSpec, _short_range
 from .signedlog import SignedLogReal
 
@@ -41,7 +41,9 @@ def _log_gamma_twice(twice: int) -> float:
 def log_gamma_half(twice: int) -> float:
     """ln Gamma(twice / 2) for 0 < twice <= D_LIMIT: the half-integer lattice."""
     if require_int("twice", twice, hi=D_LIMIT) <= 0:
-        raise GammaPoleError(f"Gamma pole or reflection region at x = {_shown(twice)}/2")
+        raise InvalidParameterError(
+            "gamma-pole", f"Gamma pole or reflection region at x = {_shown(twice)}/2"
+        )
     return _log_gamma_twice(twice)
 
 

@@ -534,10 +534,14 @@ class TestRadial:
         assert code == 1 and out == ""
         assert "invalid parameters" in err and "Traceback" not in err
 
-    def test_singular_exit_code(self, capsys):
-        code, _, err = run(capsys, "radial", "--D", "5", "--alpha", "1", "--beta", "3")
-        assert code == 2
-        assert "numerical failure" in err
+    @pytest.mark.parametrize("beta", ["2", "3"])
+    def test_singular_exit_code(self, capsys, beta):
+        # rejected before any numerics run, as --beta 0 is; by Hardy's
+        # inequality nothing falls to the center at D = 5, alpha = 1 either
+        code, _, err = run(capsys, "radial", "--D", "5", "--alpha", "1", "--beta", beta)
+        assert code == 1
+        assert "invalid parameters" in err
+        assert "fall-to-center" not in err
 
     def test_excitation_above_limit_exit_code(self, capsys):
         code, out, err = run(

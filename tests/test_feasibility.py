@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimspec import (
     Classification,
+    DimspecError,
     InvalidParameterError,
     Scheme,
     bound_dims,
@@ -12,6 +15,7 @@ from dimspec import (
     excluded_dims_universal,
     scan,
 )
+from dimspec import feasibility
 from dimspec.feasibility import D_MAX, D_MIN, N_MAX, N_MIN
 from dimspec.model import scheme_m
 from dimspec.spectrum import N_LIMIT
@@ -107,6 +111,18 @@ class TestUniversalExclusion:
     def test_windows_3_and_7_to_11_avoid_the_set(self):
         assert not set(bound_dims(1, Scheme.M_EQUALS_N).members) & {4, 5, 6}
         assert not set(bound_dims(3, Scheme.M_EQUALS_N).members) & {4, 5, 6}
+
+    def test_a_window_holding_5_is_a_broken_invariant(self, monkeypatch):
+        # the function takes no argument, so its failure is not the caller's
+        # invalid input: a bare DimspecError, a broken invariant (exit 2)
+        def holding_5(n, scheme):
+            window = bound_dims(n, scheme)
+            return dataclasses.replace(window, members=(5,)) if n == 2 else window
+
+        monkeypatch.setattr(feasibility, "bound_dims", holding_5)
+        with pytest.raises(DimspecError, match=r"window for n=2 contains \[5\]") as info:
+            excluded_dims_universal()
+        assert not isinstance(info.value, InvalidParameterError)
 
 
 class TestScan:

@@ -18,10 +18,8 @@ from dimspec import (
     InvalidParameterError,
     KineticConvention,
     NoConvergenceError,
-    NoMinimumError,
     Scheme,
     SignedLogReal,
-    SingularPotentialError,
     alpha_coefficient,
     bound_dims,
     e0_general,
@@ -123,17 +121,20 @@ class TestMinimizeVeff:
             minimize_v_eff(q)
 
     def test_no_minimum_at_divergent_boundary(self):
-        with pytest.raises(NoMinimumError):
+        with pytest.raises(InvalidParameterError) as info:
             minimize_v_eff(EnergyQuery(SignedLogReal(1, 0.0), 2, 1, 4))
+        assert info.value.code == "divergent"
 
     def test_no_minimum_for_repulsive(self):
-        with pytest.raises(NoMinimumError):
+        with pytest.raises(InvalidParameterError) as info:
             minimize_v_eff(EnergyQuery(SignedLogReal.from_float(-1.0), 1, 1, 3))
+        assert info.value.code == "repulsive"
 
     def test_no_minimum_without_coupling(self):
         # alpha is None at beta = 0, as alpha_coefficient returns it there
-        with pytest.raises(NoMinimumError, match="logarithmic"):
+        with pytest.raises(InvalidParameterError, match="logarithmic") as info:
             minimize_v_eff(EnergyQuery(None, 0, 1, 2))
+        assert info.value.code == "logarithmic"
 
     def test_first_order_condition_at_r_star(self):
         # 2n A r*^-2n == alpha beta r*^-beta at the minimizer, to 1e-9
@@ -205,8 +206,8 @@ class TestRadialGroundState:
     @pytest.mark.parametrize(
         "kwargs,error",
         [
-            (dict(D=5, alpha=1.0, beta=3), SingularPotentialError),
-            (dict(D=4, alpha=1.0, beta=2), SingularPotentialError),
+            (dict(D=5, alpha=1.0, beta=3), InvalidParameterError),
+            (dict(D=4, alpha=1.0, beta=2), InvalidParameterError),
             (dict(D=3, alpha=1.0, beta=0), InvalidParameterError),
             (dict(D=2, alpha=1.0, beta=1), InvalidParameterError),
             (dict(D=3, alpha=-1.0, beta=1), InvalidParameterError),

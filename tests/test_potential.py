@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimspec import (
-    GammaPoleError,
     InvalidParameterError,
     PotentialNature,
     alpha_coefficient,
@@ -45,8 +44,9 @@ class TestLogGammaHalf:
 
     @pytest.mark.parametrize("twice", [0, -1, -2, -7])
     def test_pole(self, twice):
-        with pytest.raises(GammaPoleError):
+        with pytest.raises(InvalidParameterError) as info:
             log_gamma_half(twice)
+        assert info.value.code == "gamma-pole"
 
     def test_product_oracle_on_lattice(self):
         # every lattice point in (0, 50]

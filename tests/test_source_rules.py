@@ -51,6 +51,13 @@ copy of it elsewhere:
 * an exact sum of float terms is ``oracle._exact_sum``, exact float parts
   rounded once by ``math.fsum``: no module calls ``as_integer_ratio``, so no
   big-integer form of the same sum is kept beside it.
+* a failure's kind is its code and its class is its exit code:
+  ``errors.py`` defines exactly ``DimspecError``, ``InvalidParameterError``
+  (exit 1, its ``code`` naming the kind) and ``NoConvergenceError``, no other
+  library module defines an exception class, and ``run_cli``'s ``except``
+  clauses name, besides argparse's ``SystemExit``, only
+  ``InvalidParameterError`` (exit 1) and ``DimspecError`` (exit 2), one
+  handler each.
 
 Every rule reads the library sources and changes nothing.
 """
@@ -374,3 +381,38 @@ def test_only_the_wire_entry_reads_the_grid_memo():
         and any(getattr(n, "id", getattr(n, "attr", None)) in memo for n in ast.walk(func))
     ]
     assert readers == ["_wire_entries"]
+
+
+ERROR_CLASSES = ["DimspecError", "InvalidParameterError", "NoConvergenceError"]
+
+
+def _is_exception_class(node: ast.AST) -> bool:
+    """Whether ``node`` is a class with a base named like an exception."""
+    return isinstance(node, ast.ClassDef) and any(
+        _dotted(base).rpartition(".")[2].endswith(("Error", "Exception")) for base in node.bases
+    )
+
+
+def _handled(handler: ast.ExceptHandler) -> list[str]:
+    """The names an ``except`` clause catches, a tuple's in order."""
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return [_dotted(kind) for kind in kinds]
+
+
+def test_one_error_mechanism():
+    modules = dict(_modules())
+    defined = [
+        (name, node.name)
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and (name == "errors.py" or _is_exception_class(node))
+    ]
+    assert defined == [("errors.py", cls) for cls in ERROR_CLASSES]
+    (run_cli,) = [
+        func
+        for func in ast.walk(modules["cli.py"])
+        if isinstance(func, ast.FunctionDef) and func.name == "run_cli"
+    ]
+    handlers = [_handled(node) for node in ast.walk(run_cli) if isinstance(node, ast.ExceptHandler)]
+    assert handlers == [["SystemExit"], ["InvalidParameterError"], ["DimspecError"]]
