@@ -8,64 +8,15 @@ Coulomb couplings alpha(D, m), enumerates the feasibility windows, and
 checks everything against two independent numerical oracles.
 """
 
-from .errors import DimspecError, InvalidParameterError, NoConvergenceError
-from .feasibility import (
-    FeasibilityWindow,
-    bound_dims,
-    evaluate_point,
-    excluded_dims_universal,
-    scan,
-)
-from .model import (
-    Classification,
-    EnergyOutcome,
-    PotentialNature,
-    PotentialSpec,
-    ScanRecord,
-    Scheme,
-    SystemParams,
-    classify_coupling,
-    classify_outcome,
-    classify_regime,
-)
-from .oracle import (
-    KineticConvention,
-    RadialSolution,
-    VeffMinimum,
-    minimize_v_eff,
-    radial_ground_state,
-)
-from .potential import (
-    alpha_coefficient,
-    alpha_m1_closed_form,
-    log_gamma_half,
-)
-from .refdata import TABLE1_E0
-from .report import (
-    CSV_HEADER,
-    M1Discrepancy,
-    OraclePoint,
-    OracleReport,
-    Table1Row,
-    oracle_equivalence_report,
-    parse_records_csv,
-    parse_records_json,
-    render_records_csv,
-    render_records_json,
-    scheme_m1_discrepancies,
-    sort_records,
-    table1_compare,
-)
-from .signedlog import SignedLogReal
-from .spectrum import (
-    EnergyQuery,
-    QuantumNumber,
-    e0_general,
-    e0_scheme_m1,
-    e0_scheme_m1_rederived,
-    e0_scheme_mn,
-    effective_quantum_number,
-)
+from .errors import *
+from .feasibility import *
+from .model import *
+from .oracle import *
+from .potential import *
+from .refdata import *
+from .report import *
+from .signedlog import *
+from .spectrum import *
 
 __version__ = "0.1.0"
 
@@ -74,55 +25,14 @@ __version__ = "0.1.0"
 # removes both together.
 THREADS_ENV_VAR = "DIMSPEC_THREADS"
 
-__all__ = [
-    "Classification",
-    "CSV_HEADER",
-    "DimspecError",
-    "EnergyOutcome",
-    "EnergyQuery",
-    "FeasibilityWindow",
-    "InvalidParameterError",
-    "KineticConvention",
-    "M1Discrepancy",
-    "NoConvergenceError",
-    "OraclePoint",
-    "OracleReport",
-    "PotentialNature",
-    "PotentialSpec",
-    "QuantumNumber",
-    "RadialSolution",
-    "ScanRecord",
-    "Scheme",
-    "SignedLogReal",
-    "SystemParams",
-    "TABLE1_E0",
-    "Table1Row",
-    "THREADS_ENV_VAR",
-    "VeffMinimum",
-    "alpha_coefficient",
-    "alpha_m1_closed_form",
-    "bound_dims",
-    "classify_coupling",
-    "classify_outcome",
-    "classify_regime",
-    "e0_general",
-    "e0_scheme_m1",
-    "e0_scheme_m1_rederived",
-    "e0_scheme_mn",
-    "effective_quantum_number",
-    "evaluate_point",
-    "excluded_dims_universal",
-    "log_gamma_half",
-    "minimize_v_eff",
-    "oracle_equivalence_report",
-    "parse_records_csv",
-    "parse_records_json",
-    "radial_ground_state",
-    "render_records_csv",
-    "render_records_json",
-    "scan",
-    "scheme_m1_discrepancies",
-    "sort_records",
-    "table1_compare",
-    "__version__",
-]
+# Each module's __all__ is its share of the package API.
+__all__ = ["THREADS_ENV_VAR", "__version__"]
+__all__ += errors.__all__
+__all__ += feasibility.__all__
+__all__ += model.__all__
+__all__ += oracle.__all__
+__all__ += potential.__all__
+__all__ += refdata.__all__
+__all__ += report.__all__
+__all__ += signedlog.__all__
+__all__ += spectrum.__all__

@@ -40,9 +40,6 @@ from .report import (
 )
 from .signedlog import SignedLogReal
 
-_SCHEMES = {s.value: s for s in Scheme}
-_CONVENTIONS = {c.value: c for c in KineticConvention}
-
 
 def _parse_int_values(text: str) -> Iterator[int]:
     """Accept '7', '3:11' (inclusive) and comma-separated mixes like '1,3:5'.
@@ -118,7 +115,7 @@ def _add_io_flags(sub: argparse.ArgumentParser, formats=("csv", "json", "text"))
 
 
 def _energy_record(args) -> ScanRecord:
-    scheme = _SCHEMES[args.scheme]
+    scheme = Scheme(args.scheme)
     if scheme is Scheme.EXPLICIT:
         if args.alpha is None or args.beta is None:
             raise InvalidParameterError(
@@ -203,7 +200,7 @@ def cmd_potential(args) -> int:
 
 
 def cmd_feasible(args) -> int:
-    window = bound_dims(args.n, _SCHEMES[args.scheme])
+    window = bound_dims(args.n, Scheme(args.scheme))
     for D in window.paper_omitted:
         print(
             f"note: D={D} is {PAPER_OMITTED_FLAG}: the published discussion "
@@ -216,7 +213,7 @@ def cmd_feasible(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    records = sort_records(scan(args.D, args.n, _SCHEMES[args.scheme]))
+    records = sort_records(scan(args.D, args.n, Scheme(args.scheme)))
     rows = [record_fields(rec) for rec in records]
 
     def text() -> str:
@@ -290,7 +287,7 @@ def cmd_radial(args) -> int:
         args.D,
         args.alpha,
         args.beta,
-        _CONVENTIONS[args.convention],
+        KineticConvention(args.convention),
         args.excitation,
     )
     payload = {
@@ -335,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy.add_argument("--D", type=int, required=True)
     p_energy.add_argument("--n", type=int, required=True)
     p_energy.add_argument("--m", type=int, default=None)
-    p_energy.add_argument("--scheme", choices=sorted(_SCHEMES), default="mn")
+    p_energy.add_argument("--scheme", choices=sorted(s.value for s in Scheme), default="mn")
     p_energy.add_argument("--alpha", type=float, default=None, help="explicit coupling")
     p_energy.add_argument("--beta", type=int, default=None, help="explicit decay exponent")
     _add_io_flags(p_energy)
@@ -374,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_radial.add_argument("--D", type=int, required=True)
     p_radial.add_argument("--alpha", type=float, required=True)
     p_radial.add_argument("--beta", type=int, default=1)
-    p_radial.add_argument("--convention", choices=sorted(_CONVENTIONS), default="full")
+    p_radial.add_argument(
+        "--convention", choices=sorted(c.value for c in KineticConvention), default="full"
+    )
     p_radial.add_argument("--excitation", type=int, default=0)
     _add_io_flags(p_radial, ("json", "text"))
     p_radial.set_defaults(func=cmd_radial)

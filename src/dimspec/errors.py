@@ -9,6 +9,8 @@ broken internal invariant, exit 2."""
 
 from __future__ import annotations
 
+__all__ = ["DimspecError", "InvalidParameterError", "NoConvergenceError"]
+
 
 class DimspecError(Exception):
     """Base class for all library errors."""

@@ -23,6 +23,8 @@ memoized record it writes, so that memo is bounded by this one.
 
 from __future__ import annotations
 
+__all__ = ["FeasibilityWindow", "bound_dims", "evaluate_point", "excluded_dims_universal", "scan"]
+
 from dataclasses import dataclass
 from typing import Iterable, Optional
 

@@ -9,6 +9,19 @@ falls in. The closed forms, the grid scan and both oracles ask it.
 
 from __future__ import annotations
 
+__all__ = [
+    "Classification",
+    "EnergyOutcome",
+    "PotentialNature",
+    "PotentialSpec",
+    "ScanRecord",
+    "Scheme",
+    "SystemParams",
+    "classify_coupling",
+    "classify_outcome",
+    "classify_regime",
+]
+
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional

@@ -32,6 +32,14 @@ Two routes that share no algebra with the spectrum module:
 
 from __future__ import annotations
 
+__all__ = [
+    "KineticConvention",
+    "RadialSolution",
+    "VeffMinimum",
+    "minimize_v_eff",
+    "radial_ground_state",
+]
+
 import math
 import numbers
 import operator

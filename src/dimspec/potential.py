@@ -9,6 +9,8 @@ error; no Stirling or Lanczos fit is involved.
 
 from __future__ import annotations
 
+__all__ = ["alpha_coefficient", "alpha_m1_closed_form", "log_gamma_half"]
+
 import math
 from functools import lru_cache
 

@@ -9,6 +9,8 @@ log-ratio instead.
 
 from __future__ import annotations
 
+__all__ = ["TABLE1_E0"]
+
 from .model import Scheme
 
 # (D, n) -> published ground-state energy in hartree, m = n scheme

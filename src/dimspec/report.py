@@ -55,6 +55,22 @@ payload, the one JSON encoder.
 
 from __future__ import annotations
 
+__all__ = [
+    "CSV_HEADER",
+    "M1Discrepancy",
+    "OraclePoint",
+    "OracleReport",
+    "Table1Row",
+    "oracle_equivalence_report",
+    "parse_records_csv",
+    "parse_records_json",
+    "render_records_csv",
+    "render_records_json",
+    "scheme_m1_discrepancies",
+    "sort_records",
+    "table1_compare",
+]
+
 import csv
 import io
 import json
@@ -76,12 +92,10 @@ from .feasibility import (
 )
 from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams, scheme_m
 from .refdata import TABLE1_E0
-from .signedlog import SignedLogReal
+from .signedlog import SignedLogReal, _LN10
 from .spectrum import EnergyQuery, e0_general, e0_scheme_m1, e0_scheme_m1_rederived, e0_scheme_mn
 from .oracle import minimize_v_eff
 from .potential import D_LIMIT, alpha_coefficient
-
-_LN10 = math.log(10.0)
 
 CSV_COLUMNS = [
     "D",

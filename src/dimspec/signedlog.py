@@ -10,6 +10,8 @@ happens only at the edges (display, serialization).
 
 from __future__ import annotations
 
+__all__ = ["SignedLogReal"]
+
 import math
 from dataclasses import dataclass
 

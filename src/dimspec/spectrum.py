@@ -16,6 +16,16 @@ sits below 1e-150 - evaluate without overflow.
 
 from __future__ import annotations
 
+__all__ = [
+    "EnergyQuery",
+    "QuantumNumber",
+    "e0_general",
+    "e0_scheme_m1",
+    "e0_scheme_m1_rederived",
+    "e0_scheme_mn",
+    "effective_quantum_number",
+]
+
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional

@@ -57,7 +57,13 @@ copy of it elsewhere:
   library module defines an exception class, and ``run_cli``'s ``except``
   clauses name, besides argparse's ``SystemExit``, only
   ``InvalidParameterError`` (exit 1) and ``DimspecError`` (exit 2), one
-  handler each.
+  handler each;
+* each public name is stated once as an export: every module
+  ``__init__.py`` star-imports declares a literal ``__all__`` of names it
+  defines at its top level, no name is in two modules' lists, and
+  ``__init__.py`` defines no public name but ``__version__`` and
+  ``THREADS_ENV_VAR``, so its ``__all__`` is those two plus each module's
+  ``__all__``, and ``from dimspec import *`` binds exactly that.
 
 Every rule reads the library sources and changes nothing.
 """
@@ -68,6 +74,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import dimspec
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "dimspec"
 
@@ -416,3 +424,76 @@ def test_one_error_mechanism():
     ]
     handlers = [_handled(node) for node in ast.walk(run_cli) if isinstance(node, ast.ExceptHandler)]
     assert handlers == [["SystemExit"], ["InvalidParameterError"], ["DimspecError"]]
+
+
+def _literal_all(tree: ast.Module):
+    """The names of a module's one top-level ``__all__ = [...]`` of string
+    literals, or None if it has no such list."""
+    lists = [
+        [elt.value for elt in node.value.elts]
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["__all__"]
+        and isinstance(node.value, ast.List)
+        and all(isinstance(getattr(elt, "value", None), str) for elt in node.value.elts)
+    ]
+    return lists[0] if len(lists) == 1 else None
+
+
+def _defined(tree: ast.Module) -> set:
+    """The names a module's top-level def, class and assignment statements bind."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)
+            )
+    return names
+
+
+def test_each_public_name_is_stated_once():
+    modules = dict(_modules())
+    init = modules["__init__.py"]
+    starred = [
+        node.module
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 1
+        and [alias.name for alias in node.names] == ["*"]
+    ]
+    imports = [node for node in ast.walk(init) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert len(starred) == len(imports) > 0
+    assert {n for n in _defined(init) if not n.startswith("_")} == {"THREADS_ENV_VAR"}
+    assert _literal_all(init) == ["THREADS_ENV_VAR", "__version__"]
+    extended = [
+        _dotted(node.value.value)
+        for node in init.body
+        if isinstance(node, ast.AugAssign)
+        and getattr(node.target, "id", None) == "__all__"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "__all__"
+    ]
+    assert extended == starred
+
+    exports, found = {}, []
+    for module in starred:
+        tree = modules[f"{module}.py"]
+        names = _literal_all(tree)
+        if names is None:
+            found.append(f"{module}.py: no literal __all__")
+            continue
+        found += [f"{module}.py: {n} is not defined" for n in names if n not in _defined(tree)]
+        for n in names:
+            if n in exports:
+                found.append(f"{module}.py: {n} is also in {exports[n]}.py")
+            exports[n] = module
+    assert found == []
+
+    namespace = {}
+    exec("from dimspec import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(dimspec.__all__)
+    assert set(dimspec.__all__) == {"THREADS_ENV_VAR", "__version__", *exports}
