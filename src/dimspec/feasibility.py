@@ -17,8 +17,10 @@ is made once per process: ``scan`` keeps every record it makes in
 ``_GRID_RECORDS``, and the grid bounds that memo at (D_MAX - D_MIN + 1) x
 (N_MAX - N_MIN + 1) points x 2 schemes = 2 016 records. ``evaluate_point``,
 which also takes points off the grid, makes a fresh record on every call,
-and a parser never adds one. ``report`` keeps one wire entry beside each
-memoized record it writes, so that memo is bounded by this one.
+and a parser never adds one. The verify sweep takes its points' records
+from ``scan``, so it reads this memo and fills it as a scan does. ``report``
+keeps one wire entry beside each memoized record it writes, so that memo is
+bounded by this one.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 ``table1_compare`` and ``scheme_m1_discrepancies`` set the printed m = n and
 m = 1 forms against the general one, ``oracle_equivalence_report`` sets the
-general one against the V_eff search over both schemes' windows.
+general one, read from each point's ``scan`` record, against the V_eff
+search over both schemes' windows.
 
 The CSV header is part of the wire contract and is emitted bit-exactly:
 
@@ -16,16 +17,16 @@ that do not apply. ``_record_row`` is the one formatter of a record's cells;
 
 Each record of ``scan``'s memo (``feasibility._GRID_RECORDS``, at most 2 016
 records, one per grid point and scheme) gets one wire entry, made the first
-time a writer meets it in a list of memoized records: its two texts, its
-CSV line as ``_render_cells`` writes it and its JSON object as
-``render_json`` writes it inside an array. The entries a list lacks are cut
-from one call of each writer over those records. An index maps each text to
-its record. A list of records that are all the memoized objects is written
-as its entries' texts joined, the CSV header first, the JSON array's
-brackets around. Equality is not enough: a coupling lnmag of -0.0 equals
-the memoized 0.0 but writes its own sign. Any other list is written record
-by record by the one formatter and makes no entry, not even for the
-memoized records in it.
+time a writer meets it in a list of memoized records: its two texts, its CSV
+line as ``_render_cells`` writes it and its JSON object as ``render_json``
+writes it inside an array, less its opening brace. The entries a list lacks
+are cut from one call of each writer over those records. Each format has its
+own index from text to record. A list of records that are all the memoized
+objects is written as its entries' texts joined, the CSV header first, each
+JSON body after its brace in the array's frame. Equality is not enough: a
+coupling lnmag of -0.0 equals the memoized 0.0 but writes its own sign. Any
+other list is written record by record by the one formatter and makes no
+entry, not even for the memoized records in it.
 
 Each format has two read paths. A ``str`` document that is exactly the
 header line and memoized records' lines, or exactly the array's frame
@@ -89,13 +90,14 @@ from .feasibility import (
     _GRID_RECORDS,
     bound_dims,
     build_record,
+    scan,
 )
-from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams, scheme_m
+from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams
 from .refdata import TABLE1_E0
 from .signedlog import SignedLogReal, _LN10
-from .spectrum import EnergyQuery, e0_general, e0_scheme_m1, e0_scheme_m1_rederived, e0_scheme_mn
+from .spectrum import EnergyQuery, e0_scheme_m1, e0_scheme_m1_rederived, e0_scheme_mn
 from .oracle import minimize_v_eff
-from .potential import D_LIMIT, alpha_coefficient
+from .potential import D_LIMIT
 
 CSV_COLUMNS = [
     "D",
@@ -275,24 +277,22 @@ def _record_from_fields(f: dict) -> ScanRecord:
 class _WireEntry(NamedTuple):
     """The texts of one memoized record, as the one writer of each format
     writes them: its CSV line, ending in its newline, and its JSON object as
-    it stands inside an array."""
+    it stands inside an array, after its opening brace."""
 
     rec: ScanRecord
     csv_line: str
-    json_text: str
+    json_body: str
 
 
 # The wire entry of every memoized record a writer has met, keyed by id(rec):
 # an entry holds its record, so no other object takes that id while the
-# entry lives. Beside it, each such record keyed by its two texts, its CSV
-# line without the newline and its JSON object, which the parsers match
-# whole documents against. Neither parser can hit the other format's text:
-# the CSV parser looks up lines, which hold no newline, and every JSON object
-# holds one; the JSON parser looks up texts that start with "{", and every
-# CSV line starts with its D. Only a record in _GRID_RECORDS gets an entry,
-# so _WIRE holds at most 2 016 entries and _WIRE_ROWS twice that many texts.
+# entry lives. Beside it, one index per format keys each such record by its
+# text there, its CSV line without the newline or its JSON body, which that
+# format's parser matches whole documents against. Only a record in
+# _GRID_RECORDS gets an entry, so _WIRE and each index hold at most 2 016.
 _WIRE: dict[int, _WireEntry] = {}
-_WIRE_ROWS: dict[str, ScanRecord] = {}
+_CSV_ROWS: dict[str, ScanRecord] = {}
+_JSON_ROWS: dict[str, ScanRecord] = {}
 
 
 def _wire_entries(records: list) -> Optional[list[_WireEntry]]:
@@ -315,13 +315,13 @@ def _wire_entries(records: list) -> Optional[list[_WireEntry]]:
     rows = [_record_row(rec) for rec in missing.values()]
     # the writers' own output for these records, cut at the record
     # boundaries: the CSV text at each newline after the header line, since
-    # no cell holds one, and the JSON array into its objects
+    # no cell holds one, and the JSON array into its objects' bodies
     lines = _render_cells(CSV_COLUMNS, rows).split("\n")[1:-1]
-    objects = _json_objects(render_json([dict(zip(CSV_COLUMNS, row)) for row in rows]))
-    for rec, line, obj in zip(missing.values(), lines, objects, strict=True):
-        _WIRE[id(rec)] = _WireEntry(rec, line + "\n", obj)
-        _WIRE_ROWS[line] = rec
-        _WIRE_ROWS[obj] = rec
+    bodies = _json_bodies(render_json([dict(zip(CSV_COLUMNS, row)) for row in rows]))
+    for rec, line, body in zip(missing.values(), lines, bodies, strict=True):
+        _WIRE[id(rec)] = _WireEntry(rec, line + "\n", body)
+        _CSV_ROWS[line] = rec
+        _JSON_ROWS[body] = rec
     return [_WIRE[id(rec)] for rec in records]
 
 
@@ -367,13 +367,13 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _json_objects(array: str) -> list[str]:
-    r"""The objects of a non-empty JSON array as ``render_json`` writes it,
-    each as it stands inside the array. At the array's level it joins them
-    by ",\n  "; each opens with "{", and an escaped string never holds a raw
-    newline, so ",\n  {" falls only between two objects. The split takes
-    each object's opening brace, which is put back."""
-    return ["{" + piece for piece in array[5:-2].split(",\n  {")]
+def _json_bodies(array: str) -> list[str]:
+    r"""The bodies of the objects of a non-empty JSON array as ``render_json``
+    writes it: each object as it stands inside the array, after its opening
+    brace. At the array's level it joins them by ",\n  "; each opens with
+    "{", and an escaped string never holds a raw newline, so ",\n  {" falls
+    only between two objects, inside the frame "[\n  {" ... "\n]"."""
+    return array[5:-2].split(",\n  {")
 
 
 def _record_list(records: Iterable[ScanRecord]) -> list:
@@ -419,7 +419,7 @@ def parse_records_csv(text: str) -> list[ScanRecord]:
     # a quoted cell may span lines, so no single line of it is trusted
     lines = text.split("\n")
     if lines[0] == CSV_HEADER and lines[-1] == "":
-        by_text = _WIRE_ROWS
+        by_text = _CSV_ROWS
         try:
             return [by_text[line] for line in lines[1:-1]]
         except KeyError:
@@ -465,7 +465,7 @@ def render_records_json(records: Iterable[ScanRecord]) -> str:
     records = _record_list(records)
     entries = _wire_entries(records)
     if entries:
-        return "[\n  " + ",\n  ".join([entry.json_text for entry in entries]) + "\n]"
+        return "[\n  {" + ",\n  {".join([entry.json_body for entry in entries]) + "\n]"
     return render_json([record_fields(rec) for rec in records])
 
 
@@ -473,12 +473,11 @@ def parse_records_json(text: str) -> list[ScanRecord]:
     # a text in the array's frame whose objects are all memoized records'
     # objects is byte for byte what render_records_json writes for those
     # records, so the rebuild path below would return equal records and
-    # raise nothing. No CSV line starts with the "{" each object opens with.
-    # Any other text, bytes included, is rebuilt whole
+    # raise nothing. Any other text, bytes included, is rebuilt whole
     if isinstance(text, str) and text.startswith("[\n  {") and text.endswith("\n]"):
-        by_text = _WIRE_ROWS
+        by_text = _JSON_ROWS
         try:
-            return [by_text[obj] for obj in _json_objects(text)]
+            return [by_text[body] for body in _json_bodies(text)]
         except KeyError:
             pass
     try:
@@ -571,30 +570,27 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
     Walks the window of every n up to ``max_n`` in the m = n scheme, then in
     the m = 1 scheme, dimensions capped at ``max_D``. Both caps must lie on
     the scan grid, [N_MIN, N_MAX] and [D_MIN, D_MAX]; they are checked
-    before any work.
+    before any work. Each point's coupling and closed form are its ``scan``
+    record's, so the sweep reads the grid memo and fills it as a scan does.
     """
     require_int("max_n", max_n, N_MIN, N_MAX, "range-bounds")
     require_int("max_D", max_D, D_MIN, D_MAX, "range-bounds")
     points: list[OraclePoint] = []
     for scheme, n in product((Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE), range(1, max_n + 1)):
-        m = scheme_m(n, scheme)
-        for D in bound_dims(n, scheme).members:
-            if D > max_D:
-                continue
-            spec = alpha_coefficient(D, m)
-            query = EnergyQuery(spec.alpha, spec.beta, n, D)
-            closed = e0_general(query)
-            found = minimize_v_eff(query)
+        window = [D for D in bound_dims(n, scheme).members if D <= max_D]
+        if not window:  # scan rejects an empty axis
+            continue
+        for rec in scan(window, (n,), scheme):
+            alpha, beta, closed = rec.alpha, rec.beta, rec.outcome.energy.lnmag
+            found = minimize_v_eff(EnergyQuery(alpha, beta, n, rec.params.D))
             # the closed form's r*: |E0| = alpha r*^-beta (1 - beta/2n)
-            ln_r_closed = (
-                spec.alpha.lnmag + math.log1p(-spec.beta / (2 * n)) - closed.energy.lnmag
-            ) / spec.beta
+            ln_r_closed = (alpha.lnmag + math.log1p(-beta / (2 * n)) - closed) / beta
             points.append(
                 OraclePoint(
-                    D=D,
+                    D=rec.params.D,
                     n=n,
                     scheme=scheme,
-                    lnmag_closed=closed.energy.lnmag,
+                    lnmag_closed=closed,
                     lnmag_oracle=found.e_min.lnmag,
                     r_star_search=found.r_star,
                     r_star_closed=SignedLogReal(1, ln_r_closed).to_float(),

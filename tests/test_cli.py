@@ -468,6 +468,15 @@ class TestVerify:
         for f in fields:
             assert self.GATES[f][2] + label in err
 
+    @pytest.mark.parametrize(
+        "argv,count", [((), 24), (("--max-n", "8", "--max-D", "10"), 47)], ids=["default", "8-10"]
+    )
+    def test_m1_discrepancies_are_counted_up_to_max_D(self, capsys, argv, count):
+        # n = 8's m = 1 window runs to D = 17; only its points at D <= 10 count
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == 0
+        assert f", {count} printed-m1-form discrepancies, " in err
+
     def test_empty_sweep_exit_code(self, capsys):
         code, _, err = run(capsys, "verify", "--max-D", "2")
         assert code == 1

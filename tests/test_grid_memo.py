@@ -47,7 +47,6 @@ from dimspec.report import CSV_COLUMNS, record_fields
 SCHEMES = (Scheme.M_EQUALS_N, Scheme.M_EQUALS_ONE)
 DS = range(D_MIN, D_MAX + 1)
 NS = range(N_MIN, N_MAX + 1)
-_MEMOS = (*_GRID_RECORDS.values(), report._WIRE, report._WIRE_ROWS)
 FORMATS = ((render_records_csv, parse_records_csv), (render_records_json, parse_records_json))
 
 
@@ -56,35 +55,28 @@ def _memo_size() -> int:
 
 
 def _texts(entry) -> tuple[str, str]:
-    """The two texts an entry is indexed by: its CSV line without the
-    newline, and its JSON object."""
-    return entry.csv_line[:-1], entry.json_text
+    """The two texts an entry is indexed by, one per format's index: its CSV
+    line without the newline, and its JSON object after the opening brace."""
+    return entry.csv_line[:-1], entry.json_body
 
 
 def _wire_size() -> int:
-    """Wire entries, after checking that the text index holds exactly the
-    two texts of each entry, each naming a record with an entry and that
-    text, and no record without an entry. At n = 1 the mn and m1 records
-    without a published energy have the same texts, so two entries may
-    share their keys."""
-    index = report._WIRE_ROWS
-    assert set(index) == {text for entry in report._WIRE.values() for text in _texts(entry)}
-    assert all(text in _texts(report._WIRE[id(rec)]) for text, rec in index.items())
-    assert len(index) <= 2 * len(report._WIRE)
+    """Wire entries, after checking that each format's index holds exactly
+    that format's text of each entry, each naming a record with an entry and
+    that text, and no record without an entry. At n = 1 the mn and m1
+    records without a published energy have the same texts, so two entries
+    may share their keys."""
+    for i, index in enumerate((report._CSV_ROWS, report._JSON_ROWS)):
+        assert set(index) == {_texts(entry)[i] for entry in report._WIRE.values()}
+        assert all(text == _texts(report._WIRE[id(rec)])[i] for text, rec in index.items())
+        assert len(index) <= len(report._WIRE)
     return len(report._WIRE)
 
 
-@pytest.fixture
-def empty_memo():
-    """The record memo and the writers' wire entries emptied for one test,
-    and refilled as they were after it."""
-    saved = [dict(memo) for memo in _MEMOS]
-    for memo in _MEMOS:
-        memo.clear()
-    yield
-    for memo, entries in zip(_MEMOS, saved):
-        memo.clear()
-        memo.update(entries)
+def _no_text_index():
+    """Both formats' text indexes emptied for a ``with`` block, so every
+    document takes the rebuild path."""
+    return mock.patch.multiple(report, _CSV_ROWS={}, _JSON_ROWS={})
 
 
 class TestMemoBound:
@@ -95,7 +87,8 @@ class TestMemoBound:
                 assert parse_records_csv(render_records_csv(records)) == records
                 assert parse_records_json(render_records_json(records)) == records
         assert _memo_size() == len(DS) * len(NS) * len(SCHEMES) == 2016
-        assert _wire_size() <= 2016 and len(report._WIRE_ROWS) <= 4032
+        assert _wire_size() <= 2016
+        assert len(report._CSV_ROWS) <= 2016 and len(report._JSON_ROWS) <= 2016
 
     @pytest.mark.parametrize(
         "Ds,ns,scheme",
@@ -171,7 +164,7 @@ class TestMemoBound:
                     assert _wire_size() == 0
                 else:
                     assert 0 < _wire_size() <= _memo_size() == 2016
-                assert len(report._WIRE_ROWS) <= 4032
+                assert len(report._CSV_ROWS) <= 2016 and len(report._JSON_ROWS) <= 2016
 
 
 # -- wire entries --------------------------------------------------------------
@@ -189,7 +182,7 @@ class TestWireEntries:
             assert all(a is b for a, b in zip(parse(text), records, strict=True))
             # without the whole-text match every row is rebuilt: equal records,
             # none of them the memo's
-            with mock.patch.object(report, "_WIRE_ROWS", {}):
+            with _no_text_index():
                 parsed = parse(text)
             assert parsed == records and not any(map(_memoized, parsed))
 
@@ -204,6 +197,20 @@ class TestWireEntries:
         assert _wire_size() == len(records) == 2016
         assert csv_text == report._render_cells(CSV_COLUMNS, map(report._record_row, records))
         assert json_text == json.dumps([record_fields(rec) for rec in records], indent=2)
+
+    def test_a_text_of_one_format_answers_only_its_own_parser(self, empty_memo):
+        # each format keys its own index, so a memoized record's CSV line in
+        # the JSON frame, or its JSON body under the CSV header, is read by
+        # the rebuild path and rejected, never taken for the record
+        (rec,) = scan([7], [3], Scheme.M_EQUALS_N)
+        render_records_csv([rec])
+        line, body = _texts(report._WIRE[id(rec)])
+        with pytest.raises(InvalidParameterError) as exc:
+            parse_records_json("[\n  {" + line + "\n]")
+        assert exc.value.code == "bad-json"
+        with pytest.raises(InvalidParameterError) as exc:
+            parse_records_csv(report.CSV_HEADER + "\n" + body + "\n")
+        assert exc.value.code == "unparseable"
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_every_written_grid_row_is_matched_as_text(self, scheme):
@@ -277,7 +284,7 @@ def _result(parse, text):
 def _rebuild_result(parse, text):
     """``_result`` with the whole-text match switched off: every row is
     rebuilt."""
-    with mock.patch.object(report, "_WIRE_ROWS", {}):
+    with _no_text_index():
         return _result(parse, text)
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,8 @@ from dimspec import (
     sort_records,
     table1_compare,
 )
-from dimspec.feasibility import build_record
+from dimspec import feasibility
+from dimspec.feasibility import _GRID_RECORDS, build_record
 from dimspec.report import CSV_COLUMNS, record_fields, render_csv, render_json
 
 
@@ -506,12 +508,35 @@ class TestOracleEquivalenceReport:
         with pytest.raises(InvalidParameterError):
             oracle_equivalence_report(max_n=3, max_D=2)
 
-    def test_r_star_is_measured_against_the_closed_form(self, monkeypatch):
+    def test_r_star_is_measured_against_the_closed_form(self, empty_memo, monkeypatch):
         # a closed form 1e-6 off in ln|E| places r* off by 1e-6 / beta in ln r,
-        # which the search, untouched, does not follow
+        # which the search, untouched, does not follow. The sweep takes each
+        # closed form from the point's grid record, so the shift goes where
+        # records are made, under a memo emptied for this test
         def shifted(query):
             outcome = e0_general(query)
             return EnergyOutcome.bound(SignedLogReal(-1, outcome.energy.lnmag + 1e-6))
 
-        monkeypatch.setattr("dimspec.report.e0_general", shifted)
+        monkeypatch.setattr("dimspec.feasibility.e0_general", shifted)
         assert oracle_equivalence_report(5, 20).max_r_star_deviation > 1e-9
+
+    @staticmethod
+    def _memoized() -> dict:
+        return {
+            (scheme, D, n): rec
+            for scheme, memo in _GRID_RECORDS.items()
+            for (D, n), rec in memo.items()
+        }
+
+    def test_the_sweep_reads_each_point_from_the_grid_memo(self, empty_memo):
+        # from an empty memo the sweep leaves exactly its points' records
+        # there; a second sweep reads them, evaluating no closed form
+        report = oracle_equivalence_report(3, 12)
+        memoized = self._memoized()
+        assert set(memoized) == {(p.scheme, p.D, p.n) for p in report.points}
+        with mock.patch.object(feasibility, "e0_general", wraps=e0_general) as closed:
+            again = oracle_equivalence_report(3, 12)
+        assert closed.call_count == 0 and again == report
+        after = self._memoized()
+        assert after.keys() == memoized.keys()
+        assert all(after[key] is rec for key, rec in memoized.items())
