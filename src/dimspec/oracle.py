@@ -61,7 +61,7 @@ from .errors import (
 )
 from .model import Classification, classify_coupling
 from .potential import LN_2
-from .signedlog import SignedLogReal
+from .signedlog import SignedLogReal, _saturating_exp
 from .spectrum import EnergyQuery, e0_general
 
 
@@ -76,32 +76,43 @@ class VeffMinimum:
 
 
 _VEFF_TOL = 1e-14  # search tolerance in ln r, relative to max(1, |ln r*|)
+# Dekker's split: c = 134217729 v, v_hi = c - (c - v) holds the top 26 bits of
+# v and v_lo = v - v_hi the rest. c overflows from |v| = 2^997 - 2^970 on, so a
+# v past _SPLIT_MAX is split as v _SHRINK, with k scaled back by 2^28.
+_SPLITTER = 134217729.0  # 2^27 + 1
+_SPLIT_MAX = 2.0**996
+_SHRINK = 2.0**-28
 
 
 def _exact_sum(*terms: tuple[int, float]) -> float:
-    """The sum of k v over the (k, v) pairs, rounded once. Each k v is
-    written as the floats v 2^j over the set bits j of |k|, each exact, as
-    doubling is, and math.fsum rounds their sum once (Shewchuk, Discrete
-    Comput. Geom. 18, 305 (1997)): ~log2 |k| parts per term, summed in C.
-    Raises ValueError on a non-finite v, and OverflowError where the sum
-    rounds past the float range, or where a part or a partial sum does
-    though the total would not, which needs the sum of |k v| past 2^1023."""
+    """The sum of k v over the (k, v) pairs, rounded once. A term with
+    k = +-1 is the one part k v; any other k v is the two parts k v_hi and
+    k v_lo of Dekker's split v = v_hi + v_lo (Numer. Math. 18, 224 (1971)),
+    halves of at most 26 bits, so each part is exact for |k| < 2^26. math.fsum
+    rounds the parts' sum once (Shewchuk, Discrete Comput. Geom. 18, 305
+    (1997)): at most two parts a term, summed in C. Raises ValueError on a
+    non-finite v at |k| > 1, and OverflowError where the sum rounds past the
+    float range, where a part or a partial sum does though the total would
+    not, which needs the sum of |k v| past 2^1023, or where a v at k = +-1
+    is not finite."""
     parts = []
     for k, v in terms:
-        if not math.isfinite(v):
-            raise ValueError(f"cannot sum the non-finite term {v!r}")
-        if k < 0:
-            k, v = -k, -v
-        while k:
-            if k & 1:
-                parts.append(v)
-            k >>= 1
-            v += v
+        if k == 1 or k == -1:
+            parts.append(k * v)
+            continue
+        if not -_SPLIT_MAX <= v <= _SPLIT_MAX:
+            if not math.isfinite(v):
+                raise ValueError(f"cannot sum the non-finite term {v!r}")
+            v *= _SHRINK
+            k /= _SHRINK
+        c = _SPLITTER * v
+        hi = c - (c - v)
+        parts += (k * hi, k * (v - hi))
     try:
         total = math.fsum(parts)
     except ValueError:  # parts overflowed to both inf and -inf
         total = math.inf
-    if math.isinf(total):  # a part overflowed
+    if not math.isfinite(total):  # a part overflowed, or a v at k = +-1 was not finite
         raise OverflowError(f"the sum of {terms!r} leaves the float range")
     return total
 
@@ -195,7 +206,7 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
             f"estimate {x_seed!r}"
         )
     return VeffMinimum(
-        r_star=SignedLogReal(1, x).to_float(),
+        r_star=_saturating_exp(x),
         e_min=SignedLogReal(-1, ln_e),
         ln_r_star=x,
         evaluations=evaluations,
@@ -623,7 +634,8 @@ def _brent_zero(
     (Brent 1973, ch. 4: inverse quadratic interpolation or secant steps,
     bisection whenever they would not shrink the bracket fast enough). A
     floor of 0 makes the tolerance purely relative; a positive floor lets a
-    root at or near 0 converge too."""
+    root at or near 0 converge too. Each |x| is a comparison or a negation,
+    not a call of abs or max: the same floats, for ~60 fewer calls a search."""
     if (fa > 0.0) == (fb > 0.0):
         raise NoConvergenceError(f"f has no sign change over [{a}, {b}]")
     c, fc = a, fa
@@ -632,14 +644,16 @@ def _brent_zero(
         if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
             c, fc = a, fa
             d = e = b - a
-        if abs(fc) < abs(fb):  # b is the best estimate so far
+        # fb and fc differ in sign, so |fc| < |fb| compares fc with -fb
+        if (-fc < fb) if fb > 0.0 else (fc < -fb):  # b is the best estimate so far
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 0.5 * rel_tol * max(abs(b), floor)
+        abs_fb = fb if fb > 0.0 else -fb
+        tol = 0.5 * rel_tol * (b if b > floor else -b if -b > floor else floor)
         half = 0.5 * (c - b)
-        if abs(half) <= tol or fb == 0.0:
+        if -tol <= half <= tol or fb == 0.0:
             return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
+        if -tol < e < tol or -abs_fb <= fa <= abs_fb:
             d = e = half
         else:
             s = fb / fa
@@ -651,12 +665,14 @@ def _brent_zero(
                 q = (q - 1.0) * (r - 1.0) * (s - 1.0)
             if p > 0.0:
                 q = -q
-            p = abs(p)
-            if 2.0 * p < 3.0 * half * q - abs(tol * q) and p < abs(0.5 * e * q):
+            else:
+                p = -p
+            tq, eq = tol * q, 0.5 * e * q
+            if 2.0 * p < 3.0 * half * q - (tq if tq > 0.0 else -tq) and (p < eq or p < -eq):
                 e, d = d, p / q
             else:
                 d = e = half
         a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, half)
+        b += d if d > tol or d < -tol else math.copysign(tol, half)
         fb = f(b)
     raise NoConvergenceError(f"zero unresolved after {_MAX_POLISH} steps")

@@ -94,7 +94,7 @@ from .feasibility import (
 )
 from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams
 from .refdata import TABLE1_E0
-from .signedlog import SignedLogReal, _LN10
+from .signedlog import SignedLogReal, _LN10, _saturating_exp
 from .spectrum import EnergyQuery, e0_scheme_m1, e0_scheme_m1_rederived, e0_scheme_mn
 from .oracle import minimize_v_eff
 from .potential import D_LIMIT
@@ -525,7 +525,8 @@ def sort_records(records: Iterable[ScanRecord]) -> list[ScanRecord]:
 @dataclass(frozen=True)
 class OraclePoint:
     """ln|E| and r* of one bound point, from the V_eff search and from the
-    closed form: its r* is the stationary point at the closed-form depth."""
+    closed form: its r* is the stationary point at the closed-form depth.
+    ``evaluations`` counts the search's slope calls."""
 
     D: int
     n: int
@@ -534,6 +535,7 @@ class OraclePoint:
     lnmag_oracle: float
     r_star_search: float
     r_star_closed: float
+    evaluations: int
 
     @property
     def lnmag_deviation(self) -> float:
@@ -593,7 +595,8 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
                     lnmag_closed=closed,
                     lnmag_oracle=found.e_min.lnmag,
                     r_star_search=found.r_star,
-                    r_star_closed=SignedLogReal(1, ln_r_closed).to_float(),
+                    r_star_closed=_saturating_exp(ln_r_closed),
+                    evaluations=found.evaluations,
                 )
             )
     if not points:

@@ -23,6 +23,11 @@ _LN10 = math.log(10.0)
 _EXP_OVERFLOW = 709.78
 
 
+def _saturating_exp(x: float) -> float:
+    """e^x, saturating to +inf past _EXP_OVERFLOW, where math.exp would raise."""
+    return math.inf if x > _EXP_OVERFLOW else math.exp(x)
+
+
 @dataclass(frozen=True, slots=True)
 class SignedLogReal:
     """A real number stored as a sign in {-1, 0, +1} and ln of its magnitude.
@@ -66,9 +71,7 @@ class SignedLogReal:
         """Nearest ordinary float; overflows saturate to +/-inf, underflows to 0.0."""
         if self.sign == 0:
             return 0.0
-        if self.lnmag > _EXP_OVERFLOW:
-            return math.inf * self.sign
-        return self.sign * math.exp(self.lnmag)
+        return self.sign * _saturating_exp(self.lnmag)
 
     def to_decimal(self, sig_digits: int = 3) -> str:
         """Scientific-notation string like ``-4.41e-97``.

@@ -39,7 +39,7 @@ from .model import (
     classify_outcome,
 )
 from .potential import LN_2, alpha_coefficient
-from .signedlog import SignedLogReal
+from .signedlog import SignedLogReal, _saturating_exp
 
 
 # Largest n a query accepts, so that the closed form and the V_eff search
@@ -190,6 +190,6 @@ def effective_quantum_number(energy: SignedLogReal) -> QuantumNumber:
             f"effective quantum number needs a negative SignedLogReal energy, got {_shown(energy)}",
         )
     ln_k = -0.5 * (LN_2 + energy.lnmag)
-    k_star = SignedLogReal(1, ln_k).to_float()
+    k_star = _saturating_exp(ln_k)
     nearest = int(math.floor(k_star + 0.5)) if math.isfinite(k_star) else 0
     return QuantumNumber(k_star, nearest)

@@ -593,6 +593,9 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 WEIGHT = st.integers(min_value=-2 * N_LIMIT, max_value=2 * N_LIMIT)
 MAX = sys.float_info.max
 TINY = 5e-324  # the smallest subnormal
+# the largest v whose 134217729 v is finite: Dekker's split of any larger v
+# first scales it down
+SPLIT_EDGE = float.fromhex("0x1.ffffffbffffffp+996")
 
 
 class TestExactSum:
@@ -612,6 +615,12 @@ class TestExactSum:
     @example([(2, MAX), (-2, MAX)])  # cancelling terms past the float range
     @example([(2 * N_LIMIT, -MAX), (2 * N_LIMIT, 1.0), (-2 * N_LIMIT, -MAX)])
     @example([(-1, 0.0), (1, -0.0)])
+    @example([(2 * N_LIMIT, SPLIT_EDGE), (-3, SPLIT_EDGE), (1, TINY)])  # split in place
+    @example([(-2 * N_LIMIT, math.nextafter(SPLIT_EDGE, math.inf)), (3, 1.0)])  # scaled first
+    @example([(2 * N_LIMIT, float.fromhex("0x0.fffffffffffffp-1022")), (-1, TINY)])  # subnormal v
+    @example([(-2 * N_LIMIT, float.fromhex("-0x0.8000000000001p-1022")), (1, 2.0**-1022)])
+    @example([(1, MAX), (-1, MAX), (-1, -MAX)])  # k = +-1 passes v through
+    @example([(-1, -MAX), (1, -MAX), (1, 1.0)])
     @settings(max_examples=500, deadline=None)
     def test_is_the_exact_sum_rounded_once(self, terms):
         exact = sum(Fraction(k) * Fraction(v) for k, v in terms)
@@ -632,6 +641,12 @@ class TestExactSum:
         except OverflowError:
             return
         assert got.hex() == want.hex()
+
+    def test_unit_weights_take_v_whole(self):
+        # past 2^1023 the property allows OverflowError; a k = +-1 term is
+        # never split, so its v reaches the sum whole, MAX too
+        assert _exact_sum((-1, MAX)) == -MAX
+        assert _exact_sum((1, -MAX), (-1, -MAX), (-1, MAX)) == -MAX
 
     @given(
         WEIGHT,

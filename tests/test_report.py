@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -503,6 +504,12 @@ class TestOracleEquivalenceReport:
         assert report.worst_lnmag in report.points and report.worst_r_star in report.points
         assert report.max_lnmag_deviation == max(p.lnmag_deviation for p in report.points)
         assert report.max_r_star_deviation == max(p.r_star_deviation for p in report.points)
+
+    def test_search_effort_per_point(self):
+        # each point carries its search's slope calls (2 535 in all): their
+        # histogram pins the Brent path, and no point takes more than 11
+        effort = Counter(p.evaluations for p in oracle_equivalence_report(16, 64).points)
+        assert effort == {6: 201, 7: 108, 8: 40, 9: 20, 10: 4, 11: 3}
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(InvalidParameterError):
