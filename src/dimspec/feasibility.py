@@ -40,10 +40,10 @@ from .model import (
     Classification,
     scheme_m,
 )
-from .potential import alpha_coefficient
+from .potential import N_LIMIT, alpha_coefficient
 from .refdata import PUBLISHED_MEMBERS, TABLE1_E0
 from .signedlog import SignedLogReal
-from .spectrum import N_LIMIT, EnergyQuery, e0_general
+from .spectrum import EnergyQuery, e0_general
 
 # Bounds of the (D, n) grid that scan accepts: the paper's whole parameter
 # space, 1008 closed-form points per scheme.

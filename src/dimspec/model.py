@@ -136,10 +136,6 @@ class EnergyOutcome:
         return self.classification is Classification.BOUND
 
     @classmethod
-    def bound(cls, energy: SignedLogReal) -> "EnergyOutcome":
-        return cls(Classification.BOUND, energy=energy)
-
-    @classmethod
     def invalid(cls, code: str, reason: str) -> "EnergyOutcome":
         return cls(Classification.INVALID, reason_code=code, reason=reason)
 

@@ -23,11 +23,19 @@ LN_SQRT_PI = 0.5 * LN_PI
 LN_2 = math.log(2.0)
 LN_4 = math.log(4.0)
 
+# Largest n an energy query accepts, so that the closed form and the V_eff
+# search both stay in their float range. Up to it the two agree to 1e-8 in
+# ln|E| at D = 2, 3, 64 and 10 000, beta = 1, n and 2n - 1, alpha = 1e-100, 1
+# and 1e100; at n = 1e5 the closed form keeps only six digits, and past
+# n ~ 1e308 the float 2n ln 2 overflows.
+N_LIMIT = 10_000
+
 # Largest dimension alpha_coefficient and alpha_m1_closed_form accept, and
-# largest twice log_gamma_half does. Their gamma factors are summed term by
-# term, so the cost grows linearly in D: about 1 ms at this bound, about a
-# day at D = 1e12.
-D_LIMIT = 10_000
+# largest twice log_gamma_half does: the last D of the widest window, the
+# m = n one, at N_LIMIT, so every D a window lists has a coupling. Their
+# gamma factors are summed term by term, so the cost grows linearly in D:
+# about 1.3 ms at this bound, about nine hours at D = 1e12.
+D_LIMIT = 4 * N_LIMIT
 
 
 @lru_cache(maxsize=None)

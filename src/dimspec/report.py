@@ -16,17 +16,18 @@ that do not apply. ``_record_row`` is the one formatter of a record's cells;
 ``record_fields`` and every CLI table take their cells from it.
 
 Each record of ``scan``'s memo (``feasibility._GRID_RECORDS``, at most 2 016
-records, one per grid point and scheme) gets one wire entry, made the first
-time a writer meets it in a list of memoized records: its two texts, its CSV
-line as ``_render_cells`` writes it and its JSON object as ``render_json``
-writes it inside an array, less its opening brace. The entries a list lacks
-are cut from one call of each writer over those records. Each format has its
-own index from text to record. A list of records that are all the memoized
-objects is written as its entries' texts joined, the CSV header first, each
-JSON body after its brace in the array's frame. Equality is not enough: a
+records, one per grid point and scheme) gets a text in a format the first
+time that format's writer meets it in a list of memoized records: its CSV
+line as ``_render_cells`` writes it, or its JSON object as ``render_json``
+writes it inside an array, less its opening brace. The texts a list lacks
+are cut from one call of that writer over those records; a write never
+makes the other format's texts. Each format keeps its texts by record and
+indexes its records by text. A list of records that are all the memoized
+objects is written as their texts joined, the CSV header first, each JSON
+body after its brace in the array's frame. Equality is not enough: a
 coupling lnmag of -0.0 equals the memoized 0.0 but writes its own sign. Any
 other list is written record by record by the one formatter and makes no
-entry, not even for the memoized records in it.
+text, not even for the memoized records in it.
 
 Each format has two read paths. A ``str`` document that is exactly the
 header line and memoized records' lines, or exactly the array's frame
@@ -46,7 +47,7 @@ the reader cannot split at all, a CSV cell past ``csv.field_size_limit()``
 or JSON nested past the recursion limit, is rejected as ``bad-header`` (in
 the CSV header), ``unparseable`` (in a CSV row) or ``bad-json``. So
 ``parse(render(x)) == x`` for every record this library writes, no parsed
-record contradicts the evaluator, and a parse adds no wire entry.
+record contradicts the evaluator, and a parse adds no wire text.
 
 ``render_csv`` and ``render_json`` are the writers behind every CLI table;
 ``_render_cells``, behind ``render_csv`` and ``render_records_csv``, is the
@@ -79,7 +80,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimspecError, InvalidParameterError, _shown, require_int
 from .feasibility import (
@@ -97,7 +98,7 @@ from .refdata import TABLE1_E0
 from .signedlog import SignedLogReal, _LN10, _saturating_exp
 from .spectrum import EnergyQuery, e0_scheme_m1, e0_scheme_m1_rederived, e0_scheme_mn
 from .oracle import minimize_v_eff
-from .potential import D_LIMIT
+from .potential import D_LIMIT, N_LIMIT
 
 CSV_COLUMNS = [
     "D",
@@ -189,10 +190,11 @@ def scheme_m1_discrepancies(n: int) -> list[M1Discrepancy]:
     Empty for n = 1 (the forms coincide there); non-empty for every n > 1,
     which is the point: the printed form is not a rewriting of the general
     result once n exceeds 1. Two bound energies agree when their ln|E| differ
-    by at most 1e-12 relative. n runs up to (D_LIMIT - 1) // 2, where the
-    window's last D reaches D_LIMIT; the gamma sums cost ~n^2, seconds there.
+    by at most 1e-12 relative. n runs up to N_LIMIT while the window's last
+    D, 2n + 1, stays within D_LIMIT; the gamma sums cost ~n^2, about 6 s of
+    CPU at n = 10 000 in a fresh process.
     """
-    require_int("n", n, 1, (D_LIMIT - 1) // 2)
+    require_int("n", n, 1, min(N_LIMIT, (D_LIMIT - 1) // 2))
     out: list[M1Discrepancy] = []
     for D in bound_dims(n, Scheme.M_EQUALS_ONE).members:
         printed = e0_scheme_m1(D, n)
@@ -274,37 +276,29 @@ def _record_from_fields(f: dict) -> ScanRecord:
     return rec
 
 
-class _WireEntry(NamedTuple):
-    """The texts of one memoized record, as the one writer of each format
-    writes them: its CSV line, ending in its newline, and its JSON object as
-    it stands inside an array, after its opening brace."""
-
-    rec: ScanRecord
-    csv_line: str
-    json_body: str
-
-
-# The wire entry of every memoized record a writer has met, keyed by id(rec):
-# an entry holds its record, so no other object takes that id while the
-# entry lives. Beside it, one index per format keys each such record by its
-# text there, its CSV line without the newline or its JSON body, which that
-# format's parser matches whole documents against. Only a record in
-# _GRID_RECORDS gets an entry, so _WIRE and each index hold at most 2 016.
-_WIRE: dict[int, _WireEntry] = {}
+# Each format's texts of the memoized records its writer has met, its CSV
+# line without the newline or its JSON object after the opening brace:
+# _CSV_TEXT and _JSON_TEXT key each text by id(rec), and _CSV_ROWS and
+# _JSON_ROWS each record by its text, which that format's parser matches
+# whole documents against. An id stays valid because only a record the grid
+# memo holds gets a text, and the memo keeps that record for the life of the
+# process. So each map holds at most 2 016 entries.
+_CSV_TEXT: dict[int, str] = {}
 _CSV_ROWS: dict[str, ScanRecord] = {}
+_JSON_TEXT: dict[int, str] = {}
 _JSON_ROWS: dict[str, ScanRecord] = {}
 
 
-def _wire_entries(records: list) -> Optional[list[_WireEntry]]:
-    """The wire entry of each of ``records``, if every one is the very record
-    the grid memo holds; None if any is not, an equal one included: a
+def _wire_texts(records: list, texts: dict, index: dict, cut) -> Optional[list[str]]:
+    """One format's text of each of ``records``, if every one is the very
+    record the grid memo holds; None if any is not, an equal one included: a
     coupling's lnmag of -0.0 equals the memoized 0.0 but writes its own sign.
-    The entries a list lacks are made together, cut from one call of each
-    writer over those records; a list that gets None gets no entry."""
-    entries = [_WIRE.get(id(rec)) for rec in records]
-    if all(entries):
-        return entries
-    missing = {id(rec): rec for rec, entry in zip(records, entries) if entry is None}
+    The texts a list lacks are cut together, by ``cut`` of those records'
+    rows, into ``texts`` and ``index``; a list that gets None gets none."""
+    found = [texts.get(id(rec)) for rec in records]
+    if all(found):
+        return found
+    missing = {id(rec): rec for rec, text in zip(records, found) if text is None}
     for rec in missing.values():
         if not isinstance(rec, ScanRecord):
             raise InvalidParameterError("not-a-record", f"need a ScanRecord, got {_shown(rec)}")
@@ -312,17 +306,21 @@ def _wire_entries(records: list) -> Optional[list[_WireEntry]]:
         key = (rec.params.D, rec.params.n)
         if not any(memo.get(key) is rec for memo in _GRID_RECORDS.values()):
             return None
-    rows = [_record_row(rec) for rec in missing.values()]
-    # the writers' own output for these records, cut at the record
-    # boundaries: the CSV text at each newline after the header line, since
-    # no cell holds one, and the JSON array into its objects' bodies
-    lines = _render_cells(CSV_COLUMNS, rows).split("\n")[1:-1]
-    bodies = _json_bodies(render_json([dict(zip(CSV_COLUMNS, row)) for row in rows]))
-    for rec, line, body in zip(missing.values(), lines, bodies, strict=True):
-        _WIRE[id(rec)] = _WireEntry(rec, line + "\n", body)
-        _CSV_ROWS[line] = rec
-        _JSON_ROWS[body] = rec
-    return [_WIRE[id(rec)] for rec in records]
+    made = cut([_record_row(rec) for rec in missing.values()])
+    for rec, text in zip(missing.values(), made, strict=True):
+        texts[id(rec)] = text
+        index[text] = rec
+    return [texts[id(rec)] for rec in records]
+
+
+def _csv_lines(rows: list) -> list[str]:
+    """The one CSV writer's lines for ``rows``: no cell holds a newline."""
+    return _render_cells(CSV_COLUMNS, rows).split("\n")[1:-1]
+
+
+def _json_objects(rows: list) -> list[str]:
+    """The bodies of the objects the one JSON writer writes for ``rows``."""
+    return _json_bodies(render_json([dict(zip(CSV_COLUMNS, row)) for row in rows]))
 
 
 def _where(f: dict) -> str:
@@ -392,12 +390,12 @@ def _record_list(records: Iterable[ScanRecord]) -> list:
 
 def render_records_csv(records: Iterable[ScanRecord]) -> str:
     """Records to CSV, input order preserved. A list of memoized records is
-    the header and its entries' lines joined; any other list is written
-    row by row by the one formatter."""
+    the header and their lines joined; any other list is written row by row
+    by the one formatter."""
     records = _record_list(records)
-    entries = _wire_entries(records)
-    if entries is not None:
-        return CSV_HEADER + "\n" + "".join([entry.csv_line for entry in entries])
+    lines = _wire_texts(records, _CSV_TEXT, _CSV_ROWS, _csv_lines)
+    if lines is not None:
+        return "\n".join([CSV_HEADER, *lines, ""])
     return _render_cells(CSV_COLUMNS, map(_record_row, records))
 
 
@@ -460,12 +458,12 @@ def _csv_cells(row: list) -> dict:
 
 def render_records_json(records: Iterable[ScanRecord]) -> str:
     """Records to a JSON array of flat objects, input order preserved. A
-    non-empty list of memoized records is its entries' objects joined in
-    the array's frame; any other list is encoded whole by the one formatter."""
+    non-empty list of memoized records is their objects joined in the
+    array's frame; any other list is encoded whole by the one formatter."""
     records = _record_list(records)
-    entries = _wire_entries(records)
-    if entries:
-        return "[\n  {" + ",\n  {".join([entry.json_body for entry in entries]) + "\n]"
+    bodies = _wire_texts(records, _JSON_TEXT, _JSON_ROWS, _json_objects)
+    if bodies:
+        return "[\n  {" + ",\n  {".join(bodies) + "\n]"
     return render_json([record_fields(rec) for rec in records])
 
 

@@ -38,16 +38,8 @@ from .model import (
     classify_coupling,
     classify_outcome,
 )
-from .potential import LN_2, alpha_coefficient
+from .potential import LN_2, N_LIMIT, alpha_coefficient
 from .signedlog import SignedLogReal, _saturating_exp
-
-
-# Largest n a query accepts, so that the closed form and the V_eff search
-# both stay in their float range. Up to it the two agree to 1e-8 in ln|E| at
-# D = 2, 3, 64 and 10 000, beta = 1, n and 2n - 1, alpha = 1e-100, 1 and 1e100;
-# at n = 1e5 the closed form keeps only six digits, and past n ~ 1e308 the
-# float 2n ln 2 overflows.
-N_LIMIT = 10_000
 
 
 @dataclass(frozen=True, slots=True)

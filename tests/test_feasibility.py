@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from dimspec import (
 from dimspec import feasibility
 from dimspec.feasibility import D_MAX, D_MIN, N_MAX, N_MIN
 from dimspec.model import scheme_m
-from dimspec.spectrum import N_LIMIT
+from dimspec.potential import N_LIMIT
 from dimspec.report import record_fields
 
 
@@ -102,6 +103,22 @@ class TestOneClassificationPerWindow:
     @settings(max_examples=60)
     def test_windows_up_to_n_limit(self, n, scheme):
         assert bound_dims(n, scheme).members == _bound_dims_per_d(n, scheme)
+
+
+class TestEveryListedDimensionEvaluates:
+    """D_LIMIT reaches the last D of the widest window, so every dimension a
+    window of n <= N_LIMIT lists has a coupling and a bound energy."""
+
+    @pytest.mark.parametrize(
+        "n,scheme", [(N_LIMIT - 1, Scheme.M_EQUALS_N), (N_LIMIT, Scheme.M_EQUALS_ONE)]
+    )
+    def test_the_widest_windows_evaluate_bound(self, n, scheme):
+        members = bound_dims(n, scheme).members
+        assert len(members) == 2 * n - 1
+        rng = random.Random(n)
+        for D in (members[0], members[-1], *rng.sample(members, 4)):
+            outcome = evaluate_point(D, n, scheme).outcome
+            assert outcome.is_bound and outcome.energy.sign == -1, (D, n, scheme)
 
 
 class TestUniversalExclusion:

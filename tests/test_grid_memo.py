@@ -1,20 +1,21 @@
 """The grid memo: ``scan`` makes the record of each grid point once per
-process, ``report`` keeps one wire entry beside each memoized record it
-writes, with its CSV line and JSON object texts, and both parsers return
-the memoized records for a document that is exactly their texts joined;
-any other document takes the rebuild path and returns fresh records.
+process, each format's writer in ``report`` keeps its own text of each
+memoized record it writes, the CSV line or the JSON object, and both
+parsers return the memoized records for a document that is exactly their
+texts joined; any other document takes the rebuild path and returns fresh
+records.
 
 These tests pin what the memo must not change or outgrow: it holds at most
 one record per grid point and scheme, 2 016 in all; only a scan adds one;
-only a writer adds a wire entry, entries never outnumber the memoized
-records, and the text index holds their two texts each and nothing else; a
-repeated scan returns the same objects, equal to what the uncached
-``evaluate_point`` makes; the writers give any list, memoized records or
-not, the bytes of the plain writers; and the whole-text path gives what
-the rebuild path gives, a record with the same bits or an error with the
-same type, code and message, however one cell of a grid record's CSV or
-JSON, only the text of one CSV cell, or a whole document's lines are
-edited.
+only a format's writer adds a text of that format, and only for a memoized
+record, and each format's index holds its texts and nothing else; a write
+of one format cuts no text of the other; a repeated scan returns the same
+objects, equal to what the uncached ``evaluate_point`` makes; the writers
+give any list, memoized records or not, the bytes of the plain writers; and
+the whole-text path gives what the rebuild path gives, a record with the
+same bits or an error with the same type, code and message, however one
+cell of a grid record's CSV or JSON, only the text of one CSV cell, or a
+whole document's lines are edited.
 """
 
 import csv
@@ -54,23 +55,22 @@ def _memo_size() -> int:
     return sum(map(len, _GRID_RECORDS.values()))
 
 
-def _texts(entry) -> tuple[str, str]:
-    """The two texts an entry is indexed by, one per format's index: its CSV
-    line without the newline, and its JSON object after the opening brace."""
-    return entry.csv_line[:-1], entry.json_body
+# each format's texts, keyed by id(rec), and its index from text to record
+WIRE_MAPS = ((report._CSV_TEXT, report._CSV_ROWS), (report._JSON_TEXT, report._JSON_ROWS))
 
 
 def _wire_size() -> int:
-    """Wire entries, after checking that each format's index holds exactly
-    that format's text of each entry, each naming a record with an entry and
-    that text, and no record without an entry. At n = 1 the mn and m1
-    records without a published energy have the same texts, so two entries
-    may share their keys."""
-    for i, index in enumerate((report._CSV_ROWS, report._JSON_ROWS)):
-        assert set(index) == {_texts(entry)[i] for entry in report._WIRE.values()}
-        assert all(text == _texts(report._WIRE[id(rec)])[i] for text, rec in index.items())
-        assert len(index) <= len(report._WIRE)
-    return len(report._WIRE)
+    """Records with a wire text in either format, after checking that each
+    format's index holds exactly that format's texts, each naming a record
+    with that text, and that no record the grid memo does not hold has a
+    text. At n = 1 the mn and m1 records without a published energy have the
+    same texts, so two records may share a key."""
+    memo_ids = {id(rec) for memo in _GRID_RECORDS.values() for rec in memo.values()}
+    for texts, index in WIRE_MAPS:
+        assert set(index) == set(texts.values())
+        assert all(texts[id(rec)] == text for text, rec in index.items())
+        assert len(index) <= len(texts) and set(texts) <= memo_ids
+    return len(report._CSV_TEXT.keys() | report._JSON_TEXT.keys())
 
 
 def _no_text_index():
@@ -119,14 +119,15 @@ class TestMemoBound:
         unscanned = evaluate_point(7, 3, Scheme.M_EQUALS_ONE)
         (scanned,) = scan([3], [1], Scheme.M_EQUALS_ONE)
         # an equal record that is not the memoized object writes the memoized
-        # record's texts but gets no wire entry; parsing them adds none
+        # record's texts but gets no wire text; parsing them adds none
         equal = evaluate_point(3, 1, Scheme.M_EQUALS_ONE)
         for records in ([explicit], [unscanned], [equal], [scanned], [equal]):
             for render, parse in FORMATS:
                 text = render(records)
                 size = _wire_size()
                 assert parse(text) == records and _wire_size() == size
-        assert _memo_size() == 1 and _wire_size() == 1 and id(scanned) in report._WIRE
+        assert _memo_size() == 1 and _wire_size() == 1
+        assert all(id(scanned) in texts for texts, _ in WIRE_MAPS)
         for render, parse in FORMATS:
             assert parse(render([equal]))[0] is scanned
 
@@ -143,7 +144,7 @@ class TestMemoBound:
     def test_wire_entries_stay_within_the_grid_memo(self, empty_memo, loops):
         grids = [scan(DS, NS, scheme) for scheme in SCHEMES]
         # texts from equal records the memo does not hold, so that writing
-        # them makes no entry and only the render loops do
+        # them makes no wire text and only the render loops do
         texts = [
             (render_records_csv(fresh), render_records_json(fresh))
             for fresh in (
@@ -167,7 +168,7 @@ class TestMemoBound:
                 assert len(report._CSV_ROWS) <= 2016 and len(report._JSON_ROWS) <= 2016
 
 
-# -- wire entries --------------------------------------------------------------
+# -- wire texts ----------------------------------------------------------------
 
 
 class TestWireEntries:
@@ -198,13 +199,30 @@ class TestWireEntries:
         assert csv_text == report._render_cells(CSV_COLUMNS, map(report._record_row, records))
         assert json_text == json.dumps([record_fields(rec) for rec in records], indent=2)
 
+    def test_a_write_cuts_only_its_own_formats_texts(self, empty_memo):
+        records = [rec for scheme in SCHEMES for rec in scan(DS, NS, scheme)]
+        with mock.patch.object(report, "render_json", wraps=report.render_json) as dumps:
+            render_records_csv(records)
+        assert dumps.call_count == 0
+        assert len(report._CSV_TEXT) == 2016 and not report._JSON_TEXT and not report._JSON_ROWS
+        csv_maps = dict(report._CSV_TEXT), dict(report._CSV_ROWS)
+        with mock.patch.object(
+            report, "_render_cells", wraps=report._render_cells
+        ) as cells, mock.patch.object(report, "render_json", wraps=report.render_json) as dumps:
+            json_text = render_records_json(records)
+        assert cells.call_count == 0 and dumps.call_count == 1
+        assert (report._CSV_TEXT, report._CSV_ROWS) == csv_maps
+        assert len(report._JSON_TEXT) == 2016 and _wire_size() == 2016
+        assert json_text == json.dumps([record_fields(rec) for rec in records], indent=2)
+
     def test_a_text_of_one_format_answers_only_its_own_parser(self, empty_memo):
         # each format keys its own index, so a memoized record's CSV line in
         # the JSON frame, or its JSON body under the CSV header, is read by
         # the rebuild path and rejected, never taken for the record
         (rec,) = scan([7], [3], Scheme.M_EQUALS_N)
         render_records_csv([rec])
-        line, body = _texts(report._WIRE[id(rec)])
+        render_records_json([rec])
+        line, body = report._CSV_TEXT[id(rec)], report._JSON_TEXT[id(rec)]
         with pytest.raises(InvalidParameterError) as exc:
             parse_records_json("[\n  {" + line + "\n]")
         assert exc.value.code == "bad-json"
@@ -224,7 +242,7 @@ class TestWireEntries:
         for line, rec in zip(lines, records, strict=True):
             (got,) = parse_records_csv(header + line)
             assert _is_or_twin(got, rec)
-            assert line == report._WIRE[id(rec)].csv_line
+            assert line == report._CSV_TEXT[id(rec)] + "\n"
         assert _result(parse_records_csv, text) == _rebuild_result(parse_records_csv, text)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -234,20 +252,22 @@ class TestWireEntries:
             assert fresh == rec and fresh is not rec
             assert render_records_csv([rec]) == render_records_csv([fresh])
             assert render_records_json([rec]) == render_records_json([fresh])
-            assert report._WIRE[id(rec)].rec is rec and id(fresh) not in report._WIRE
+            for texts, index in WIRE_MAPS:
+                assert _is_or_twin(index[texts[id(rec)]], rec) and id(fresh) not in texts
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_an_equal_record_writes_its_own_zero_sign(self, scheme):
         (rec,) = scan([3], [1], scheme)
         assert rec.alpha.lnmag == 0.0
-        render_records_csv([rec])  # the memoized record's entry exists
+        for render, _ in FORMATS:  # the memoized record's texts exist
+            render([rec])
         signed = dataclasses.replace(rec, alpha=SignedLogReal(1, -0.0))
         assert signed == rec
         csv_row = render_records_csv([signed]).splitlines()[1].split(",")
         assert csv_row[CSV_COLUMNS.index("alpha_lnmag")] == "-0.0"
         assert '"alpha_lnmag": -0.0' in render_records_json([signed])
         assert '"alpha_lnmag": 0.0' in render_records_json([rec])
-        assert id(signed) not in report._WIRE
+        assert not any(id(signed) in texts for texts, _ in WIRE_MAPS)
 
 
 # -- whole-text path against rebuild path --------------------------------------
@@ -374,7 +394,8 @@ class TestWholeTextPathEqualsRebuildPath:
     def test_one_edited_cell(self, point, scheme, edit, data):
         D, n = point
         (rec,) = scan([D], [n], scheme)
-        render_records_csv([rec])  # the memoized record's entry exists
+        for render, _ in FORMATS:  # the memoized record's texts exist
+            render([rec])
         entry = _edited(record_fields(rec), edit, data.draw)
         # in the writers' layout, which the whole-text match reads
         json_text, csv_text = json.dumps([entry], indent=2), _csv_text(entry)
@@ -392,7 +413,7 @@ class TestWholeTextPathEqualsRebuildPath:
     def test_one_edited_cell_text(self, point, scheme, edit, col):
         D, n = point
         (rec,) = scan([D], [n], scheme)
-        # writing the record makes its entry, so its own text is matched
+        # writing the record makes its CSV text, so its own text is matched
         written = render_records_csv([rec]).splitlines()[1]
         cells = dict(zip(CSV_COLUMNS, next(csv.reader([written]))))
         if edit == "negative-zero":
@@ -407,7 +428,7 @@ class TestWholeTextPathEqualsRebuildPath:
         (rec,) = scan([3], [1], scheme)
         assert rec.alpha.lnmag == 0.0
         signed = dataclasses.replace(rec, alpha=SignedLogReal(1, -0.0))
-        # the equal record's texts, with the memoized record's entry made, so
+        # the equal record's texts, with the memoized record's text made, so
         # the whole-text match is live and misses
         for render, parse in FORMATS:
             text = render([signed])
@@ -593,7 +614,7 @@ class TestWriterBytes:
     @pytest.mark.parametrize("write", [render_records_csv, render_records_json])
     def test_an_iterator_writes_its_lists_bytes(self, write):
         # the writers pass over their argument twice, first for the wire
-        # entries; a one-shot iterator of a list that is not all memoized once
+        # texts; a one-shot iterator of a list that is not all memoized once
         # wrote the bare frame
         memo = scan([3, 5], [1], Scheme.M_EQUALS_N)
         for records in (
@@ -610,9 +631,9 @@ class TestWriterBytes:
         (m1,) = scan([3], [1], Scheme.M_EQUALS_ONE)
         fresh = evaluate_point(7, 3, Scheme.M_EQUALS_N)
         # a list not all memoized falls back to the plain writers and makes
-        # no entry, not even for its memoized records; a record twice in a
-        # list gets one entry
-        for records, entries in (
+        # no text, not even for its memoized records; a record twice in a
+        # list gets one text in each format
+        for records, written in (
             ([], 0),
             ([published, fresh], 0),
             ([published, published], 1),
@@ -621,4 +642,4 @@ class TestWriterBytes:
             ([published, m1], 2),
         ):
             self._check(records)
-            assert _wire_size() == entries
+            assert _wire_size() == written

@@ -43,8 +43,7 @@ from dimspec import (
     scheme_m1_discrepancies,
     sort_records,
 )
-from dimspec.potential import D_LIMIT
-from dimspec.spectrum import N_LIMIT
+from dimspec.potential import D_LIMIT, N_LIMIT
 
 _VALUES = st.one_of(
     # the lattice near its lower edges, where most domains start

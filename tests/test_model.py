@@ -135,7 +135,7 @@ class TestPotentialSpec:
 class TestEnergyOutcome:
     def test_bound_requires_negative(self):
         with pytest.raises(InvalidParameterError):
-            EnergyOutcome.bound(SignedLogReal.from_float(0.5))
+            EnergyOutcome(Classification.BOUND, energy=SignedLogReal.from_float(0.5))
 
     def test_non_bound_rejects_energy(self):
         with pytest.raises(InvalidParameterError):

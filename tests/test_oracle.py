@@ -42,7 +42,7 @@ from dimspec.oracle import (
     _series,
     _series_terms,
 )
-from dimspec.spectrum import N_LIMIT
+from dimspec.potential import N_LIMIT
 
 # Frozen from the development run of this module's own search (the value the
 # closed forms are then required to reproduce).

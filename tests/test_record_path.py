@@ -44,8 +44,7 @@ from dimspec import (
 )
 from dimspec.feasibility import D_MAX, D_MIN, N_MAX, N_MIN, build_record
 from dimspec.model import scheme_m
-from dimspec.potential import D_LIMIT
-from dimspec.spectrum import N_LIMIT
+from dimspec.potential import D_LIMIT, N_LIMIT
 
 # past the 4 300 digits repr prints, so a message shows its bit length
 BIG = 10**5000
@@ -131,19 +130,19 @@ PINS = {
     "alpha-float": (alpha_coefficient, (3.0, 1), *_not_int("D", "3.0")),
     "alpha-str": (alpha_coefficient, ("3", 1), *_not_int("D", "'3'")),
     "alpha-D-low": (alpha_coefficient, (1, 1), "out-of-domain", "need D >= 2, got 1"),
-    "alpha-D-high": (alpha_coefficient, (10_001, 1), "out-of-domain", "need D <= 10000, got 10001"),
+    "alpha-D-high": (alpha_coefficient, (40_001, 1), "out-of-domain", "need D <= 40000, got 40001"),
     "alpha-m-low": (alpha_coefficient, (3, 0), "out-of-domain", "need m >= 1, got 0"),
     "alpha-short-range": (alpha_coefficient, (3, 2), "short-range", SHORT),
     "alpha-big": (
         alpha_coefficient, (BIG, 1), "out-of-domain",
-        f"need D <= 10000, got {BIG_SHOWN}",
+        f"need D <= 40000, got {BIG_SHOWN}",
     ),
     "alpha-two-bad": (alpha_coefficient, (1, 0), "out-of-domain", "need D >= 2, got 1"),
     "alpha-m-float": (alpha_coefficient, (3, 1.0), *_not_int("m", "1.0")),
     "alpha-m-str": (alpha_coefficient, (3, "1"), *_not_int("m", "'1'")),
     "alpha-type-then-range": (alpha_coefficient, (3.0, 0), *_not_int("D", "3.0")),
     "alpha-range-then-type": (
-        alpha_coefficient, (10_001, True), "out-of-domain", "need D <= 10000, got 10001",
+        alpha_coefficient, (40_001, True), "out-of-domain", "need D <= 40000, got 40001",
     ),
     # SignedLogReal(sign, lnmag): sign in {-1, 0, 1}, lnmag finite and 0.0 at sign 0
     "slr-bool": (SignedLogReal, (True, 0.0), "bad-sign", SIGN + "True"),
@@ -262,7 +261,9 @@ def test_each_rejection_is_pinned(call, args, code, message):
 SLOTTED = {
     "SystemParams": (SystemParams(3, 1, 1), "D"),
     "PotentialSpec": (PotentialSpec(SignedLogReal(1, 0.5), 1), "beta"),
-    "EnergyOutcome": (EnergyOutcome.bound(SignedLogReal(-1, -2.0)), "energy"),
+    "EnergyOutcome": (
+        EnergyOutcome(Classification.BOUND, energy=SignedLogReal(-1, -2.0)), "energy"
+    ),
     "ScanRecord": (_ROW, "paper_value"),
     "SignedLogReal": (SignedLogReal(-1, -2.0), "lnmag"),
     "EnergyQuery": (EnergyQuery(ALPHA, 1, 1, 3), "n"),
@@ -420,5 +421,5 @@ class TestRecordPathBitIdentity:
         with pytest.raises(InvalidParameterError) as err:
             evaluate_point(D_LIMIT + 1, 1, Scheme.M_EQUALS_N)
         assert (err.value.code, str(err.value)) == (
-            "out-of-domain", "need D <= 10000, got 10001"
+            "out-of-domain", "need D <= 40000, got 40001"
         )

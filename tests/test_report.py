@@ -522,7 +522,8 @@ class TestOracleEquivalenceReport:
         # records are made, under a memo emptied for this test
         def shifted(query):
             outcome = e0_general(query)
-            return EnergyOutcome.bound(SignedLogReal(-1, outcome.energy.lnmag + 1e-6))
+            energy = SignedLogReal(-1, outcome.energy.lnmag + 1e-6)
+            return EnergyOutcome(Classification.BOUND, energy=energy)
 
         monkeypatch.setattr("dimspec.feasibility.e0_general", shifted)
         assert oracle_equivalence_report(5, 20).max_r_star_deviation > 1e-9

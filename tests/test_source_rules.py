@@ -40,11 +40,11 @@ copy of it elsewhere:
   published energies that belong to the m = n scheme;
 * each wire format has one writer: only ``report._render_cells`` builds a
   ``csv.writer``, and only ``report.render_json`` calls ``json.dumps``. A
-  memoized record's cached CSV line and JSON object are cut from one call
-  of those writers over the records a write lacks, so a whole document
+  memoized record's cached CSV line or JSON object is cut from one call of
+  its format's writer over the records a write lacks, so a whole document
   joined from them is what the writers write;
 * each wire format has two read paths, the whole-text match and the
-  rebuild: in ``report.py`` only ``_wire_entries`` reads the grid memo
+  rebuild: in ``report.py`` only ``_wire_texts`` reads the grid memo
   ``_GRID_RECORDS``, so no parser looks a row up in it;
 * the numpy floor in ``pyproject.toml`` is 2 or more while the library
   calls ``np.trapezoid``, which numpy 2.0 added;
@@ -388,7 +388,7 @@ def test_only_the_wire_entry_reads_the_grid_memo():
         if isinstance(func, ast.FunctionDef)
         and any(getattr(n, "id", getattr(n, "attr", None)) in memo for n in ast.walk(func))
     ]
-    assert readers == ["_wire_entries"]
+    assert readers == ["_wire_texts"]
 
 
 ERROR_CLASSES = ["DimspecError", "InvalidParameterError", "NoConvergenceError"]

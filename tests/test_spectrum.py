@@ -19,7 +19,7 @@ from dimspec import (
     effective_quantum_number,
     scheme_m1_discrepancies,
 )
-from dimspec.spectrum import N_LIMIT
+from dimspec.potential import N_LIMIT
 
 # Frozen values computed with the effective-potential minimization oracle
 # (60-digit golden-section search) before the closed forms were trusted.
