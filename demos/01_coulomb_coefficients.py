@@ -8,7 +8,15 @@
 
 import math
 
-from dimspec import alpha_coefficient, alpha_m1_closed_form, log_gamma_half
+from dimspec import alpha_coefficient, log_gamma_half
+
+
+def nature(spec):
+    """Logarithmic when the power law has no coefficient, else its sign."""
+    if spec.alpha is None:
+        return "logarithmic"
+    return "attractive" if spec.alpha.sign > 0 else "repulsive"
+
 
 # The coefficients are built from gamma values on the half-integer lattice,
 # evaluated by exact recurrence in log space; log_gamma_half takes twice the
@@ -23,13 +31,16 @@ spec = alpha_coefficient(3, 1)
 print(f"D=3, m=1: alpha = {spec.alpha.to_float():.15f}, beta = {spec.beta}")
 print()
 
-# Walking up in dimension with m = 1, the coupling keeps a closed form;
-# the general expression and its reduced m = 1 version must agree.
+# Walking up in dimension with m = 1, the coupling keeps a closed form,
+# 2 Gamma(D/2) / (pi^(D/2 - 1) (D - 2)); the general expression and this
+# reduced m = 1 version, here through math.lgamma, must agree.
 print(" D   alpha (general)      alpha (m=1 closed form)")
 for D in (3, 4, 5, 7, 9, 12):
     general = alpha_coefficient(D, 1).alpha
-    closed = alpha_m1_closed_form(D)
-    print(f"{D:>2}   {general.to_float():<20.12g} {closed.to_float():.12g}")
+    closed = math.exp(
+        math.log(2) + math.lgamma(D / 2) - (D / 2 - 1) * math.log(math.pi) - math.log(D - 2)
+    )
+    print(f"{D:>2}   {general.to_float():<20.12g} {closed:.12g}")
 print()
 
 # Even powers m flip the overall sign: the "Coulomb" force becomes
@@ -37,10 +48,10 @@ print()
 print(" m   D=2m+3 coefficient    nature")
 for m in range(1, 6):
     spec = alpha_coefficient(2 * m + 3, m)
-    print(f"{m:>2}   {spec.alpha.to_float():>+.6e}     {spec.nature.value}")
+    print(f"{m:>2}   {spec.alpha.to_float():>+.6e}     {nature(spec)}")
 print()
 
 # At D = 2m the power law collapses (beta = 0): the potential turns
 # logarithmic and the coefficient is undefined rather than an error.
 spec = alpha_coefficient(6, 3)
-print(f"D=6, m=3: beta = {spec.beta}, nature = {spec.nature.value}, alpha = {spec.alpha}")
+print(f"D=6, m=3: beta = {spec.beta}, nature = {nature(spec)}, alpha = {spec.alpha}")

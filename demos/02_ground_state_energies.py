@@ -14,8 +14,8 @@ from dimspec import (
     bound_dims,
     e0_general,
     e0_scheme_m1,
-    e0_scheme_m1_rederived,
     e0_scheme_mn,
+    evaluate_point,
     scheme_m1_discrepancies,
 )
 
@@ -45,7 +45,7 @@ print()
 print("m = 1 scheme, n = 3")
 print(" D   E0 (hartree)")
 for D in bound_dims(3, Scheme.M_EQUALS_ONE).members:
-    out = e0_scheme_m1_rederived(D, 3)
+    out = evaluate_point(D, 3, Scheme.M_EQUALS_ONE).outcome
     print(f"{D:>2}   {out.energy.to_decimal()}")
 print()
 

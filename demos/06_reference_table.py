@@ -7,7 +7,16 @@
 # the table), so the report shows both values and the log10 ratio rather
 # than forcing a match.
 
-from dimspec import SignedLogReal, effective_quantum_number, table1_compare
+import math
+
+from dimspec import SignedLogReal, table1_compare
+
+
+def effective_k(energy):
+    """k* with E = -1/(2 k*^2), and the integer nearest it."""
+    k_star = math.exp(-(math.log(2.0) + energy.lnmag) / 2)
+    return k_star, math.floor(k_star + 0.5)
+
 
 print(f"{'(D,n)':>8} {'computed':>13} {'published':>12} {'log10 ratio':>12}")
 for row in table1_compare():
@@ -22,10 +31,10 @@ print()
 # same energy: E = -1/(2 k^2). The published (7,3) value corresponds to a
 # Rydberg-like k of 35.
 published_7_3 = SignedLogReal.from_float(-0.00041)
-q = effective_quantum_number(published_7_3)
-print(f"published (7,3) energy -0.00041 Ha -> k* = {q.k_star:.2f} (nearest {q.nearest})")
+k_star, nearest = effective_k(published_7_3)
+print(f"published (7,3) energy -0.00041 Ha -> k* = {k_star:.2f} (nearest {nearest})")
 
 computed_7_3 = next(r for r in table1_compare() if (r.D, r.n) == (7, 3))
-q = effective_quantum_number(computed_7_3.computed_E0.energy)
+k_star, nearest = effective_k(computed_7_3.computed_E0.energy)
 print(f"computed  (7,3) energy {computed_7_3.computed_E0.energy.to_decimal()} Ha "
-      f"-> k* = {q.k_star:.2f} (nearest {q.nearest})")
+      f"-> k* = {k_star:.2f} (nearest {nearest})")

@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict
+from decimal import Decimal
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional
@@ -65,6 +66,19 @@ def _parse_int_values(text: str) -> Iterator[int]:
     if not spans:
         raise argparse.ArgumentTypeError(f"empty integer set {text!r}")
     return chain.from_iterable(spans)
+
+
+def _coupling(text: str) -> float:
+    """The float of an ``energy --alpha`` literal. A nonzero literal that
+    rounds to zero, such as 1e-400, is rejected: as 0.0 it would read as no
+    coupling and classify as repulsive."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if value == 0.0 and Decimal(text) != 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is nonzero but below the float range")
+    return value
 
 
 def _write(args, text, payload=None, csv_rows=None, csv_columns=()) -> None:
@@ -176,11 +190,15 @@ def cmd_energy(args) -> int:
 
 def cmd_potential(args) -> int:
     spec = alpha_coefficient(args.D, args.m)
+    if spec.alpha is None:
+        nature = "logarithmic"
+    else:
+        nature = "attractive" if spec.alpha.sign > 0 else "repulsive"
     row = {
         "D": args.D,
         "m": args.m,
         "beta": spec.beta,
-        "nature": spec.nature.value,
+        "nature": nature,
         "alpha": _json_float(spec.alpha),
         "alpha_sign": spec.alpha.sign if spec.alpha is not None else None,
         "alpha_lnmag": spec.alpha.lnmag if spec.alpha is not None else None,
@@ -334,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy.add_argument("--n", type=int, required=True)
     p_energy.add_argument("--m", type=int, default=None)
     p_energy.add_argument("--scheme", choices=sorted(s.value for s in Scheme), default="mn")
-    p_energy.add_argument("--alpha", type=float, default=None, help="explicit coupling")
+    p_energy.add_argument("--alpha", type=_coupling, default=None, help="explicit coupling")
     p_energy.add_argument("--beta", type=int, default=None, help="explicit decay exponent")
     _add_io_flags(p_energy)
     p_energy.set_defaults(func=cmd_energy)

@@ -25,12 +25,12 @@ bounded by this one.
 
 from __future__ import annotations
 
-__all__ = ["FeasibilityWindow", "bound_dims", "evaluate_point", "excluded_dims_universal", "scan"]
+__all__ = ["FeasibilityWindow", "bound_dims", "evaluate_point", "scan"]
 
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import DimspecError, InvalidParameterError, require_int
+from .errors import InvalidParameterError, require_int
 from .model import (
     ScanRecord,
     Scheme,
@@ -83,22 +83,6 @@ def bound_dims(n: int, scheme: Scheme) -> FeasibilityWindow:
     published = PUBLISHED_MEMBERS.get((scheme, n))
     omitted = tuple(sorted(set(members) - set(published))) if published else ()
     return FeasibilityWindow(n, scheme, d_min, d_max, members, omitted)
-
-
-def excluded_dims_universal() -> list[int]:
-    """Dimensions 4, 5, 6 admit no bound state for any n in the m = n scheme.
-
-    Verified by exhaustive enumeration of every window up to n = 64 before
-    the set is returned; a window that held one would be a broken invariant,
-    raised as a bare DimspecError, not as the caller's invalid input.
-    """
-    excluded = {4, 5, 6}
-    for n in range(1, 64 + 1):
-        window = bound_dims(n, Scheme.M_EQUALS_N)
-        overlap = excluded & set(window.members)
-        if overlap:  # cannot happen: (2n, 4n) misses {4,5,6} for every odd n
-            raise DimspecError(f"window for n={n} contains {sorted(overlap)}")
-    return sorted(excluded)
 
 
 def build_record(

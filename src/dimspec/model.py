@@ -12,7 +12,6 @@ from __future__ import annotations
 __all__ = [
     "Classification",
     "EnergyOutcome",
-    "PotentialNature",
     "PotentialSpec",
     "ScanRecord",
     "Scheme",
@@ -45,12 +44,6 @@ class Classification(Enum):
     REPULSIVE = "repulsive"
     LOGARITHMIC = "logarithmic"
     INVALID = "invalid"
-
-
-class PotentialNature(Enum):
-    ATTRACTIVE = "attractive"
-    REPULSIVE = "repulsive"
-    LOGARITHMIC = "logarithmic"
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,13 +88,6 @@ class PotentialSpec:
 
     alpha: Optional[SignedLogReal]
     beta: int
-
-    @property
-    def nature(self) -> PotentialNature:
-        """Logarithmic when there is no alpha, otherwise the sign of alpha."""
-        if self.alpha is None:
-            return PotentialNature.LOGARITHMIC
-        return PotentialNature.ATTRACTIVE if self.alpha.sign > 0 else PotentialNature.REPULSIVE
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,7 +9,7 @@ error; no Stirling or Lanczos fit is involved.
 
 from __future__ import annotations
 
-__all__ = ["alpha_coefficient", "alpha_m1_closed_form", "log_gamma_half"]
+__all__ = ["alpha_coefficient", "log_gamma_half"]
 
 import math
 from functools import lru_cache
@@ -30,10 +30,10 @@ LN_4 = math.log(4.0)
 # n ~ 1e308 the float 2n ln 2 overflows.
 N_LIMIT = 10_000
 
-# Largest dimension alpha_coefficient and alpha_m1_closed_form accept, and
-# largest twice log_gamma_half does: the last D of the widest window, the
-# m = n one, at N_LIMIT, so every D a window lists has a coupling. Their
-# gamma factors are summed term by term, so the cost grows linearly in D:
+# Largest dimension alpha_coefficient accepts, and largest twice
+# log_gamma_half does: the last D of the widest window, the m = n one, at
+# N_LIMIT, so every D a window lists has a coupling. Their gamma factors
+# are summed term by term, so the cost grows linearly in D:
 # about 1.3 ms at this bound, about nine hours at D = 1e12.
 D_LIMIT = 4 * N_LIMIT
 
@@ -83,19 +83,3 @@ def alpha_coefficient(D: int, m: int) -> PotentialSpec:
         - _log_gamma_twice(2 * m)
     )
     return PotentialSpec(alpha=SignedLogReal(1 if m % 2 == 1 else -1, lnmag), beta=beta)
-
-
-def alpha_m1_closed_form(D: int) -> SignedLogReal:
-    """m = 1 coupling in its reduced closed form 2 Gamma(D/2) / (pi^(D/2-1) (D-2)).
-
-    Kept as an independently coded expression so the general coefficient can
-    be cross-checked against it; both must agree for every 3 <= D <= D_LIMIT.
-    """
-    require_int("D", D, 3, D_LIMIT, "out-of-domain")
-    lnmag = (
-        LN_2
-        + log_gamma_half(D)
-        - (D - 2) * 0.5 * LN_PI
-        - math.log(D - 2)
-    )
-    return SignedLogReal(1, lnmag)

@@ -91,12 +91,13 @@ from .feasibility import (
     _GRID_RECORDS,
     bound_dims,
     build_record,
+    evaluate_point,
     scan,
 )
 from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams
 from .refdata import TABLE1_E0
 from .signedlog import SignedLogReal, _LN10, _saturating_exp
-from .spectrum import EnergyQuery, e0_scheme_m1, e0_scheme_m1_rederived, e0_scheme_mn
+from .spectrum import EnergyQuery, e0_scheme_m1, e0_scheme_mn
 from .oracle import minimize_v_eff
 from .potential import D_LIMIT, N_LIMIT
 
@@ -185,7 +186,8 @@ class M1Discrepancy:
 
 
 def scheme_m1_discrepancies(n: int) -> list[M1Discrepancy]:
-    """Compare the printed m = 1 form against the rederived route over its window.
+    """Compare the printed m = 1 form over its window against the general
+    route: the outcome of the record ``evaluate_point`` makes there.
 
     Empty for n = 1 (the forms coincide there); non-empty for every n > 1,
     which is the point: the printed form is not a rewriting of the general
@@ -198,7 +200,7 @@ def scheme_m1_discrepancies(n: int) -> list[M1Discrepancy]:
     out: list[M1Discrepancy] = []
     for D in bound_dims(n, Scheme.M_EQUALS_ONE).members:
         printed = e0_scheme_m1(D, n)
-        rederived = e0_scheme_m1_rederived(D, n)
+        rederived = evaluate_point(D, n, Scheme.M_EQUALS_ONE).outcome
         if printed.is_bound and rederived.is_bound:
             gap = printed.energy.lnmag - rederived.energy.lnmag
             if abs(gap) <= 1e-12 * max(1.0, abs(rederived.energy.lnmag)):

@@ -16,19 +16,11 @@ sits below 1e-150 - evaluate without overflow.
 
 from __future__ import annotations
 
-__all__ = [
-    "EnergyQuery",
-    "QuantumNumber",
-    "e0_general",
-    "e0_scheme_m1",
-    "e0_scheme_m1_rederived",
-    "e0_scheme_mn",
-    "effective_quantum_number",
-]
+__all__ = ["EnergyQuery", "e0_general", "e0_scheme_m1", "e0_scheme_mn"]
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import InvalidParameterError, _shown, require_int
 from .model import (
@@ -39,7 +31,7 @@ from .model import (
     classify_outcome,
 )
 from .potential import LN_2, N_LIMIT, alpha_coefficient
-from .signedlog import SignedLogReal, _saturating_exp
+from .signedlog import SignedLogReal
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,39 +141,7 @@ def e0_scheme_m1(D: int, n: int) -> EnergyOutcome:
     of the m = n form, which is non-positive for D <= 2n even though the
     m = 1 bound window 2 < D < 2(n+1) admits such D when n > 1. Those points
     return an invalid outcome tagged ``printed-form-undefined`` rather than
-    a guessed value; see ``e0_scheme_m1_rederived`` for the well-defined
-    route through the general evaluator.
+    a guessed value; the general evaluator, as ``evaluate_point`` runs it
+    under ``Scheme.M_EQUALS_ONE``, is well defined on the whole window.
     """
     return _e0_printed(D, n, 1)
-
-
-def e0_scheme_m1_rederived(D: int, n: int) -> EnergyOutcome:
-    """m = 1 scheme routed through the general evaluator, coupling alpha(D, 1).
-
-    Well defined on the whole window 2 < D < 2(n+1), including the D <= 2n
-    points where the printed form breaks down.
-    """
-    spec = alpha_coefficient(D, 1)
-    return e0_general(EnergyQuery(spec.alpha, spec.beta, n, D))
-
-
-class QuantumNumber(NamedTuple):
-    k_star: float
-    nearest: int
-
-
-def effective_quantum_number(energy: SignedLogReal) -> QuantumNumber:
-    """Principal quantum number of the ordinary 3-D hydrogen level with this energy.
-
-    Inverts E = -1/(2 k^2) to k* = sqrt(1/(2|E|)); the nearest integer is
-    rounded half away from zero.
-    """
-    if not isinstance(energy, SignedLogReal) or energy.sign != -1:
-        raise InvalidParameterError(
-            "nonnegative-energy",
-            f"effective quantum number needs a negative SignedLogReal energy, got {_shown(energy)}",
-        )
-    ln_k = -0.5 * (LN_2 + energy.lnmag)
-    k_star = _saturating_exp(ln_k)
-    nearest = int(math.floor(k_star + 0.5)) if math.isfinite(k_star) else 0
-    return QuantumNumber(k_star, nearest)

@@ -17,14 +17,11 @@ from dimspec import (
     Scheme,
     SignedLogReal,
     alpha_coefficient,
-    alpha_m1_closed_form,
     bound_dims,
     e0_general,
     e0_scheme_m1,
-    e0_scheme_m1_rederived,
     e0_scheme_mn,
-    effective_quantum_number,
-    excluded_dims_universal,
+    evaluate_point,
     oracle_equivalence_report,
     parse_records_csv,
     parse_records_json,
@@ -36,6 +33,8 @@ from dimspec import (
     sort_records,
     table1_compare,
 )
+from test_potential import alpha_m1_reference
+from test_spectrum import hydrogen_k_star
 
 _LN10 = math.log(10.0)
 
@@ -55,8 +54,8 @@ def test_criterion_01_normalization_anchor():
         assert abs(anchor.to_float() - 1.0) <= 1e-14
         for D in range(3, 41):
             general = alpha_coefficient(D, 1).alpha
-            closed = alpha_m1_closed_form(D)
-            rel = abs(math.expm1(general.lnmag - closed.lnmag))
+            closed = alpha_m1_reference(D)
+            rel = abs(math.expm1(general.lnmag - closed))
             assert rel <= 1e-12, D
 
 
@@ -87,9 +86,9 @@ def test_criterion_04_scheme_consistency():
                 assert printed.is_bound and general.is_bound
                 gap = abs(printed.energy.lnmag - general.energy.lnmag)
                 assert gap <= 1e-10 * max(1.0, abs(general.energy.lnmag)), (D, n)
-        # n = 1, D = 3: the printed m = 1 form and the rederived route agree
+        # n = 1, D = 3: the printed m = 1 form and the general route agree
         a = e0_scheme_m1(3, 1).energy.lnmag
-        b = e0_scheme_m1_rederived(3, 1).energy.lnmag
+        b = evaluate_point(3, 1, Scheme.M_EQUALS_ONE).outcome.energy.lnmag
         assert abs(a - b) <= 1e-12
         # n > 1: the printed-form discrepancy report is non-empty
         for n in (3, 5, 7):
@@ -102,7 +101,9 @@ def test_criterion_05_feasibility_lists():
         assert bound_dims(3, Scheme.M_EQUALS_N).members == (7, 8, 9, 10, 11)
         for n in (2, 4, 6, 8, 10):
             assert bound_dims(n, Scheme.M_EQUALS_N).members == ()
-        assert excluded_dims_universal() == [4, 5, 6]
+        # D = 4, 5 and 6 are bound for no n
+        for n in range(1, 64 + 1):
+            assert not {4, 5, 6} & set(bound_dims(n, Scheme.M_EQUALS_N).members), n
         window = bound_dims(3, Scheme.M_EQUALS_ONE)
         assert window.members == (3, 4, 5, 6, 7)
         assert window.paper_omitted == (4,)
@@ -157,13 +158,11 @@ def test_criterion_08_monotonicity_and_uniqueness():
 
 def test_criterion_09_rydberg_equivalence():
     with budget("9 Rydberg equivalence", 1.0):
-        q = effective_quantum_number(SignedLogReal.from_float(-0.00041))
-        assert q.nearest == 35
+        assert round(hydrogen_k_star(SignedLogReal.from_float(-0.00041))) == 35
         for k in range(1, 101):
-            level = SignedLogReal.from_float(-1.0 / (2.0 * k * k))
-            got = effective_quantum_number(level)
-            assert abs(got.k_star - k) <= 1e-12 * k
-            assert got.nearest == k
+            got = hydrogen_k_star(SignedLogReal.from_float(-1.0 / (2.0 * k * k)))
+            assert abs(got - k) <= 1e-12 * k
+            assert round(got) == k
 
 
 def test_criterion_10_serialization_round_trip():

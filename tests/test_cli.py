@@ -124,6 +124,16 @@ class TestEnergy:
         assert code == 1
         assert "dimspec: invalid parameters:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("alpha", ["1e-400", "-1e-400", "0.1e-323"])
+    def test_nonzero_alpha_below_the_float_range_exit_code(self, capsys, alpha):
+        # as a float it would be 0.0: no coupling, a repulsive record
+        code, out, err = run(
+            capsys, "energy", "--scheme", "explicit", "--D", "3", "--n", "1",
+            f"--alpha={alpha}", "--beta", "1",
+        )
+        assert code == 1 and out == ""
+        assert "is nonzero but below the float range" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("n", ["10001", "9" * 401])
     def test_n_above_limit_exit_code(self, capsys, n):
         code, out, err = run(
@@ -159,6 +169,9 @@ class TestEnergy:
             ("0.5", "0", "logarithmic"),
             ("-0.5", "3", "repulsive"),
             ("0", "3", "repulsive"),
+            ("-0.0", "3", "repulsive"),
+            ("0e-400", "3", "repulsive"),
+            ("5e-324", "3", "bound"),
             ("0.5", "4", "divergent"),
             ("0.5", "5", "singular"),
             ("0.5", "-1", "invalid"),

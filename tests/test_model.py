@@ -6,7 +6,6 @@ from dimspec import (
     Classification,
     EnergyOutcome,
     InvalidParameterError,
-    PotentialNature,
     PotentialSpec,
     Scheme,
     SignedLogReal,
@@ -128,8 +127,9 @@ class TestClassifyRegime:
 class TestPotentialSpec:
     def test_a_zero_coupling_is_repulsive(self):
         # as classify_coupling calls every non-positive coupling repulsive
-        assert PotentialSpec(SignedLogReal(0), 2).nature is PotentialNature.REPULSIVE
-        assert classify_coupling(2, 0, 1) is Classification.REPULSIVE
+        spec = PotentialSpec(SignedLogReal(0), 2)
+        assert spec.alpha.sign == 0
+        assert classify_coupling(spec.beta, spec.alpha.sign, 1) is Classification.REPULSIVE
 
 
 class TestEnergyOutcome:

@@ -14,9 +14,8 @@ from dimspec import (
     bound_dims,
     e0_general,
     e0_scheme_m1,
-    e0_scheme_m1_rederived,
     e0_scheme_mn,
-    effective_quantum_number,
+    evaluate_point,
     scheme_m1_discrepancies,
 )
 from dimspec.potential import N_LIMIT
@@ -136,17 +135,23 @@ class TestSchemeMN:
             assert gap <= 1e-10 * max(1.0, abs(general.energy.lnmag)), (D, n)
 
 
+def m1_general(D, n):
+    """The general route under the m = 1 scheme: the outcome of the record
+    ``evaluate_point`` makes."""
+    return evaluate_point(D, n, Scheme.M_EQUALS_ONE).outcome
+
+
 class TestSchemeM1:
     def test_anchor_n1(self):
         printed = e0_scheme_m1(3, 1)
-        rederived = e0_scheme_m1_rederived(3, 1)
+        rederived = m1_general(3, 1)
         mn = e0_scheme_mn(3, 1)
         for out in (printed, rederived, mn):
             assert out.energy.to_float() == pytest.approx(-1.0 / 9.0, rel=1e-12)
 
     def test_logarithmic_floor(self):
         assert e0_scheme_m1(2, 1).classification is Classification.LOGARITHMIC
-        assert e0_scheme_m1_rederived(2, 3).classification is Classification.LOGARITHMIC
+        assert m1_general(2, 3).classification is Classification.LOGARITHMIC
 
     def test_printed_form_undefined_below_2n(self):
         out = e0_scheme_m1(5, 3)
@@ -163,11 +168,11 @@ class TestSchemeM1:
 
     def test_rederived_covers_whole_window(self):
         for D in range(3, 8):
-            assert e0_scheme_m1_rederived(D, 3).is_bound, D
+            assert m1_general(D, 3).is_bound, D
 
     def test_window_upper_boundary(self):
         # D = 2(n+1) is the divergent edge of the m = 1 window
-        assert e0_scheme_m1_rederived(8, 3).classification is Classification.DIVERGENT
+        assert m1_general(8, 3).classification is Classification.DIVERGENT
         assert e0_scheme_m1(8, 3).classification is Classification.DIVERGENT
 
     def test_discrepancy_report_empty_for_n1(self):
@@ -190,39 +195,36 @@ class TestSchemeM1:
         assert scheme_m1_discrepancies(n)
 
 
+def hydrogen_k_star(energy: SignedLogReal) -> float:
+    """k* of the ordinary 3-D hydrogen level E = -1/(2 k*^2) with this
+    energy, read from its ln|E| alone."""
+    return math.exp(-(math.log(2.0) + energy.lnmag) / 2)
+
+
 class TestEffectiveQuantumNumber:
+    """A level's SignedLogReal carries ln|E| closely enough to give back
+    its principal quantum number."""
+
     def test_ground_level(self):
-        q = effective_quantum_number(SignedLogReal.from_float(-0.5))
-        assert q.k_star == pytest.approx(1.0, abs=1e-12)
-        assert q.nearest == 1
+        k = hydrogen_k_star(SignedLogReal.from_float(-0.5))
+        assert k == pytest.approx(1.0, abs=1e-12)
+        assert round(k) == 1
 
     def test_second_level(self):
-        q = effective_quantum_number(SignedLogReal.from_float(-0.125))
-        assert q.k_star == pytest.approx(2.0, abs=1e-12)
-        assert q.nearest == 2
-
-    def test_a_level_too_shallow_for_floats_has_no_nearest_integer(self):
-        # k* = e^1000 / sqrt(2) is past the float range: it reads inf, and no
-        # integer is nearest to it
-        q = effective_quantum_number(SignedLogReal(-1, -2000.0))
-        assert q.k_star == math.inf
-        assert q.nearest == 0
+        k = hydrogen_k_star(SignedLogReal.from_float(-0.125))
+        assert k == pytest.approx(2.0, abs=1e-12)
+        assert round(k) == 2
 
     def test_reference_row(self):
-        q = effective_quantum_number(SignedLogReal.from_float(-0.00041))
-        assert q.k_star == pytest.approx(34.9215147884, rel=1e-9)
-        assert q.nearest == 35
+        k = hydrogen_k_star(SignedLogReal.from_float(-0.00041))
+        assert k == pytest.approx(34.9215147884, rel=1e-9)
+        assert round(k) == 35
 
     @pytest.mark.parametrize("k", list(range(1, 101)))
     def test_inverts_hydrogen_levels(self, k):
-        energy = SignedLogReal.from_float(-1.0 / (2.0 * k * k))
-        q = effective_quantum_number(energy)
-        assert abs(q.k_star - k) <= 1e-12 * k
-        assert q.nearest == k
-
-    def test_rejects_nonnegative(self):
-        with pytest.raises(InvalidParameterError):
-            effective_quantum_number(SignedLogReal.from_float(0.25))
+        got = hydrogen_k_star(SignedLogReal.from_float(-1.0 / (2.0 * k * k)))
+        assert abs(got - k) <= 1e-12 * k
+        assert round(got) == k
 
 
 class TestMonotonicity:
