@@ -69,9 +69,10 @@ def _parse_int_values(text: str) -> Iterator[int]:
 
 
 def _coupling(text: str) -> float:
-    """The float of an ``energy --alpha`` literal. A nonzero literal that
-    rounds to zero, such as 1e-400, is rejected: as 0.0 it would read as no
-    coupling and classify as repulsive."""
+    """The float of an ``energy --alpha`` or ``radial --alpha`` literal. A
+    nonzero literal that rounds to zero, such as 1e-400, is rejected: as 0.0
+    ``energy`` would read it as no coupling and classify it as repulsive, and
+    ``radial`` would reject it naming 0.0, a value the caller never gave."""
     try:
         value = float(text)
     except ValueError:
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_radial = subs.add_parser("radial", help="Numerov shooting eigensolver (n = 1)")
     p_radial.add_argument("--D", type=int, required=True)
-    p_radial.add_argument("--alpha", type=float, required=True)
+    p_radial.add_argument("--alpha", type=_coupling, required=True)
     p_radial.add_argument("--beta", type=int, default=1)
     p_radial.add_argument(
         "--convention", choices=sorted(c.value for c in KineticConvention), default="full"

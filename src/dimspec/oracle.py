@@ -10,7 +10,9 @@ Two routes that share no algebra with the spectrum module:
   there at a rate of 2n beta |V_min|, so the root is resolved to
   ~1e-16 / (2n - beta). The reported energy, one value at the root, is
   factored as -alpha r^-beta (1 - e^d), whose logarithm is a sum that floats
-  round once, with no cancellation.
+  round once, with no cancellation. The search itself is ``_veff_search``,
+  which checks nothing: ``minimize_v_eff`` is its checked entry point, and
+  the oracle sweep, ``report.oracle_equivalence_report``, calls it directly.
 
 * ``radial_ground_state`` solves the n = 1 reduced radial equation by
   Numerov sweeps in x = ln r, with the grid, each sweep's cutoff and the
@@ -144,14 +146,27 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
             tag.value,
             f"no interior minimum for alpha sign {sign}, beta={q.beta}, n={q.n}: {tag.value}",
         )
-    two_n, beta = 2 * q.n, q.beta
+    x, ln_e, evaluations = _veff_search(q.n, q.beta, q.D, q.alpha.lnmag)
+    return VeffMinimum(
+        r_star=_saturating_exp(x),
+        e_min=SignedLogReal(-1, ln_e),
+        ln_r_star=x,
+        evaluations=evaluations,
+    )
+
+
+def _veff_search(n: int, beta: int, D: int, ln_alpha: float) -> tuple[float, float, int]:
+    """``minimize_v_eff``'s search at a coupling already known to be bound:
+    ln r*, ln |E| and the slope calls. It checks nothing it is given; a
+    coupling past what floats resolve raises NoConvergenceError."""
+    two_n = 2 * n
     # ln A with A = (D/2)^(2n), and the stationarity estimate of ln r*, from
     # r*^(2n-beta) = 2n A / (alpha beta)
-    ln_amp = two_n * (math.log(q.D) - LN_2)
-    x_seed = (math.log(two_n) + ln_amp - q.alpha.lnmag - math.log(beta)) / (two_n - beta)
+    ln_amp = two_n * (math.log(D) - LN_2)
+    x_seed = (math.log(two_n) + ln_amp - ln_alpha - math.log(beta)) / (two_n - beta)
     # ln |V_eff(r*)|: the potential is divided by it, so that its slope near
     # the minimum is of order 1
-    ln_scale = q.alpha.lnmag - beta * x_seed + math.log1p(-beta / two_n)
+    ln_scale = ln_alpha - beta * x_seed + math.log1p(-beta / two_n)
     # V_eff / |V(r*)| = p e^(-2n t) - q e^(-beta t) at ln r = x_seed + t; the
     # slope's rates 2n p and beta q come from exponents as the float inputs
     # give them, not from the identity p = beta / (2n - beta). An extreme alpha
@@ -159,10 +174,10 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
     # an inf, a nan or a term it cannot hold, and math.exp overflows.
     try:
         p_rate = two_n * math.exp(_exact_sum((1, ln_amp), (-1, ln_scale), (-two_n, x_seed)))
-        q_rate = beta * math.exp(_exact_sum((1, q.alpha.lnmag), (-1, ln_scale), (-beta, x_seed)))
+        q_rate = beta * math.exp(_exact_sum((1, ln_alpha), (-1, ln_scale), (-beta, x_seed)))
     except (OverflowError, ValueError):
         raise NoConvergenceError(
-            f"coupling ln alpha = {q.alpha.lnmag!r} is outside the search's float range"
+            f"coupling ln alpha = {ln_alpha!r} is outside the search's float range"
         ) from None
     evaluations = 0
 
@@ -190,27 +205,22 @@ def minimize_v_eff(q: EnergyQuery) -> VeffMinimum:
         else:
             cause = f"the seed terms at ln r* = {x_seed!r} lost the bits that place the root"
         raise NoConvergenceError(
-            f"coupling ln alpha = {q.alpha.lnmag!r} is outside the search's float range: {cause}"
+            f"coupling ln alpha = {ln_alpha!r} is outside the search's float range: {cause}"
         )
     x = _brent_zero(slope, a, b, slope_a, slope_b, _VEFF_TOL, 1.0)
 
     # d = ln(kinetic / coupling term) ~ ln(beta / 2n): 1 - e^d is in [1/2n, 1]
-    d = _exact_sum((1, ln_amp), (-1, q.alpha.lnmag), (beta - two_n, x))
+    d = _exact_sum((1, ln_amp), (-1, ln_alpha), (beta - two_n, x))
     if d >= 0.0:
         raise NoConvergenceError("search ended on a non-negative minimum")
-    ln_e = _exact_sum((1, q.alpha.lnmag), (-beta, x), (1, math.log(-math.expm1(d))))
+    ln_e = _exact_sum((1, ln_alpha), (-beta, x), (1, math.log(-math.expm1(d))))
 
     if abs(x - x_seed) > 1e-10 * max(1.0, abs(x_seed)):
         raise NoConvergenceError(
             f"search minimizer ln r = {x!r} disagrees with the stationarity "
             f"estimate {x_seed!r}"
         )
-    return VeffMinimum(
-        r_star=_saturating_exp(x),
-        e_min=SignedLogReal(-1, ln_e),
-        ln_r_star=x,
-        evaluations=evaluations,
-    )
+    return x, ln_e, evaluations
 
 
 class KineticConvention(Enum):

@@ -97,8 +97,8 @@ from .feasibility import (
 from .model import EnergyOutcome, ScanRecord, Scheme, SystemParams
 from .refdata import TABLE1_E0
 from .signedlog import SignedLogReal, _LN10, _saturating_exp
-from .spectrum import EnergyQuery, e0_scheme_m1, e0_scheme_mn
-from .oracle import minimize_v_eff
+from .spectrum import e0_scheme_m1, e0_scheme_mn
+from .oracle import _veff_search
 from .potential import D_LIMIT, N_LIMIT
 
 CSV_COLUMNS = [
@@ -574,6 +574,9 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
     the scan grid, [N_MIN, N_MAX] and [D_MIN, D_MAX]; they are checked
     before any work. Each point's coupling and closed form are its ``scan``
     record's, so the sweep reads the grid memo and fills it as a scan does.
+    A record in a ``bound_dims`` window is bound and its coupling was checked
+    when it was built, so each point goes straight to ``minimize_v_eff``'s
+    search, ``_veff_search``, with no query rebuilt and checked again.
     """
     require_int("max_n", max_n, N_MIN, N_MAX, "range-bounds")
     require_int("max_D", max_D, D_MIN, D_MAX, "range-bounds")
@@ -584,7 +587,7 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
             continue
         for rec in scan(window, (n,), scheme):
             alpha, beta, closed = rec.alpha, rec.beta, rec.outcome.energy.lnmag
-            found = minimize_v_eff(EnergyQuery(alpha, beta, n, rec.params.D))
+            x, ln_e, evaluations = _veff_search(n, beta, rec.params.D, alpha.lnmag)
             # the closed form's r*: |E0| = alpha r*^-beta (1 - beta/2n)
             ln_r_closed = (alpha.lnmag + math.log1p(-beta / (2 * n)) - closed) / beta
             points.append(
@@ -593,10 +596,10 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
                     n=n,
                     scheme=scheme,
                     lnmag_closed=closed,
-                    lnmag_oracle=found.e_min.lnmag,
-                    r_star_search=found.r_star,
+                    lnmag_oracle=ln_e,
+                    r_star_search=_saturating_exp(x),
                     r_star_closed=_saturating_exp(ln_r_closed),
-                    evaluations=found.evaluations,
+                    evaluations=evaluations,
                 )
             )
     if not points:

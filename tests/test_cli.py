@@ -551,6 +551,20 @@ class TestRadial:
         assert code == 1
         assert "invalid parameters" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("alpha", ["1e-400", "-1e-400", "0.1e-323"])
+    def test_nonzero_alpha_below_the_float_range_exit_code(self, capsys, alpha):
+        # as a float it would be 0.0, and the range check would name 0.0
+        code, out, err = run(capsys, "radial", "--D", "3", f"--alpha={alpha}")
+        assert code == 1 and out == ""
+        assert "is nonzero but below the float range" in err and "Traceback" not in err
+        assert "got 0.0" not in err and "got -0.0" not in err
+
+    def test_zero_alpha_names_the_range(self, capsys):
+        code, out, err = run(capsys, "radial", "--D", "3", "--alpha", "0")
+        assert code == 1 and out == ""
+        assert "radial solver needs 1e-100 <= |alpha| <= 1e100, got 0.0" in err
+        assert "Traceback" not in err
+
     def test_dimension_above_limit_exit_code(self, capsys):
         code, out, err = run(capsys, "radial", "--D", "1316", "--alpha", "1", "--convention", "half")
         assert code == 1 and out == ""

@@ -14,11 +14,13 @@ from dimspec import (
     Classification,
     DimspecError,
     EnergyOutcome,
+    EnergyQuery,
     InvalidParameterError,
     Scheme,
     SignedLogReal,
     SystemParams,
     e0_general,
+    minimize_v_eff,
     oracle_equivalence_report,
     parse_records_csv,
     parse_records_json,
@@ -510,6 +512,16 @@ class TestOracleEquivalenceReport:
         # histogram pins the Brent path, and no point takes more than 11
         effort = Counter(p.evaluations for p in oracle_equivalence_report(16, 64).points)
         assert effort == {6: 201, 7: 108, 8: 40, 9: 20, 10: 4, 11: 3}
+
+    def test_the_sweep_runs_the_public_search(self):
+        # the sweep calls the search behind minimize_v_eff directly; the
+        # public route, from each point's scan record, gives the same bits
+        for p in oracle_equivalence_report(16, 64).points:
+            (rec,) = scan([p.D], (p.n,), p.scheme)
+            found = minimize_v_eff(EnergyQuery(rec.alpha, rec.beta, p.n, p.D))
+            assert found.e_min.lnmag.hex() == p.lnmag_oracle.hex()
+            assert found.r_star.hex() == p.r_star_search.hex()
+            assert found.evaluations == p.evaluations
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(InvalidParameterError):
