@@ -18,9 +18,10 @@ is made once per process: ``scan`` keeps every record it makes in
 (N_MAX - N_MIN + 1) points x 2 schemes = 2 016 records. ``evaluate_point``,
 which also takes points off the grid, makes a fresh record on every call,
 and a parser never adds one. The verify sweep takes its points' records
-from ``scan``, so it reads this memo and fills it as a scan does. ``report``
-keeps one wire entry beside each memoized record it writes, so that memo is
-bounded by this one.
+from ``scan``, so it reads this memo and fills it as a scan does. Each wire
+format in ``report`` keeps at most one text per memoized record it writes
+(``_CSV_TEXT``/``_CSV_ROWS``, ``_JSON_TEXT``/``_JSON_ROWS``), so those memos
+are bounded by this one.
 """
 
 from __future__ import annotations

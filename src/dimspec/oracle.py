@@ -10,9 +10,10 @@ Two routes that share no algebra with the spectrum module:
   there at a rate of 2n beta |V_min|, so the root is resolved to
   ~1e-16 / (2n - beta). The reported energy, one value at the root, is
   factored as -alpha r^-beta (1 - e^d), whose logarithm is a sum that floats
-  round once, with no cancellation. The search itself is ``_veff_search``,
-  which checks nothing: ``minimize_v_eff`` is its checked entry point, and
-  the oracle sweep, ``report.oracle_equivalence_report``, calls it directly.
+  round once, with no cancellation; ``_exact_sum`` forms each such sum,
+  a + b + k v with integer k. The search itself is ``_veff_search``, which
+  checks nothing: ``minimize_v_eff`` is its checked entry point, and the
+  oracle sweep, ``report.oracle_equivalence_report``, calls it directly.
 
 * ``radial_ground_state`` solves the n = 1 reduced radial equation by
   Numerov sweeps in x = ln r, with the grid, each sweep's cutoff and the
@@ -86,36 +87,32 @@ _SPLIT_MAX = 2.0**996
 _SHRINK = 2.0**-28
 
 
-def _exact_sum(*terms: tuple[int, float]) -> float:
-    """The sum of k v over the (k, v) pairs, rounded once. A term with
-    k = +-1 is the one part k v; any other k v is the two parts k v_hi and
-    k v_lo of Dekker's split v = v_hi + v_lo (Numer. Math. 18, 224 (1971)),
-    halves of at most 26 bits, so each part is exact for |k| < 2^26. math.fsum
-    rounds the parts' sum once (Shewchuk, Discrete Comput. Geom. 18, 305
-    (1997)): at most two parts a term, summed in C. Raises ValueError on a
-    non-finite v at |k| > 1, and OverflowError where the sum rounds past the
-    float range, where a part or a partial sum does though the total would
-    not, which needs the sum of |k v| past 2^1023, or where a v at k = +-1
-    is not finite."""
-    parts = []
-    for k, v in terms:
-        if k == 1 or k == -1:
-            parts.append(k * v)
-            continue
-        if not -_SPLIT_MAX <= v <= _SPLIT_MAX:
-            if not math.isfinite(v):
-                raise ValueError(f"cannot sum the non-finite term {v!r}")
-            v *= _SHRINK
-            k /= _SHRINK
+def _exact_sum(a: float, b: float, k: int, v: float) -> float:
+    """a + b + k v, rounded once. a, b and, at k = +-1, k v enter whole; any
+    other k v is the two parts k v_hi and k v_lo of Dekker's split
+    v = v_hi + v_lo (Numer. Math. 18, 224 (1971)), halves of at most 26 bits,
+    so each part is exact for |k| < 2^26. math.fsum rounds the parts' sum once
+    (Shewchuk, Discrete Comput. Geom. 18, 305 (1997)), in C. Raises
+    ValueError on a non-finite v at k other than +-1, and OverflowError where
+    the sum rounds past the float range, where a part or a partial sum does
+    though the total would not, which needs |a| + |b| + |k v| past 2^1023, or
+    where a, b or a v at k = +-1 is not finite."""
+    if k == 1 or k == -1:
+        parts = (a, b, k * v)
+    elif -_SPLIT_MAX <= v <= _SPLIT_MAX:
         c = _SPLITTER * v
         hi = c - (c - v)
-        parts += (k * hi, k * (v - hi))
+        parts = (a, b, k * hi, k * (v - hi))
+    elif math.isfinite(v):  # the same k v, split as (k 2^28)(v 2^-28)
+        return _exact_sum(a, b, k / _SHRINK, v * _SHRINK)
+    else:
+        raise ValueError(f"cannot sum the non-finite term {v!r}")
     try:
         total = math.fsum(parts)
     except ValueError:  # parts overflowed to both inf and -inf
         total = math.inf
-    if not math.isfinite(total):  # a part overflowed, or a v at k = +-1 was not finite
-        raise OverflowError(f"the sum of {terms!r} leaves the float range")
+    if not math.isfinite(total):  # a part overflowed, or a, b or a v at k = +-1 was not finite
+        raise OverflowError(f"the sum {a!r} + {b!r} + {k!r} * {v!r} leaves the float range")
     return total
 
 
@@ -173,20 +170,22 @@ def _veff_search(n: int, beta: int, D: int, ln_alpha: float) -> tuple[float, flo
     # carries ln r* or ln_scale past the float range, where _exact_sum meets
     # an inf, a nan or a term it cannot hold, and math.exp overflows.
     try:
-        p_rate = two_n * math.exp(_exact_sum((1, ln_amp), (-1, ln_scale), (-two_n, x_seed)))
-        q_rate = beta * math.exp(_exact_sum((1, ln_alpha), (-1, ln_scale), (-beta, x_seed)))
+        p_rate = two_n * math.exp(_exact_sum(ln_amp, -ln_scale, -two_n, x_seed))
+        q_rate = beta * math.exp(_exact_sum(ln_alpha, -ln_scale, -beta, x_seed))
     except (OverflowError, ValueError):
         raise NoConvergenceError(
             f"coupling ln alpha = {ln_alpha!r} is outside the search's float range"
         ) from None
     evaluations = 0
+    # bound once: the slope is the search's inner loop
+    neg_beta, neg_two_n, exp = -beta, -two_n, math.exp
 
     def slope(x: float) -> float:
         nonlocal evaluations
         evaluations += 1
         t = x - x_seed
         try:
-            return q_rate * math.exp(-beta * t) - p_rate * math.exp(-two_n * t)
+            return q_rate * exp(neg_beta * t) - p_rate * exp(neg_two_n * t)
         except OverflowError:  # e^(-2n t), far inside the seed
             return -math.inf
 
@@ -210,10 +209,10 @@ def _veff_search(n: int, beta: int, D: int, ln_alpha: float) -> tuple[float, flo
     x = _brent_zero(slope, a, b, slope_a, slope_b, _VEFF_TOL, 1.0)
 
     # d = ln(kinetic / coupling term) ~ ln(beta / 2n): 1 - e^d is in [1/2n, 1]
-    d = _exact_sum((1, ln_amp), (-1, ln_alpha), (beta - two_n, x))
+    d = _exact_sum(ln_amp, -ln_alpha, beta - two_n, x)
     if d >= 0.0:
         raise NoConvergenceError("search ended on a non-negative minimum")
-    ln_e = _exact_sum((1, ln_alpha), (-beta, x), (1, math.log(-math.expm1(d))))
+    ln_e = _exact_sum(ln_alpha, math.log(-math.expm1(d)), -beta, x)
 
     if abs(x - x_seed) > 1e-10 * max(1.0, abs(x_seed)):
         raise NoConvergenceError(

@@ -193,8 +193,8 @@ def scheme_m1_discrepancies(n: int) -> list[M1Discrepancy]:
     which is the point: the printed form is not a rewriting of the general
     result once n exceeds 1. Two bound energies agree when their ln|E| differ
     by at most 1e-12 relative. n runs up to N_LIMIT while the window's last
-    D, 2n + 1, stays within D_LIMIT; the gamma sums cost ~n^2, about 6 s of
-    CPU at n = 10 000 in a fresh process.
+    D, 2n + 1, stays within D_LIMIT; the gamma sums cost ~n^2, about 1.7 s
+    of CPU at n = 10 000 in a fresh process.
     """
     require_int("n", n, 1, min(N_LIMIT, (D_LIMIT - 1) // 2))
     out: list[M1Discrepancy] = []
@@ -608,6 +608,6 @@ def oracle_equivalence_report(max_n: int = 5, max_D: int = 20) -> OracleReport:
         )
     return OracleReport(
         points=points,
-        worst_lnmag=max(points, key=lambda p: p.lnmag_deviation),
-        worst_r_star=max(points, key=lambda p: p.r_star_deviation),
+        worst_lnmag=max(points, key=OraclePoint.lnmag_deviation.fget),
+        worst_r_star=max(points, key=OraclePoint.r_star_deviation.fget),
     )

@@ -598,68 +598,68 @@ TINY = 5e-324  # the smallest subnormal
 SPLIT_EDGE = float.fromhex("0x1.ffffffbffffffp+996")
 
 
+# the summands a, b and v: any finite float, with subnormals drawn often
+SUMMAND = st.one_of(FINITE, st.floats(min_value=-1e-300, max_value=1e-300))
+
+
 class TestExactSum:
-    @given(
-        st.lists(
-            st.tuples(WEIGHT, st.one_of(FINITE, st.floats(min_value=-1e-300, max_value=1e-300))),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    @example([(1, 1.0), (-1, 1.0), (3, TINY)])  # cancels onto a subnormal
-    @example([(1, 2.0**-1022), (-1, TINY)])  # subnormal result
-    @example([(1, 1.0), (1, 2.0**-53), (1, TINY)])  # a tie, broken by a subnormal
-    @example([(1, 1.0), (1, 2.0**-53), (-1, TINY)])
-    @example([(1, MAX), (1, 2.0**970)])  # the exact midpoint above MAX overflows
-    @example([(1, MAX), (1, 2.0**970), (-1, TINY)])  # just below it, still finite
-    @example([(2, MAX), (-2, MAX)])  # cancelling terms past the float range
-    @example([(2 * N_LIMIT, -MAX), (2 * N_LIMIT, 1.0), (-2 * N_LIMIT, -MAX)])
-    @example([(-1, 0.0), (1, -0.0)])
-    @example([(2 * N_LIMIT, SPLIT_EDGE), (-3, SPLIT_EDGE), (1, TINY)])  # split in place
-    @example([(-2 * N_LIMIT, math.nextafter(SPLIT_EDGE, math.inf)), (3, 1.0)])  # scaled first
-    @example([(2 * N_LIMIT, float.fromhex("0x0.fffffffffffffp-1022")), (-1, TINY)])  # subnormal v
-    @example([(-2 * N_LIMIT, float.fromhex("-0x0.8000000000001p-1022")), (1, 2.0**-1022)])
-    @example([(1, MAX), (-1, MAX), (-1, -MAX)])  # k = +-1 passes v through
-    @example([(-1, -MAX), (1, -MAX), (1, 1.0)])
+    @given(SUMMAND, SUMMAND, WEIGHT, SUMMAND)
+    @example(1.0, -1.0, 3, TINY)  # cancels onto a subnormal
+    @example(2.0**-1022, 0.0, -1, TINY)  # subnormal result
+    @example(1.0, 2.0**-53, 1, TINY)  # a tie, broken by a subnormal
+    @example(1.0, 2.0**-53, -1, TINY)
+    @example(MAX, 2.0**970, 1, 0.0)  # the exact midpoint above MAX overflows
+    @example(MAX, 2.0**970, -1, TINY)  # just below it, still finite
+    @example(-0.0, -0.0, -1, 0.0)
+    @example(TINY, 0.0, -3, SPLIT_EDGE)  # split in place
+    @example(3.0, 0.0, -2 * N_LIMIT, math.nextafter(SPLIT_EDGE, math.inf))  # scaled first
+    @example(-TINY, 0.0, 2 * N_LIMIT, float.fromhex("0x0.fffffffffffffp-1022"))  # subnormal v
+    @example(2.0**-1022, 0.0, -2 * N_LIMIT, float.fromhex("-0x0.8000000000001p-1022"))
+    @example(MAX, -MAX, -1, -MAX)  # k = +-1 passes v through
+    @example(MAX, 1.0, 1, -MAX)
+    # k = -1 at beta = 1 and at beta = 2n - 1, with v past the split's range
+    @example(1.0, -1.0, -1, 2.0**1000)
+    @example(2.0**1000, 0.5, -1, 2.0**1000)
+    @example(-MAX, 2.0**-1074, -1, math.nextafter(SPLIT_EDGE, math.inf))
     @settings(max_examples=500, deadline=None)
-    def test_is_the_exact_sum_rounded_once(self, terms):
-        exact = sum(Fraction(k) * Fraction(v) for k, v in terms)
+    def test_is_the_exact_sum_rounded_once(self, a, b, k, v):
+        exact = Fraction(a) + Fraction(b) + k * Fraction(v)
         try:
             want = float(exact)
         except OverflowError:
             with pytest.raises(OverflowError):
-                _exact_sum(*terms)
+                _exact_sum(a, b, k, v)
             return
-        if sum(abs(Fraction(k) * Fraction(v)) for k, v in terms) < 2**1023:
-            # no term k v or partial sum can leave the float range
-            assert _exact_sum(*terms).hex() == want.hex()
+        if abs(Fraction(a)) + abs(Fraction(b)) + abs(k * Fraction(v)) < 2**1023:
+            # no part or partial sum can leave the float range
+            assert _exact_sum(a, b, k, v).hex() == want.hex()
             return
-        # past half the float range, a term k v or a partial sum of the
-        # parts may overflow though the total would not: OverflowError then
+        # past half the float range, a part k v_hi or k v_lo or a partial sum
+        # of the parts may overflow though the total would not: OverflowError then
         try:
-            got = _exact_sum(*terms)
+            got = _exact_sum(a, b, k, v)
         except OverflowError:
             return
         assert got.hex() == want.hex()
 
     def test_unit_weights_take_v_whole(self):
-        # past 2^1023 the property allows OverflowError; a k = +-1 term is
-        # never split, so its v reaches the sum whole, MAX too
-        assert _exact_sum((-1, MAX)) == -MAX
-        assert _exact_sum((1, -MAX), (-1, -MAX), (-1, MAX)) == -MAX
+        # past 2^1023 the property allows OverflowError; at k = +-1, v is
+        # never split, so it reaches the sum whole, MAX too
+        assert _exact_sum(0.0, 0.0, -1, MAX) == -MAX
+        assert _exact_sum(-MAX, MAX, -1, MAX) == -MAX
 
     @given(
-        WEIGHT,
         st.sampled_from([math.inf, -math.inf, math.nan]),
-        st.lists(st.tuples(WEIGHT, FINITE), max_size=3),
-        st.data(),
+        st.sampled_from(["a", "b", "v"]),
+        FINITE,
+        FINITE,
+        WEIGHT,
     )
     @settings(max_examples=100, deadline=None)
-    def test_non_finite_term_raises(self, k, v, terms, data):
-        at = data.draw(st.integers(min_value=0, max_value=len(terms)))
-        terms.insert(at, (k, v))
+    def test_non_finite_term_raises(self, bad, at, x, y, k):
+        a, b, v = {"a": (bad, x, y), "b": (x, bad, y), "v": (x, y, bad)}[at]
         with pytest.raises((ValueError, OverflowError)):
-            _exact_sum(*terms)
+            _exact_sum(a, b, k, v)
 
 
 def _digest(rows) -> str:

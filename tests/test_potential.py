@@ -1,10 +1,14 @@
 import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimspec import InvalidParameterError, alpha_coefficient, log_gamma_half
+from dimspec import InvalidParameterError, alpha_coefficient, log_gamma_half, potential
+from dimspec.potential import D_LIMIT, LN_SQRT_PI
 
 
 def naive_gamma_product(twice: int) -> float:
@@ -18,6 +22,13 @@ def naive_gamma_product(twice: int) -> float:
     for j in range(1, (twice - 1) // 2 + 1):
         value *= j - 0.5
     return value
+
+
+def log_gamma_from_scratch(twice: int) -> float:
+    """The lattice sum with every log taken afresh, one fsum of the same terms."""
+    if twice % 2 == 0:
+        return math.fsum(math.log(j) for j in range(1, twice // 2))
+    return LN_SQRT_PI + math.fsum(math.log(j - 0.5) for j in range(1, (twice - 1) // 2 + 1))
 
 
 def alpha_m1_reference(D: int) -> float:
@@ -53,6 +64,42 @@ class TestLogGammaHalf:
             expected = math.log(naive_gamma_product(twice))
             got = log_gamma_half(twice)
             assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected)), twice
+
+    def test_kept_logs_give_the_sum_from_scratch(self, monkeypatch):
+        # from empty tables: grown one log at a time up to twice = 2 000, then
+        # in jumps, and read below their length, at 50 seeded twice up to D_LIMIT
+        monkeypatch.setattr(potential, "_LN_INT", [])
+        monkeypatch.setattr(potential, "_LN_HALF", [])
+        potential._log_gamma_twice.cache_clear()
+        rng = random.Random(50)
+        for twice in [*range(1, 2001), *rng.sample(range(2001, D_LIMIT + 1), 50)]:
+            assert log_gamma_half(twice).hex() == log_gamma_from_scratch(twice).hex(), twice
+
+    def test_threads_grow_the_kept_logs_alike(self):
+        # growing is check-then-act: two threads that both saw the same
+        # length would each append the log at that index
+        logs: list[float] = []
+        want = [math.log(1 + j) for j in range(4000)]
+        wrong = []
+
+        def grow(seed):
+            rng = random.Random(seed)
+            for count in sorted(rng.sample(range(1, 4001), 200)):
+                if potential._log_prefix(logs, 1, count) != want[:count]:
+                    wrong.append(count)
+
+        threads = [threading.Thread(target=grow, args=(seed,)) for seed in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [] and logs == want[: len(logs)]
 
     @given(twice=st.integers(min_value=1, max_value=400))
     @settings(max_examples=200)

@@ -48,9 +48,10 @@ copy of it elsewhere:
   ``_GRID_RECORDS``, so no parser looks a row up in it;
 * the numpy floor in ``pyproject.toml`` is 2 or more while the library
   calls ``np.trapezoid``, which numpy 2.0 added;
-* an exact sum of float terms is ``oracle._exact_sum``, exact float parts
-  rounded once by ``math.fsum``: no module calls ``as_integer_ratio``, so no
-  big-integer form of the same sum is kept beside it.
+* an exact sum of float exponents, a + b + k v, is ``oracle._exact_sum``,
+  exact float parts rounded once by ``math.fsum``: no module calls
+  ``as_integer_ratio``, so no big-integer form of the same sum is kept
+  beside it.
 * a failure's kind is its code and its class is its exit code:
   ``errors.py`` defines exactly ``DimspecError``, ``InvalidParameterError``
   (exit 1, its ``code`` naming the kind) and ``NoConvergenceError``, no other
