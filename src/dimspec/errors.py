@@ -4,8 +4,8 @@ caller's value.
 
 Every library failure is a ``DimspecError``, and its class is its exit code:
 ``InvalidParameterError`` (exit 1) rejects the caller's input, its ``code``
-naming the kind; ``NoConvergenceError`` and a bare ``DimspecError``, a
-broken internal invariant, exit 2."""
+naming the kind; ``NoConvergenceError`` (exit 2) is a numerical search that
+failed. The library raises no bare ``DimspecError``."""
 
 from __future__ import annotations
 

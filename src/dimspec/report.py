@@ -82,7 +82,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimspecError, InvalidParameterError, _shown, require_int
+from .errors import InvalidParameterError, _shown, require_int
 from .feasibility import (
     D_MAX,
     D_MIN,
@@ -155,23 +155,14 @@ class Table1Row:
 def table1_compare() -> list[Table1Row]:
     """Evaluate the m = n closed form at every embedded reference point.
 
-    The (3, 1) row is asserted to match the published value at its printed
-    two-figure precision; every other row is reported, never asserted, since
-    the published n > 1 values do not follow from the printed formulas.
+    Every row is reported, never checked here. Tier-1 pins the (3, 1) row to
+    the published value at its printed two-figure precision; the published
+    n > 1 values do not follow from the printed formulas.
     """
-    rows = [
+    return [
         Table1Row(D, n, TABLE1_E0[(D, n)], e0_scheme_mn(D, n))
         for (D, n) in sorted(TABLE1_E0, key=lambda k: (k[1], k[0]))
     ]
-    anchor = next(r for r in rows if (r.D, r.n) == (3, 1))
-    if not anchor.computed_E0.is_bound:
-        raise DimspecError("anchor row (3,1) failed to evaluate as bound")
-    rel = abs(anchor.computed_E0.energy.to_float() - anchor.paper_E0) / abs(anchor.paper_E0)
-    if rel > 2e-2:
-        raise DimspecError(
-            f"anchor row (3,1) deviates from the published value by {rel:.3e}"
-        )
-    return rows
 
 
 @dataclass(frozen=True)

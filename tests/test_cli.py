@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,7 +23,7 @@ from dimspec import (
     render_records_csv,
     render_records_json,
 )
-from dimspec import cli
+from dimspec import cli, oracle
 from dimspec.cli import _energy_record, build_parser, run_cli
 from dimspec.oracle import RADIAL_EXCITATION_LIMIT
 
@@ -133,6 +136,14 @@ class TestEnergy:
         )
         assert code == 1 and out == ""
         assert "is nonzero but below the float range" in err and "Traceback" not in err
+
+    def test_unreadable_alpha_exit_code(self, capsys):
+        code, out, err = run(
+            capsys, "energy", "--scheme", "explicit", "--D", "3", "--n", "1",
+            "--beta", "1", "--alpha", "abc",
+        )
+        assert code == 1 and out == ""
+        assert err.endswith("error: argument --alpha: invalid float value: 'abc'\n")
 
     @pytest.mark.parametrize("n", ["10001", "9" * 401])
     def test_n_above_limit_exit_code(self, capsys, n):
@@ -565,6 +576,16 @@ class TestRadial:
         assert "radial solver needs 1e-100 <= |alpha| <= 1e100, got 0.0" in err
         assert "Traceback" not in err
 
+    def test_numerical_failure_exits_2(self, capsys, monkeypatch):
+        # the fine solve's warm bracket, never widened, holds no sign change
+        # (tests/test_oracle.py::test_fine_solve_without_a_sign_change_raises)
+        monkeypatch.setattr(oracle, "_WARM", 1e-15)
+        monkeypatch.setattr(oracle, "_WARM_TRIES", 0)
+        code, out, err = run(capsys, "radial", "--D", "3", "--alpha", "1")
+        assert code == 2 and out == ""
+        line = r"no fine level in \[-\S+, -\S+\] about the coarse level -\S+\n"
+        assert re.fullmatch("dimspec: numerical failure: " + line, err)
+
     def test_dimension_above_limit_exit_code(self, capsys):
         code, out, err = run(capsys, "radial", "--D", "1316", "--alpha", "1", "--convention", "half")
         assert code == 1 and out == ""
@@ -587,6 +608,26 @@ class TestRadial:
         assert code == 1 and out == ""
         assert f"needs excitation <= {RADIAL_EXCITATION_LIMIT}" in err
         assert "Traceback" not in err
+
+
+class TestMain:
+    def test_python_m_dimspec(self, capsys):
+        # the installed entry point's path: __main__.py, then cli.main's exit
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+        def child(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "dimspec", *argv], capture_output=True,
+                env=dict(os.environ, PYTHONPATH=path), timeout=120,
+            )
+
+        argv = ["energy", "--D", "3", "--n", "1", "--format", "csv"]
+        done = child(*argv)
+        assert (done.returncode, done.stdout) == (0, run(capsys, *argv)[1].encode())
+        done = child("energy", "--D", "1", "--n", "1")
+        assert done.returncode == 1 and done.stdout == b""
+        assert done.stderr == b"dimspec: invalid parameters: need D >= 2, got 1\n"
 
 
 class TestUsage:

@@ -120,6 +120,22 @@ class TestMinimizeVeff:
         with pytest.raises(NoConvergenceError, match=match):
             minimize_v_eff(q)
 
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            (0, "search ended on a non-negative minimum"),
+            (1, "search minimizer ln r = .* disagrees with the stationarity estimate"),
+        ],
+        ids=["inner-edge", "outer-edge"],
+    )
+    def test_search_that_misses_the_minimum_raises(self, monkeypatch, edge, message):
+        # a zero finder that returns a bracket edge, not the slope's root: at
+        # the inner edge the kinetic term still wins, and the outer edge lies
+        # half a unit of ln r from the stationarity estimate
+        monkeypatch.setattr(oracle, "_brent_zero", lambda f, a, b, *rest: (a, b)[edge])
+        with pytest.raises(NoConvergenceError, match=message):
+            minimize_v_eff(EnergyQuery(SignedLogReal(1, 0.0), 1, 1, 3))
+
     def test_no_minimum_at_divergent_boundary(self):
         with pytest.raises(InvalidParameterError) as info:
             minimize_v_eff(EnergyQuery(SignedLogReal(1, 0.0), 2, 1, 4))
@@ -178,6 +194,55 @@ class TestRadialGroundState:
         monkeypatch.setattr(oracle, "_WARM_TRIES", 0)
         match = r"no fine level in \[-0\.2\d+, -0\.2\d+\] about the coarse level -0\.2\d+$"
         with pytest.raises(NoConvergenceError, match=match):
+            radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
+
+    @pytest.mark.parametrize(
+        "count,message",
+        [
+            (lambda call, limit: limit, r"lower bracket -\S+ already has too many nodes$"),
+            (lambda call, limit: 0, r"upper bracket -\S+ finds no level with excitation 0$"),
+            # a level that node counting cannot isolate: bisection narrows the
+            # bracket to adjacent floats, the upper edge still counting two
+            (
+                lambda call, limit: 0 if call == 0 else 2,
+                r"no single level with excitation 0 in \[-\S+, -\S+\]$",
+            ),
+        ],
+        ids=["lower-edge-too-high", "upper-edge-too-low", "no-single-level"],
+    )
+    def test_node_counts_without_a_level_raise(self, monkeypatch, count, message):
+        calls = itertools.count()
+
+        def nodes_at(problem, energy, limit):
+            return count(next(calls), limit)
+
+        monkeypatch.setattr(oracle._RadialProblem, "nodes_at", nodes_at)
+        with pytest.raises(NoConvergenceError, match=message):
+            radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
+
+    @pytest.mark.parametrize(
+        "glued,message",
+        [
+            (lambda nodes, vanished: (nodes, True), "a sweep vanished at the matching point"),
+            (
+                lambda nodes, vanished: (nodes + 1, vanished),
+                "converged state has 1 nodes, expected 0",
+            ),
+        ],
+        ids=["vanished", "extra-node"],
+    )
+    def test_level_whose_glued_state_is_wrong_raises(self, monkeypatch, glued, message):
+        # the matching condition is unchanged; only the sign data each match
+        # records for the level check is
+        match = oracle._RadialProblem._match
+
+        def recording(problem, energy, m):
+            sine = match(problem, energy, m)
+            problem.signs[energy] = glued(*problem.signs[energy])
+            return sine
+
+        monkeypatch.setattr(oracle._RadialProblem, "_match", recording)
+        with pytest.raises(NoConvergenceError, match=message):
             radial_ground_state(3, 1.0, 1, KineticConvention.FULL_LAPLACIAN, 0)
 
     @pytest.mark.parametrize("convention", list(KineticConvention))

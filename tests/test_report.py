@@ -19,6 +19,7 @@ from dimspec import (
     Scheme,
     SignedLogReal,
     SystemParams,
+    Table1Row,
     e0_general,
     minimize_v_eff,
     oracle_equivalence_report,
@@ -30,7 +31,7 @@ from dimspec import (
     sort_records,
     table1_compare,
 )
-from dimspec import feasibility
+from dimspec import feasibility, report
 from dimspec.feasibility import _GRID_RECORDS, build_record
 from dimspec.report import CSV_COLUMNS, record_fields, render_csv, render_json
 
@@ -55,6 +56,10 @@ class TestTable1Compare:
         for row in table1_compare():
             assert row.ratio_log10 is not None
             assert math.isfinite(row.ratio_log10)
+
+    def test_unbound_row_has_no_ratio(self):
+        row = Table1Row(4, 1, -0.1, EnergyOutcome(Classification.DIVERGENT))
+        assert (row.ratio, row.ratio_log10) == (None, None)
 
     def test_extreme_row_reported_not_asserted(self):
         row = next(r for r in table1_compare() if (r.D, r.n) == (19, 5))
@@ -282,6 +287,19 @@ class TestSerialization:
         with pytest.raises(InvalidParameterError, match=repr(column)) as err:
             parse(text)
         assert err.value.code == "unparseable"
+
+    def test_unreadable_record_value_is_unparseable(self, monkeypatch):
+        # a compact document matches no writer's text, so each record is rebuilt
+        text = json.dumps(json.loads(render_records_json(scan([3], [1], Scheme.M_EQUALS_N))))
+
+        def build_record(*args, **kwargs):
+            raise TypeError("a value of the wrong type")
+
+        monkeypatch.setattr(report, "build_record", build_record)
+        with pytest.raises(InvalidParameterError) as err:
+            parse_records_json(text)
+        assert err.value.code == "unparseable"
+        assert str(err.value) == "unreadable record value: a value of the wrong type"
 
     def test_json_extra_field_is_unparseable(self):
         payload = json.loads(render_records_json(scan([3], [1], Scheme.M_EQUALS_N)))
